@@ -2,15 +2,24 @@
 
 A characteristic pair couples the body with one primitive integer vector
 per facet subject to the direct-summand condition: the vectors of any k
-facets meeting in a face must span a rank-k direct summand of Z^n.  For a
-simple polytope every face arises as a subset of some vertex's facet set,
-so validation enumerates exactly those subsets.
+facets meeting in a face must span a rank-k direct summand of Z^n.  On a
+simple polytope every face is cut out by a subset of some vertex's n
+facets, and any subset of a basis of Z^n spans a direct summand.  So,
+given primitivity, the condition holds exactly when the vertex matrix L_v
+of those n vectors has |det L_v| = 1 at every vertex (Davis-Januszkiewicz,
+condition (*)).  Facet subsets are searched only at the first vertex that
+fails, to name the smallest offending face.
+
+Pairs are immutable, so the validation report and each vertex frame
+(facet order, sign, L_v and mu = L_v^-1) are kept on the pair once built.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import NotValidatedError
 from .exactlin import (
@@ -20,32 +29,45 @@ from .exactlin import (
     det_sign_columns,
     is_primitive,
     smith_normal_form,
+    unimodular_inverse,
 )
 from .polytope import PolytopeWithHoles, edge_directions_at_vertex
 
 
-@dataclass
+@dataclass(frozen=True)
 class CharacteristicPair:
     body: PolytopeWithHoles
-    lam: dict[int, tuple[int, ...]]  # global facet id -> integer vector
-    validated: bool = field(default=False, compare=False)
+    lam: Mapping[int, tuple[int, ...]]  # global facet id -> integer vector, read-only
+    # the validation report and the vertex frames; they depend on body and lam only
+    _cache: dict = field(default_factory=lambda: {"report": None, "frames": {}},
+                         init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.body.dim
         if set(self.lam) != set(range(self.body.facet_count)):
             raise KeyError("characteristic map must cover every facet exactly once")
-        self.lam = {fid: tuple(int(c) for c in vec) for fid, vec in self.lam.items()}
-        for fid, vec in self.lam.items():
+        lam = {fid: tuple(int(c) for c in vec) for fid, vec in self.lam.items()}
+        for fid, vec in lam.items():
             if len(vec) != n:
                 raise KeyError(f"facet {fid}: vector length {len(vec)} != {n}")
+        object.__setattr__(self, "lam", MappingProxyType(lam))
+
+    @property
+    def validated(self) -> bool:
+        """Whether validate() has been run on this pair and accepted it."""
+        report = self._cache["report"]
+        return report is not None and report.ok
 
     def vector(self, fid: int) -> tuple[int, ...]:
         return self.lam[fid]
 
     def lambda_matrix(self) -> IntMatrix:
         """Columns lambda_1 ... lambda_m in global facet order (n x m)."""
-        return IntMatrix.from_columns(
-            [self.lam[f] for f in range(self.body.facet_count)], rows=self.body.dim)
+        return self.facet_matrix(range(self.body.facet_count))
+
+    def facet_matrix(self, facets) -> IntMatrix:
+        """Columns lambda_f for the given facets, in the given order."""
+        return IntMatrix.from_columns([self.lam[f] for f in facets], rows=self.body.dim)
 
 
 @dataclass(frozen=True)
@@ -63,89 +85,77 @@ class VertexFrame:
     directions: tuple[RatVector, ...]
     lambda_v: IntMatrix              # columns lambda_{i_1} ... lambda_{i_n}
     sign: int
+    mu: tuple[tuple[int, ...], ...]  # rows of lambda_v^-1, one covector per facet
+
+
+def vertex_determinants(pair: CharacteristicPair) -> dict[int, int]:
+    """det L_v with the facets in ascending id, for every vertex in global
+    vertex order.  Needs no validation."""
+    return {gv.gid: det_exact(pair.facet_matrix(sorted(gv.facets)))
+            for gv in pair.body.global_vertices()}
 
 
 def validate(pair: CharacteristicPair) -> ValidationReport:
     """Check primitivity and the direct-summand condition on every face.
 
-    On success the pair is flagged as validated; otherwise the report names
-    the first offending facet or face in a deterministic order.
+    The report is kept on the pair, which counts as validated if it is ok.
+    A rejection names the first non-primitive facet, else the first failing
+    face in vertex order, then by size, then lexicographically.
     """
-    n = pair.body.dim
+    if pair._cache["report"] is None:
+        pair._cache["report"] = _check(pair)
+    return pair._cache["report"]
+
+
+def _check(pair: CharacteristicPair) -> ValidationReport:
     for fid in range(pair.body.facet_count):
         vec = pair.lam[fid]
         if not is_primitive(vec):
             return ValidationReport(
                 False, "primitivity", (fid,),
                 f"facet {fid}: vector {vec} is not primitive")
-    seen: set[frozenset[int]] = set()
+    dets = vertex_determinants(pair)
     for gv in pair.body.global_vertices():
-        facets = sorted(gv.facets)
-        for k in range(1, n + 1):
-            for subset in itertools.combinations(facets, k):
-                key = frozenset(subset)
-                if key in seen:
-                    continue
-                seen.add(key)
-                m = IntMatrix.from_columns([pair.lam[f] for f in subset], rows=n)
-                divisors, rank = smith_normal_form(m)
+        if abs(dets[gv.gid]) == 1:
+            continue
+        # faces of earlier vertices all passed, and so did single facets
+        for k in range(2, pair.body.dim + 1):
+            for subset in itertools.combinations(sorted(gv.facets), k):
+                divisors, rank = smith_normal_form(pair.facet_matrix(subset))
                 if rank != k or any(d != 1 for d in divisors):
                     return ValidationReport(
                         False, "summand", subset,
                         f"face {subset}: span is not a rank-{k} direct summand "
                         f"(divisors {list(divisors)}, rank {rank})")
-    pair.validated = True
     return ValidationReport(True)
-
-
-def validate_pairwise_2d(pair: CharacteristicPair) -> ValidationReport:
-    """Dimension-2 shortcut: |det[lambda_i lambda_j]| = 1 for every pair of
-    facets sharing a vertex, plus primitivity.  Kept as an independent code
-    path so the general validator can be checked against it.
-    """
-    if pair.body.dim != 2:
-        raise ValueError("shortcut applies to 2-dimensional bodies only")
-    for fid in range(pair.body.facet_count):
-        if not is_primitive(pair.lam[fid]):
-            return ValidationReport(False, "primitivity", (fid,),
-                                    f"facet {fid} is not primitive")
-    for gv in pair.body.global_vertices():
-        i, j = sorted(gv.facets)
-        d = det_exact(IntMatrix.from_columns([pair.lam[i], pair.lam[j]], rows=2))
-        if d not in (1, -1):
-            return ValidationReport(False, "summand", (i, j),
-                                    f"face ({i}, {j}): determinant {d}")
-    return ValidationReport(True)
-
-
-def _require_validated(pair: CharacteristicPair):
-    if not pair.validated:
-        raise NotValidatedError("characteristic pair has not been validated")
 
 
 def vertex_frame(pair: CharacteristicPair, vid: int) -> VertexFrame:
-    """Facet order, edge directions and sign at one vertex.
+    """Facet order, edge directions, sign and edge covectors at one vertex.
 
     The facets through the vertex are taken in ascending global id; if the
     matching edge directions are negatively oriented the last two entries
-    are swapped, which is enough to make the basis positive.
+    are swapped, which is enough to make the basis positive.  Each frame is
+    built on first use and kept on the pair.
     """
-    _require_validated(pair)
-    pairs = edge_directions_at_vertex(pair.body, vid)
-    order = [fid for fid, _ in pairs]
-    dirs = [d for _, d in pairs]
-    if det_sign_columns(dirs) < 0:
-        order[-1], order[-2] = order[-2], order[-1]
-        dirs[-1], dirs[-2] = dirs[-2], dirs[-1]
-    lambda_v = IntMatrix.from_columns([pair.lam[f] for f in order], rows=pair.body.dim)
-    sign = det_exact(lambda_v)
-    assert sign in (1, -1), "validated pair must have unimodular vertex matrices"
-    return VertexFrame(vid, tuple(order), tuple(dirs), lambda_v, sign)
+    if not pair.validated:
+        raise NotValidatedError("characteristic pair has not been validated")
+    frames = pair._cache["frames"]
+    if vid not in frames:
+        pairs = edge_directions_at_vertex(pair.body, vid)
+        order = [fid for fid, _ in pairs]
+        dirs = [d for _, d in pairs]
+        if det_sign_columns(dirs) < 0:
+            order[-1], order[-2] = order[-2], order[-1]
+            dirs[-1], dirs[-2] = dirs[-2], dirs[-1]
+        lambda_v = pair.facet_matrix(order)
+        frames[vid] = VertexFrame(vid, tuple(order), tuple(dirs), lambda_v,
+                                  det_exact(lambda_v), unimodular_inverse(lambda_v).entries)
+    return frames[vid]
 
 
 def all_signs(pair: CharacteristicPair) -> dict[int, int]:
     """sigma(v) for every vertex of every component, keyed by vertex id."""
-    _require_validated(pair)
     return {gv.gid: vertex_frame(pair, gv.gid).sign
             for gv in pair.body.global_vertices()}
 

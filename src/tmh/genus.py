@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .charpair import CharacteristicPair, all_signs, vertex_frame
 from .errors import GenericityError
-from .exactlin import is_primitive, unimodular_inverse
+from .exactlin import is_primitive
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,7 @@ class ChiYPolynomial:
 
 def edge_vectors(pair: CharacteristicPair, vid: int) -> EdgeVectorFrame:
     frame = vertex_frame(pair, vid)  # raises NotValidatedError when needed
-    inverse = unimodular_inverse(frame.lambda_v)
-    mu = tuple(inverse.row(k) for k in range(inverse.rows))
-    assert all(is_primitive(m) for m in mu)
-    return EdgeVectorFrame(vid, frame.facet_order, mu)
+    return EdgeVectorFrame(vid, frame.facet_order, frame.mu)
 
 
 def _all_edge_vectors(pair: CharacteristicPair):

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from .charpair import CharacteristicPair
+from .charpair import CharacteristicPair, vertex_determinants
 from .errors import DomainError, NotValidatedError
-from .exactlin import IntMatrix, RatVector, det_exact, kernel_lattice_basis, rat_vector
+from .exactlin import IntMatrix, RatVector, kernel_lattice_basis, rat_vector, smith_normal_form
 from .polytope import PolytopeWithHoles, fm_feasible
 
 
@@ -167,23 +168,16 @@ def kernel_data(pair: CharacteristicPair) -> KernelData:
 def freeness_check(pair: CharacteristicPair) -> bool:
     """Whether the kernel torus acts freely on the moment angle complex.
 
-    At each vertex the kernel lattice must complement the coordinate
-    sublattice of the facets through the vertex, i.e. the m x m matrix
-    [kernel basis | coordinate columns of the vertex facets] must be
-    unimodular.  No validation is assumed; this is the independent route
-    that agrees with validate() whenever the vectors span Z^n (if all of
-    them land in a proper sublattice the action is still free but the pair
-    is not characteristic).
+    It does when the kernel K of Lambda complements the coordinate lattice
+    of the facets through each vertex.  As Z^m / K is the image Lambda Z^m,
+    that means the vertex's columns span the image: Lambda has rank n and
+    |det L_v| = [Z^n : Lambda Z^m], the product of its Smith divisors.
+    No validation is assumed.  With index 1 this is validity; if every
+    vector lies in a proper sublattice the action can be free although the
+    pair is not characteristic.
     """
-    lam = pair.lambda_matrix()
-    basis = kernel_lattice_basis(lam)
-    m = pair.body.facet_count
-    if basis.cols + pair.body.dim != m:
+    divisors, rank = smith_normal_form(pair.lambda_matrix())
+    if rank != pair.body.dim:
         return False  # rank-deficient characteristic map
-    for gv in pair.body.global_vertices():
-        coord_cols = [tuple(1 if i == f else 0 for i in range(m))
-                      for f in sorted(gv.facets)]
-        stacked = basis.hstack(IntMatrix.from_columns(coord_cols, rows=m))
-        if det_exact(stacked) not in (1, -1):
-            return False
-    return True
+    index = prod(divisors)
+    return all(abs(d) == index for d in vertex_determinants(pair).values())

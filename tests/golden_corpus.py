@@ -14,7 +14,6 @@ these bytes must be stated in CHANGES.md.  To record the corpus again:
 import io
 import json
 import random
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -90,7 +89,6 @@ def _corpus():
         random_multi_hole_2d,
         random_one_hole_2d,
         random_one_hole_3d,
-        random_quasitoric_2d,
         random_quasitoric_3d,
         unit_cube,
         pair_from_components,
@@ -221,5 +219,4 @@ def record():
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
     record()

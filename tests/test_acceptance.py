@@ -9,7 +9,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from tmh.charpair import CharacteristicPair, all_signs, validate, validate_pairwise_2d
+from tmh.charpair import all_signs, validate
 from tmh.dim4 import (
     chern_numbers_dim4,
     cw_cell_counts,
@@ -24,6 +24,7 @@ from tmh.exactlin import det_exact, smith_normal_form, IntMatrix
 from tmh.genus import chi_y, is_generic
 from tmh.mac import embedding_chart, freeness_check, kernel_data
 
+from oracles import candidates, freeness_by_kernel, validate_by_faces
 from instances import (
     cp1xcp1_square,
     cp2_triangle,
@@ -180,50 +181,40 @@ def test_criterion_07_fiber_sum_additivity():
 
 
 def test_criterion_08_validator_agreement():
-    rng = random.Random(8)
-    agreements = 0
-    rejected = 0
-    for i in range(100):
-        base = random_quasitoric_2d(rng) if i % 3 else random_one_hole_2d(rng)
-        lam = dict(base.lam)
-        corrupt = i % 2 == 0
-        if corrupt:
-            fid = rng.randrange(base.body.facet_count)
-            vec = (rng.randint(-4, 4), rng.randint(-4, 4))
-            lam[fid] = vec if vec != (0, 0) else (2, 0)
-        candidate = CharacteristicPair(base.body, lam)
+    checked = rejected = 0
+    for _, _, candidate in candidates(8):
         full = validate(candidate)
-        shortcut = validate_pairwise_2d(candidate)
-        assert full.ok == shortcut.ok
-        agreements += 1
+        assert full == validate_by_faces(candidate)
+        checked += 1
         if not full.ok:
             rejected += 1
             assert full.kind in ("primitivity", "summand")
             assert full.facets
             # the reported face must genuinely fail the summand test
             mat = IntMatrix.from_columns(
-                [candidate.lam[f] for f in full.facets], rows=2)
+                [candidate.lam[f] for f in full.facets], rows=candidate.body.dim)
             divisors, rank = smith_normal_form(mat)
             assert rank != len(full.facets) or any(d != 1 for d in divisors)
-    assert rejected > 0
-    announce(8, f"SNF validator and 2D pairwise shortcut agree on 100 "
-                f"instances ({rejected} rejected with the offending face named)")
+    assert checked >= 300 and 0 < rejected < checked
+    announce(8, f"|det L_v| validator and per-face SNF oracle agree on {checked} "
+                f"2D and 3D candidates with 0-2 holes ({rejected} rejected with "
+                f"the same face and message)")
 
 
 def test_criterion_09_moment_angle_data():
-    # freeness_check vs validate, including corrupted instances
-    rng = random.Random(9)
-    for i in range(20):
-        base = random_quasitoric_2d(rng) if i % 2 else random_one_hole_2d(rng)
-        lam = dict(base.lam)
-        if i % 3 == 0:
-            fid = rng.randrange(base.body.facet_count)
-            vec = (rng.randint(-3, 3), rng.randint(-3, 3))
-            lam[fid] = vec if vec != (0, 0) else (1, 1)
-        candidate = CharacteristicPair(base.body, lam)
-        assert freeness_check(candidate) == validate(candidate).ok
+    # freeness_check vs the kernel oracle and validate, including corrupted
+    # instances; freeness equals validity when the vectors span Z^n
+    checked = 0
+    for _, how, candidate in candidates(9):
+        free = freeness_check(candidate)
+        assert free == freeness_by_kernel(candidate)
+        if how != "sublattice":
+            assert free == validate(candidate).ok
+        checked += 1
+    assert checked >= 300
 
     # kernel rank is m - n everywhere
+    rng = random.Random(9)
     pairs = [validated(p) for p in
              (cp2_triangle(), cp1xcp1_square(), square_in_square())]
     pairs += [random_quasitoric_3d(rng), random_one_hole_2d(rng)]
@@ -256,8 +247,9 @@ def test_criterion_09_moment_angle_data():
             coords = chart.evaluate(point)
             for gid, value in enumerate(coords):
                 assert (value == 0) == (gid in on)
-    announce(9, "freeness matches validation, kernel rank is m-n, the CP^2 "
-                "kernel is (1,1,1), and d_i vanishes exactly on facet i")
+    announce(9, f"freeness matches the kernel oracle on {checked} candidates and "
+                "validation where the vectors span Z^n, kernel rank is m-n, the "
+                "CP^2 kernel is (1,1,1), and d_i vanishes exactly on facet i")
 
 
 def test_criterion_10_classic_sanity_values():

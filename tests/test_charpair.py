@@ -1,25 +1,33 @@
+import ast
+import dataclasses
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import tmh
 from tmh.charpair import (
     CharacteristicPair,
     all_signs,
     is_positive_omniorientation,
     validate,
-    validate_pairwise_2d,
     vertex_frame,
 )
 from tmh.errors import NotValidatedError
 from tmh.exactlin import IntMatrix
 from tmh.polytope import build_with_holes, polygon_from_vertices
 
+from golden_corpus import SPECS
+from oracles import candidates, validate_by_faces
 from instances import (
     cp2_triangle,
     pair_from_components,
     pentagon_y,
-    random_one_hole_2d,
     random_quasitoric_2d,
     random_quasitoric_3d,
     square_in_square,
@@ -172,18 +180,66 @@ class TestPositiveOmniorientation:
 
 class TestShortcutAgreement:
     def test_matches_snf_on_valid_and_corrupted(self):
-        rng = random.Random(59)
-        for i in range(40):
-            pair = random_one_hole_2d(rng) if i % 3 == 0 else random_quasitoric_2d(rng)
-            lam = dict(pair.lam)
-            if i % 2 == 0:
-                fid = rng.randrange(pair.body.facet_count)
-                lam[fid] = (rng.randint(-3, 3), rng.randint(-3, 3))
-                if lam[fid] == (0, 0):
-                    lam[fid] = (2, 2)
-            candidate = CharacteristicPair(pair.body, lam)
-            full = validate(candidate)
-            shortcut = validate_pairwise_2d(candidate)
-            assert full.ok == shortcut.ok
-            if not full.ok:
-                assert full.kind == shortcut.kind or full.kind == "primitivity"
+        for _, _, candidate in candidates(59):
+            assert validate(candidate) == validate_by_faces(candidate)
+
+
+class TestImmutablePair:
+    def test_lam_entries_are_read_only(self):
+        pair = validated(pentagon_y())
+        with pytest.raises(TypeError):
+            pair.lam[0] = (1, 2)
+        assert dict(pair.lam)[0] == (1, 0)
+
+    def test_fields_cannot_be_rebound(self):
+        pair = validated(pentagon_y())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.lam = {fid: (1, 2) for fid in pair.lam}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.validated = False
+        assert pair.validated
+
+    def test_signs_stay_unimodular_under_optimisation(self):
+        # asserts are stripped under -O, so the child prints the signs and
+        # this process checks them
+        script = (
+            "from instances import pentagon_y\n"
+            "from tmh.charpair import all_signs, validate\n"
+            "pair = pentagon_y()\n"
+            "validate(pair)\n"
+            "try:\n"
+            "    pair.lam[0] = (1, 2)\n"
+            "except TypeError:\n"
+            "    pass\n"
+            "print(sorted(set(all_signs(pair).values())))\n")
+        path = os.pathsep.join([str(Path(tmh.__file__).parent.parent),
+                                str(Path(__file__).parent)])
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert set(ast.literal_eval(proc.stdout)) <= {1, -1}
+
+
+class TestFramesOnce:
+    def test_pentagon_report_builds_each_frame_once(self, monkeypatch):
+        from tmh.cli import build_report, parse_spec
+
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        names = ("edge_directions_at_vertex", "unimodular_inverse")
+        modules = [m for key, m in sys.modules.items()
+                   if key == "tmh" or key.startswith("tmh.")]
+        for module in modules:
+            for name in names:
+                if name in vars(module):
+                    monkeypatch.setattr(module, name,
+                                        counting(name, getattr(module, name)))
+        build_report(parse_spec(str(SPECS / "pentagon.json")))
+        assert calls == {name: 5 for name in names}

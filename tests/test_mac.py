@@ -8,13 +8,13 @@ from tmh.errors import DomainError, NotValidatedError
 from tmh.mac import embedding_chart, embedding_coordinates, freeness_check, kernel_data
 from tmh.polytope import polygon_from_vertices
 
+from oracles import candidates, freeness_by_kernel
 from instances import (
     cp1xcp1_square,
     cp2_triangle,
     pair_from_components,
     random_multi_hole_2d,
     random_one_hole_2d,
-    random_quasitoric_2d,
     random_quasitoric_3d,
     square_in_square,
     validated,
@@ -160,14 +160,8 @@ class TestFreeness:
         assert freeness_check(bad)
 
     def test_agreement_with_validate(self):
-        rng = random.Random(41)
-        for i in range(30):
-            pair = random_quasitoric_2d(rng) if i % 2 else random_one_hole_2d(rng)
-            lam = dict(pair.lam)
-            if i % 3 == 0:
-                fid = rng.randrange(pair.body.facet_count)
-                vec = (rng.randint(-3, 3), rng.randint(-3, 3))
-                lam[fid] = vec if vec != (0, 0) else (1, 1)
-            candidate = CharacteristicPair(pair.body, lam)
-            ok = validate(candidate).ok
-            assert freeness_check(candidate) == ok
+        for _, how, candidate in candidates(41):
+            free = freeness_check(candidate)
+            assert free == freeness_by_kernel(candidate)
+            if how != "sublattice":
+                assert free == validate(candidate).ok
