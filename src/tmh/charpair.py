@@ -58,9 +58,6 @@ class CharacteristicPair:
         report = self._cache["report"]
         return report is not None and report.ok
 
-    def vector(self, fid: int) -> tuple[int, ...]:
-        return self.lam[fid]
-
     def lambda_matrix(self) -> IntMatrix:
         """Columns lambda_1 ... lambda_m in global facet order (n x m)."""
         return self.facet_matrix(range(self.body.facet_count))

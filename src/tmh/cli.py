@@ -6,19 +6,27 @@ JSON ints and rationals as strings "p/q"; float literals are rejected so
 no precision can silently leak in.  Reports are emitted as text or as
 canonical JSON (sorted keys), and identical inputs produce byte-identical
 output.
+
+Every command prints from the same section builders: ``report`` joins
+them, and ``invariants``, ``homology``, ``ring`` and ``mac`` print their
+own section line by line (``mac --point`` adds the embedding to it).
+One table maps errors to exit codes: 1 for malformed input or arguments,
+2 for an invalid pair, a non-generic direction or a point outside the
+body, 3 for requests out of scope.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dim4, genus, mac
-from .charpair import CharacteristicPair, validate
-from .errors import GenericityError, GeometryError, ScopeError, SpecParseError
+from .charpair import CharacteristicPair, all_signs, is_positive_omniorientation, validate
+from .errors import DomainError, GenericityError, GeometryError, ScopeError, SpecParseError
 from .exactlin import det_exact
 from .polytope import (
     HalfSpace,
@@ -137,9 +145,6 @@ class SpecDocument:
                for i, label in enumerate(self.facet_labels)}
         return CharacteristicPair(self.body, lam)
 
-    def label_of_facet(self, gid: int) -> str:
-        return self.facet_labels[gid]
-
 
 def parse_spec_dict(doc, source: str = "<spec>") -> SpecDocument:
     if not isinstance(doc, dict):
@@ -206,15 +211,24 @@ def parse_spec(path: str) -> SpecDocument:
 # report assembly
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(Fraction(x))
+def _chi_y_section(pair, nu) -> dict:
+    poly = genus.chi_y(pair, nu)
+    return {
+        "nu": list(poly.nu),
+        "coefficients": list(poly.coefficients),
+        "top_chern": poly.top_chern,
+        "signature": poly.signature,
+        "todd": poly.todd,
+    }
 
 
-def _generator_label(doc: SpecDocument, gen) -> str:
-    kind, payload = gen
-    if kind == "facet":
-        return doc.label_of_facet(payload)
-    return f"S{payload}"
+def _homology_section(pair) -> dict:
+    profile = dim4.homology_groups(pair)
+    return {
+        "betti": list(profile.betti),
+        "cell_counts": list(profile.cell_counts),
+        "euler_characteristic": profile.m,
+    }
 
 
 def _intersection_section(doc: SpecDocument, pair) -> dict | None:
@@ -222,7 +236,8 @@ def _intersection_section(doc: SpecDocument, pair) -> dict | None:
         return None
     data = dim4.intersection_form(pair)
     return {
-        "generators": [_generator_label(doc, g) for g in data.generators],
+        "generators": [doc.facet_labels[g] if kind == "facet" else f"S{g}"
+                       for kind, g in data.generators],
         "matrix": [list(row) for row in data.matrix.entries],
         "one_three_pairing": data.one_three_pairing,
         "determinant": det_exact(data.matrix),
@@ -230,7 +245,17 @@ def _intersection_section(doc: SpecDocument, pair) -> dict | None:
     }
 
 
-def build_report(doc: SpecDocument, nu=None) -> dict:
+def _moment_angle_section(pair) -> dict:
+    kdata = mac.kernel_data(pair)
+    return {
+        "torus_rank": kdata.torus_rank,
+        "kernel_basis_columns": [list(kdata.kernel_basis.col(j))
+                                 for j in range(kdata.kernel_basis.cols)],
+        "freeness": mac.freeness_check(pair),
+    }
+
+
+def build_report(doc: SpecDocument) -> dict:
     pair = doc.to_pair()
     result = validate(pair)
     report = {
@@ -242,43 +267,30 @@ def build_report(doc: SpecDocument, nu=None) -> dict:
         "validation": {
             "ok": result.ok,
             "kind": result.kind,
-            "facets": [doc.label_of_facet(f) for f in result.facets],
+            "facets": [doc.facet_labels[f] for f in result.facets],
             "message": result.message,
         },
     }
     if not result.ok:
         return report
 
-    from .charpair import all_signs, is_positive_omniorientation
-
     signs = all_signs(pair)
     report["vertex_signs"] = [
         {
             "vertex": gv.gid,
             "component": gv.component,
-            "point": [_fraction_str(c) for c in gv.point],
+            "point": [str(c) for c in gv.point],
             "sign": signs[gv.gid],
         }
         for gv in pair.body.global_vertices()
     ]
     report["positive_omniorientation"] = is_positive_omniorientation(pair)
-
-    poly = genus.chi_y(pair, nu if nu is not None else doc.nu)
-    report["chi_y"] = {
-        "nu": list(poly.nu),
-        "coefficients": list(poly.coefficients),
-        "top_chern": poly.top_chern,
-        "signature": poly.signature,
-        "todd": poly.todd,
-    }
+    report["chi_y"] = _chi_y_section(pair, doc.nu)
 
     if doc.dimension == 2:
-        profile = dim4.homology_groups(pair)
         c1sq, c2 = dim4.chern_numbers_dim4(pair)
         report["dim4"] = {
-            "betti": list(profile.betti),
-            "cell_counts": list(profile.cell_counts),
-            "euler_characteristic": profile.m,
+            **_homology_section(pair),
             "c1_squared": c1sq,
             "c2": c2,
             "intersection": _intersection_section(doc, pair),
@@ -294,14 +306,7 @@ def build_report(doc: SpecDocument, nu=None) -> dict:
                    else "unobstructed by this tool"),
         "complex_excluded_by_bmy": flags.complex_excluded_by_bmy,
     }
-
-    kdata = mac.kernel_data(pair)
-    report["moment_angle"] = {
-        "torus_rank": kdata.torus_rank,
-        "kernel_basis_columns": [list(kdata.kernel_basis.col(j))
-                                 for j in range(kdata.kernel_basis.cols)],
-        "freeness": mac.freeness_check(pair),
-    }
+    report["moment_angle"] = _moment_angle_section(pair)
     return report
 
 
@@ -350,7 +355,7 @@ def render_text(report: dict) -> str:
 
 def _halfspace_json(poly: SimplePolytope, labels):
     return [{"label": label, "normal": list(h.normal),
-             "offset": _fraction_str(h.offset)}
+             "offset": str(h.offset)}
             for label, h in zip(labels, poly.halfspaces)]
 
 
@@ -403,6 +408,11 @@ def compose_fibersum(base: SpecDocument, pieces, scale=None) -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token such as -1/8,2 is an option value, not an unknown option
+        self._negative_number_matcher = re.compile(r"-\d")
+
     def error(self, message):
         raise SpecParseError(f"argument error: {message}")
 
@@ -429,145 +439,114 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _validated_pair(doc: SpecDocument, out):
+def _option_vector(text: str, dim: int, option: str) -> tuple[Fraction, ...]:
+    """A comma-separated --nu or --point value: one rational per dimension."""
+    parts = text.split(",")
+    if len(parts) != dim:
+        raise SpecParseError(f"{option}: expected {dim} comma-separated numbers")
+    return tuple(_parse_rational(x, f"{option}[{i}]") for i, x in enumerate(parts))
+
+
+def _print_section(section: dict, out, rows=()) -> None:
+    """Print a report section as the subcommands do: one `key: value` line
+    per entry, lists in Python notation, and one indented line per item for
+    the entries named in ``rows``."""
+    for key, value in section.items():
+        if key in rows:
+            print(f"{key}:", file=out)
+            for item in value:
+                print(f"  {item}", file=out)
+        else:
+            print(f"{key}: {value if isinstance(value, list) else _scalar(value)}", file=out)
+
+
+def _command(args, out) -> int:
+    if args.command == "fibersum":
+        scale = None if args.scale is None else _parse_rational(args.scale, "--scale")
+        if scale is not None and scale <= 0:
+            raise SpecParseError(f"--scale: expected a positive rational, got {scale}")
+        base = parse_spec(args.base)
+        pieces = [parse_spec(p) for p in args.pieces]
+        payload = render_json(compose_fibersum(base, pieces, scale=scale))
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+        print(f"wrote {args.output}", file=out)
+        return EXIT_OK
+
+    doc = parse_spec(args.spec)
+
+    if args.command == "report":
+        report = build_report(doc)
+        render = render_text if args.format == "text" else render_json
+        print(render(report), end="", file=out)
+        return EXIT_OK if report["validation"]["ok"] else EXIT_INVALID
+
+    if args.command in ("homology", "ring") and doc.dimension != 2:
+        raise ScopeError(f"{args.command} needs dimension 2, got {doc.dimension}")
+    nu, point = doc.nu, None
+    if args.command == "invariants" and args.nu is not None:
+        nu = _option_vector(args.nu, doc.dimension, "--nu")
+        if any(c.denominator != 1 for c in nu):
+            raise SpecParseError(f"--nu: expected integers, got {args.nu}")
+    if args.command == "mac" and args.point is not None:
+        point = _option_vector(args.point, doc.dimension, "--point")
     pair = doc.to_pair()
     result = validate(pair)
+    facets = [doc.facet_labels[f] for f in result.facets]
+    if args.command == "validate":
+        if result.ok:
+            print(f"{doc.name}: valid characteristic pair "
+                  f"(m={pair.body.facet_count}, s={pair.body.hole_count})",
+                  file=out)
+            return EXIT_OK
+        print(f"{doc.name}: INVALID ({result.kind}) at {facets}: "
+              f"{result.message}", file=out)
+        return EXIT_INVALID
     if not result.ok:
-        facets = [doc.label_of_facet(f) for f in result.facets]
         print(f"validation failed ({result.kind}) at {facets}: {result.message}",
               file=out)
-        return None
-    return pair
+        return EXIT_INVALID
+
+    rows = ()
+    if args.command == "invariants":
+        section = _chi_y_section(pair, nu)
+        section = {"chi_y coefficients": section.pop("coefficients"), **section}
+    elif args.command == "homology":
+        section = _homology_section(pair)
+    elif args.command == "ring":
+        if pair.body.hole_count > 1:
+            raise ScopeError("intersection products are only computed for "
+                             "at most one hole")
+        section, rows = _intersection_section(doc, pair), ("matrix",)
+    else:
+        section = _moment_angle_section(pair)
+        if point is not None:
+            coords = mac.embedding_coordinates(pair, point)
+            section["embedding"] = [f"{label}: {x}"
+                                    for label, x in zip(doc.facet_labels, coords)]
+            rows = ("embedding",)
+    _print_section(section, out, rows)
+    return EXIT_OK
+
+
+# the exit code of each error that reaches the command line
+_EXIT_CODES = {
+    SpecParseError: EXIT_IO,
+    OSError: EXIT_IO,
+    GenericityError: EXIT_INVALID,
+    DomainError: EXIT_INVALID,
+    GeometryError: EXIT_INVALID,  # composition failures: placement, containment
+    ScopeError: EXIT_SCOPE,
+}
 
 
 def run(argv, out=None) -> int:
     """Execute one CLI invocation; returns the process exit code."""
-    out = out or sys.stdout
     try:
-        args = _build_parser().parse_args(argv)
-    except SpecParseError as exc:
+        return _command(_build_parser().parse_args(argv), out or sys.stdout)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
-        if args.command == "fibersum":
-            base = parse_spec(args.base)
-            pieces = [parse_spec(p) for p in args.pieces]
-            scale = Fraction(args.scale) if args.scale else None
-            composed = compose_fibersum(base, pieces, scale=scale)
-            payload = json.dumps(composed, sort_keys=True, indent=2) + "\n"
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            print(f"wrote {args.output}", file=out)
-            return EXIT_OK
-
-        doc = parse_spec(args.spec)
-
-        if args.command == "validate":
-            pair = doc.to_pair()
-            result = validate(pair)
-            if result.ok:
-                print(f"{doc.name}: valid characteristic pair "
-                      f"(m={pair.body.facet_count}, s={pair.body.hole_count})",
-                      file=out)
-                return EXIT_OK
-            facets = [doc.label_of_facet(f) for f in result.facets]
-            print(f"{doc.name}: INVALID ({result.kind}) at {facets}: "
-                  f"{result.message}", file=out)
-            return EXIT_INVALID
-
-        if args.command == "invariants":
-            pair = _validated_pair(doc, out)
-            if pair is None:
-                return EXIT_INVALID
-            nu = None
-            if args.nu:
-                nu = tuple(int(x) for x in args.nu.split(","))
-            poly = genus.chi_y(pair, nu if nu is not None else doc.nu)
-            print(f"chi_y coefficients: {list(poly.coefficients)}", file=out)
-            print(f"nu: {list(poly.nu)}", file=out)
-            print(f"top_chern: {poly.top_chern}", file=out)
-            print(f"signature: {poly.signature}", file=out)
-            print(f"todd: {poly.todd}", file=out)
-            return EXIT_OK
-
-        if args.command in ("homology", "ring"):
-            if doc.dimension != 2:
-                print(f"error: {args.command} needs dimension 2, "
-                      f"got {doc.dimension}", file=sys.stderr)
-                return EXIT_SCOPE
-            pair = _validated_pair(doc, out)
-            if pair is None:
-                return EXIT_INVALID
-            if args.command == "homology":
-                profile = dim4.homology_groups(pair)
-                print(f"betti: {list(profile.betti)}", file=out)
-                print(f"cell_counts: {list(profile.cell_counts)}", file=out)
-                print(f"euler_characteristic: {profile.m}", file=out)
-                return EXIT_OK
-            if pair.body.hole_count > 1:
-                print("error: intersection products are only computed for "
-                      "at most one hole", file=sys.stderr)
-                return EXIT_SCOPE
-            data = dim4.intersection_form(pair)
-            print(f"generators: {[_generator_label(doc, g) for g in data.generators]}",
-                  file=out)
-            print("matrix:", file=out)
-            for row in data.matrix.entries:
-                print(f"  {list(row)}", file=out)
-            print(f"one_three_pairing: {_scalar(data.one_three_pairing)}", file=out)
-            print(f"determinant: {det_exact(data.matrix)}", file=out)
-            print(f"signature: {dim4.signature_of_matrix(data.matrix)}", file=out)
-            return EXIT_OK
-
-        if args.command == "mac":
-            pair = _validated_pair(doc, out)
-            if pair is None:
-                return EXIT_INVALID
-            kdata = mac.kernel_data(pair)
-            print(f"torus_rank: {kdata.torus_rank}", file=out)
-            print(f"kernel_basis_columns: "
-                  f"{[list(kdata.kernel_basis.col(j)) for j in range(kdata.kernel_basis.cols)]}",
-                  file=out)
-            print(f"freeness: {_scalar(mac.freeness_check(pair))}", file=out)
-            if args.point:
-                point = tuple(Fraction(x) for x in args.point.split(","))
-                coords = mac.embedding_coordinates(pair, point)
-                print("embedding:", file=out)
-                for label, value in zip(doc.facet_labels, coords):
-                    print(f"  {label}: {_fraction_str(value)}", file=out)
-            return EXIT_OK
-
-        if args.command == "report":
-            nu = None
-            report = build_report(doc, nu)
-            if not report["validation"]["ok"]:
-                print(render_text(report) if args.format == "text"
-                      else render_json(report), end="", file=out)
-                return EXIT_INVALID
-            rendered = (render_text(report) if args.format == "text"
-                        else render_json(report))
-            print(rendered, end="", file=out)
-            return EXIT_OK
-
-        raise AssertionError(f"unhandled command {args.command}")
-
-    except SpecParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except GenericityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ScopeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCOPE
-    except GeometryError as exc:
-        # composition failures (placement, containment) are input problems
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def main():

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charpair import CharacteristicPair, all_signs
+from .charpair import CharacteristicPair, all_signs, is_positive_omniorientation
 from .errors import DimensionError, ScopeError
 from .exactlin import IntMatrix, solve_rational
 from .genus import chi_y
@@ -341,7 +341,7 @@ def structure_flags(pair: CharacteristicPair) -> StructureFlags:
     with c1^2 > 3 c2 violates Bogomolov-Miyaoka-Yau, so no complex
     structure at all.
     """
-    positive = all(s == 1 for s in all_signs(pair).values())
+    positive = is_positive_omniorientation(pair)
     s = pair.body.hole_count
     if pair.body.dim == 2:
         c1sq, c2 = chern_numbers_dim4(pair)

@@ -45,10 +45,6 @@ class PlacementError(GeometryError):
     """The deterministic hole placement could not fit the pieces."""
 
 
-class ValidationError(TmhError):
-    """Characteristic-function validation failed (see the report)."""
-
-
 class NotValidatedError(TmhError):
     """Operation requires a validated characteristic pair."""
 

@@ -4,13 +4,18 @@ Everything here works with arbitrary-precision Python ints and
 fractions.Fraction; no floating point is used anywhere.  Matrices are
 immutable and all operations are pure functions, so values can be shared
 freely between threads.
+
+Determinants, rational solves, ranks and unimodular inverses share one
+fraction-free Gauss-Jordan routine (Bareiss 1968), with rational rows
+scaled to integers first.  Smith and Hermite forms keep their own integer
+operations, which divide with remainder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DimensionError, NotUnimodularError
 
@@ -75,73 +80,57 @@ class IntMatrix:
         entries = tuple(tuple(c[i] for c in cols) for i in range(rows))
         return cls(rows, len(cols), entries)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.col(j) for j in range(self.cols)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(self.col(j) for j in range(self.cols)))
+def _eliminate(rows: list[list[int]], width: int) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968), in place.
 
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise DimensionError("hstack needs equal row counts")
-        entries = tuple(self.entries[i] + other.entries[i] for i in range(self.rows))
-        return IntMatrix(self.rows, self.cols + other.cols, entries)
+    Pivots are taken in the first ``width`` columns, top to bottom, and
+    every division is exact.  Afterwards the first r rows are the pivot
+    rows; each holds the last pivot p at its own pivot column and 0 at the
+    other pivot columns.  When those columns form a nonsingular square A,
+    the row operations amount to multiplying by p A^-1, so any further
+    columns B become p A^-1 B.  Returns r and p times the sign of the row
+    swaps, which is det A in that case.
+    """
+    rank, sign, prev = 0, 1, 1
+    for c in range(width):
+        p = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != rank:
+            rows[rank], rows[p] = rows[p], rows[rank]
+            sign = -sign
+        top = rows[rank]
+        pivot = top[c]
+        for i, row in enumerate(rows):
+            if i != rank:
+                f = row[c]
+                rows[i] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pivot
+        rank += 1
+    return rank, sign * prev
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DimensionError("inner dimensions do not match")
-        out = []
-        for i in range(self.rows):
-            ri = self.entries[i]
-            out.append(tuple(
-                sum(ri[k] * other.entries[k][j] for k in range(self.cols))
-                for j in range(other.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
 
-    def mul_vector(self, vec) -> tuple[int, ...]:
-        if len(vec) != self.cols:
-            raise DimensionError("vector length mismatch")
-        return tuple(sum(r[k] * vec[k] for k in range(self.cols)) for r in self.entries)
+def _integer_row(values) -> list[int]:
+    """Rational values times the lcm of their denominators, as integers."""
+    values = [Fraction(x) for x in values]
+    mult = lcm(*(x.denominator for x in values))
+    return [x.numerator * (mult // x.denominator) for x in values]
 
 
 def det_exact(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free elimination."""
     if not m.is_square:
         raise DimensionError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss: the division is exact
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    rank, det = _eliminate([list(row) for row in m.entries], m.cols)
+    return det if rank == m.rows else 0
 
 
 def _snf_diagonalize(mat: IntMatrix, track_cols: bool):
@@ -292,23 +281,16 @@ def kernel_lattice_basis(m: IntMatrix) -> IntMatrix:
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """Exact integer inverse of a matrix with determinant +-1."""
-    d = det_exact(m)  # raises DimensionError on non-square input
-    if d not in (1, -1):
-        raise NotUnimodularError(f"determinant is {d}, expected +-1")
+    if not m.is_square:
+        raise DimensionError("inverse of a non-square matrix")
     n = m.rows
-    aug = [[Fraction(m.entries[i][j]) for j in range(n)]
-           + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pivot = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    entries = tuple(tuple(int(aug[i][n + j]) for j in range(n)) for i in range(n))
-    return IntMatrix(n, n, entries)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
+    rank, det = _eliminate(rows, n)
+    if rank < n or det not in (1, -1):
+        raise NotUnimodularError(f"determinant is {det if rank == n else 0}, expected +-1")
+    # each row is now p * (row of m^-1) with p = +-1 on the diagonal
+    return IntMatrix(n, n, tuple(tuple(x * row[i] for x in row[n:])
+                                 for i, row in enumerate(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -318,38 +300,17 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
 def solve_rational(a_rows, b) -> RatVector | None:
     """Solve the square rational system A x = b; None if A is singular."""
     n = len(a_rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(a_rows, b)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pivot is None:
-            return None
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return tuple(aug[i][n] for i in range(n))
+    rows = [_integer_row([*row, rhs]) for row, rhs in zip(a_rows, b)]
+    rank, _ = _eliminate(rows, n)
+    if rank < n:
+        return None
+    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(rows))
 
 
 def rational_rank(rows) -> int:
     """Rank of a matrix given as an iterable of rational rows."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(work)) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][c]
-        work[rank] = [x * inv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
+    work = [_integer_row(row) for row in rows]
+    rank, _ = _eliminate(work, len(work[0]) if work else 0)
     return rank
 
 
@@ -359,12 +320,6 @@ def det_sign_columns(columns) -> int:
     Each column is scaled by a positive rational to clear denominators,
     which cannot change the sign.
     """
-    scaled = []
-    for col in columns:
-        col = [Fraction(x) for x in col]
-        mult = 1
-        for x in col:
-            mult = mult * x.denominator // gcd(mult, x.denominator)
-        scaled.append(tuple(int(x * mult) for x in col))
+    scaled = [_integer_row(col) for col in columns]
     d = det_exact(IntMatrix.from_columns(scaled))
     return (d > 0) - (d < 0)

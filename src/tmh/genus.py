@@ -15,15 +15,8 @@ import itertools
 from dataclasses import dataclass
 
 from .charpair import CharacteristicPair, all_signs, vertex_frame
-from .errors import GenericityError
+from .errors import DimensionError, GenericityError
 from .exactlin import is_primitive
-
-
-@dataclass(frozen=True)
-class EdgeVectorFrame:
-    vertex: int
-    facet_order: tuple[int, ...]
-    mu: tuple[tuple[int, ...], ...]  # one integer covector per facet
 
 
 @dataclass(frozen=True)
@@ -52,28 +45,29 @@ class ChiYPolynomial:
         return self.coefficients[0]
 
 
-def edge_vectors(pair: CharacteristicPair, vid: int) -> EdgeVectorFrame:
-    frame = vertex_frame(pair, vid)  # raises NotValidatedError when needed
-    return EdgeVectorFrame(vid, frame.facet_order, frame.mu)
-
-
 def _all_edge_vectors(pair: CharacteristicPair):
     for gv in pair.body.global_vertices():
-        frame = edge_vectors(pair, gv.gid)
-        for m in frame.mu:
-            yield gv.gid, m
+        yield from vertex_frame(pair, gv.gid).mu
+
+
+def _direction(pair: CharacteristicPair, nu) -> tuple[int, ...]:
+    """nu as an integer tuple of the body's dimension."""
+    nu = tuple(int(c) for c in nu)
+    if len(nu) != pair.body.dim:
+        raise DimensionError(f"direction {nu} needs {pair.body.dim} entries")
+    return nu
 
 
 def is_generic(pair: CharacteristicPair, nu) -> bool:
-    nu = tuple(int(c) for c in nu)
+    nu = _direction(pair, nu)
     return all(sum(a * b for a, b in zip(m, nu)) != 0
-               for _, m in _all_edge_vectors(pair))
+               for m in _all_edge_vectors(pair))
 
 
 def find_generic_nu(pair: CharacteristicPair) -> tuple[int, ...]:
     """First primitive direction, by increasing max-norm then lexicographic
     order, that pairs nonzero with every edge vector of every vertex."""
-    covectors = [m for _, m in _all_edge_vectors(pair)]
+    covectors = list(_all_edge_vectors(pair))
     n = pair.body.dim
     for bound in itertools.count(1):
         for cand in itertools.product(range(-bound, bound + 1), repeat=n):
@@ -87,10 +81,9 @@ def find_generic_nu(pair: CharacteristicPair) -> tuple[int, ...]:
 
 def vertex_index(pair: CharacteristicPair, vid: int, nu) -> int:
     """Number of negative weights mu_k(nu) at the vertex."""
-    nu = tuple(int(c) for c in nu)
-    frame = edge_vectors(pair, vid)
+    nu = _direction(pair, nu)
     index = 0
-    for m in frame.mu:
+    for m in vertex_frame(pair, vid).mu:
         w = sum(a * b for a, b in zip(m, nu))
         if w == 0:
             raise GenericityError(
@@ -109,10 +102,7 @@ def chi_y(pair: CharacteristicPair, nu=None) -> ChiYPolynomial:
     constant term is the Todd genus.
     """
     signs = all_signs(pair)
-    if nu is None:
-        nu = find_generic_nu(pair)
-    else:
-        nu = tuple(int(c) for c in nu)
+    nu = find_generic_nu(pair) if nu is None else _direction(pair, nu)
     n = pair.body.dim
     coeffs = [0] * (n + 1)
     for vid in sorted(signs):

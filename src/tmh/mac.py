@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import prod
 
 from .charpair import CharacteristicPair, vertex_determinants
-from .errors import DomainError, NotValidatedError
+from .errors import DimensionError, DomainError, NotValidatedError
 from .exactlin import IntMatrix, RatVector, kernel_lattice_basis, rat_vector, smith_normal_form
 from .polytope import PolytopeWithHoles, fm_feasible
 
@@ -95,14 +95,6 @@ class EmbeddingChart:
                 constants[gid] = widths[k - 1] * _l1(h.normal) + max(Fraction(0), deficit) + 1
         return cls(body, widths, constants)
 
-    @property
-    def ambient_intermediate(self) -> int:
-        return self.body.dim + self.body.hole_count
-
-    @property
-    def ambient_final(self) -> int:
-        return self.body.facet_count
-
     def hole_coordinates(self, point) -> tuple[Fraction, ...]:
         """The auxiliary coordinates p_{n+1} ... p_{n+s} of the lift."""
         point = rat_vector(point)
@@ -113,13 +105,11 @@ class EmbeddingChart:
             out.append(max(Fraction(0), 1 - v / w))
         return tuple(out)
 
-    def lift(self, point) -> RatVector:
-        """Embed the point into the intermediate chart R^(n+s)."""
-        return rat_vector(point) + self.hole_coordinates(point)
-
     def evaluate(self, point) -> RatVector:
         """The facet coordinates (d_1(x), ..., d_m(x))."""
         point = rat_vector(point)
+        if len(point) != self.body.dim:
+            raise DimensionError(f"point needs {self.body.dim} coordinates, got {len(point)}")
         if not self.body.contains(point):
             raise DomainError(f"point {tuple(map(str, point))} is not in the body")
         p_hole = self.hole_coordinates(point)

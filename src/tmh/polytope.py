@@ -310,10 +310,6 @@ class PolytopeWithHoles:
                 return c, gid - self.facet_offsets[c]
         raise KeyError(f"facet id {gid} out of range")
 
-    def facet_halfspace(self, gid: int) -> HalfSpace:
-        c, local = self.facet_location(gid)
-        return self.components[c].halfspaces[local]
-
     def vertex_gid(self, component: int, local: int) -> int:
         return self.vertex_offsets[component] + local
 

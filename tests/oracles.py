@@ -20,6 +20,7 @@ from tmh.exactlin import (
     smith_normal_form,
 )
 
+from matrices import hstack
 from instances import (
     random_multi_hole_2d,
     random_one_hole_2d,
@@ -70,7 +71,7 @@ def freeness_by_kernel(pair: CharacteristicPair) -> bool:
     for gv in pair.body.global_vertices():
         coord_cols = [tuple(1 if i == f else 0 for i in range(m))
                       for f in sorted(gv.facets)]
-        stacked = basis.hstack(IntMatrix.from_columns(coord_cols, rows=m))
+        stacked = hstack(basis, IntMatrix.from_columns(coord_cols, rows=m))
         if det_exact(stacked) not in (1, -1):
             return False
     return True

@@ -241,6 +241,56 @@ class TestCommands:
         assert code == 3
 
 
+class TestArgumentErrors:
+    """A malformed argument exits 1 and a point outside the body exits 2,
+    each with one `error:` line on stderr and nothing on stdout."""
+
+    @staticmethod
+    def assert_rejected(capsys, argv, code):
+        got, out = run_cli(argv)
+        err = capsys.readouterr().err
+        assert (got, out) == (code, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ["invariants", "--nu=1,x"],
+        ["invariants", "--nu=1,2,3"],
+        ["invariants", "--nu=1/2,1"],
+        ["mac", "--point=1,1,5"],
+        ["mac", "--point=1/0,2"],
+    ], ids=lambda args: " ".join(args))
+    def test_malformed_exit_1(self, pentagon_file, capsys, args):
+        self.assert_rejected(capsys, [args[0], pentagon_file, *args[1:]], 1)
+
+    def test_point_outside_body_exit_2(self, pentagon_file, capsys):
+        self.assert_rejected(capsys, ["mac", pentagon_file, "--point=9,9"], 2)
+
+    @pytest.mark.parametrize("scale", ["x", "0", "-1"])
+    def test_bad_scale_exit_1(self, pentagon_file, tmp_path, capsys, scale):
+        out_path = tmp_path / "yy.json"
+        self.assert_rejected(capsys, ["fibersum", pentagon_file, pentagon_file,
+                                      "-o", str(out_path), f"--scale={scale}"], 1)
+        assert not out_path.exists()
+
+
+class TestNegativeValues:
+    """`--opt -1,2` reads the value like `--opt=-1,2`."""
+
+    @pytest.mark.parametrize("option, value", [
+        ("--point", "-1/8,2"), ("--nu", "-1,2"), ("--nu", "-2,-1")])
+    def test_same_as_equals_form(self, pentagon_file, capsys, option, value):
+        cmd = "mac" if option == "--point" else "invariants"
+        spaced = run_cli([cmd, pentagon_file, option, value]), capsys.readouterr().err
+        joined = run_cli([cmd, pentagon_file, f"{option}={value}"]), capsys.readouterr().err
+        assert spaced == joined
+        assert "expected one argument" not in spaced[1]
+
+    def test_point_embedding(self, pentagon_file):
+        code, out = run_cli(["mac", pentagon_file, "--point", "-1/8,2"])
+        assert code == 0
+        assert "embedding:" in out
+
+
 class TestFiberSum:
     def test_y_plus_y_roundtrip(self, pentagon_file, tmp_path):
         out_path = str(tmp_path / "yy.json")

@@ -3,12 +3,11 @@ import random
 
 import pytest
 
-from tmh.charpair import all_signs
-from tmh.errors import GenericityError, NotValidatedError
+from tmh.charpair import all_signs, vertex_frame
+from tmh.errors import DimensionError, GenericityError, NotValidatedError
 from tmh.genus import (
     ChiYPolynomial,
     chi_y,
-    edge_vectors,
     find_generic_nu,
     is_generic,
     vertex_index,
@@ -49,17 +48,17 @@ def generic_directions(pair, count):
 class TestEdgeVectors:
     def test_identity_frame(self):
         pair = validated(cp2_triangle())
-        frame = edge_vectors(pair, vertex_at(pair, (0, 0)))
+        frame = vertex_frame(pair, vertex_at(pair, (0, 0)))
         assert frame.mu == ((1, 0), (0, 1))
 
     def test_vertex_10(self):
         pair = validated(cp2_triangle())
-        frame = edge_vectors(pair, vertex_at(pair, (1, 0)))
+        frame = vertex_frame(pair, vertex_at(pair, (1, 0)))
         assert frame.mu == ((-1, 1), (-1, 0))
 
     def test_vertex_01(self):
         pair = validated(cp2_triangle())
-        frame = edge_vectors(pair, vertex_at(pair, (0, 1)))
+        frame = vertex_frame(pair, vertex_at(pair, (0, 1)))
         assert frame.mu == ((0, -1), (1, -1))
 
     def test_duality_with_lambda(self):
@@ -67,7 +66,7 @@ class TestEdgeVectors:
         for _ in range(6):
             pair = random_quasitoric_3d(rng)
             for gv in pair.body.global_vertices():
-                frame = edge_vectors(pair, gv.gid)
+                frame = vertex_frame(pair, gv.gid)
                 for k, mu in enumerate(frame.mu):
                     for j, fid in enumerate(frame.facet_order):
                         pairing = sum(a * b for a, b in zip(mu, pair.lam[fid]))
@@ -75,7 +74,7 @@ class TestEdgeVectors:
 
     def test_requires_validation(self):
         with pytest.raises(NotValidatedError):
-            edge_vectors(cp2_triangle(), 0)
+            vertex_frame(cp2_triangle(), 0)
 
 
 class TestGenericNu:
@@ -116,6 +115,16 @@ class TestVertexIndex:
         with pytest.raises(GenericityError) as err:
             vertex_index(pair, vertex_at(pair, (0, 0)), (1, 0))
         assert err.value.edge_vector is not None
+
+    def test_wrong_length_direction(self):
+        pair = validated(cp2_triangle())
+        for nu in ((1,), (1, 2, 3)):
+            with pytest.raises(DimensionError):
+                vertex_index(pair, 0, nu)
+            with pytest.raises(DimensionError):
+                is_generic(pair, nu)
+            with pytest.raises(DimensionError):
+                chi_y(pair, nu)
 
 
 class TestChiY:

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from tmh.charpair import CharacteristicPair, validate
-from tmh.errors import DomainError, NotValidatedError
+from tmh.errors import DimensionError, DomainError, NotValidatedError
 from tmh.mac import embedding_chart, embedding_coordinates, freeness_check, kernel_data
 from tmh.polytope import polygon_from_vertices
 
+from matrices import mul_vector
 from oracles import candidates, freeness_by_kernel
 from instances import (
     cp1xcp1_square,
@@ -63,6 +64,12 @@ class TestEmbeddingCoordinates:
                     else:
                         assert value > 0
 
+    def test_wrong_length_point(self):
+        chart = embedding_chart(validated(cp2_triangle()))
+        for point in ((F(1, 4),), (F(1, 4), F(1, 4), 5)):
+            with pytest.raises(DimensionError):
+                chart.evaluate(point)
+
     def test_interior_point_all_positive(self):
         pair = validated(square_in_square())
         coords = embedding_coordinates(pair, (F(1, 2), F(1, 2)))
@@ -104,7 +111,7 @@ class TestKernelData:
         assert data.torus_rank == 1
         col = data.kernel_basis.col(0)
         assert col in ((1, 1, 1), (-1, -1, -1))
-        assert data.lambda_matrix.mul_vector(col) == (0, 0)
+        assert mul_vector(data.lambda_matrix, col) == (0, 0)
 
     def test_square_rank(self):
         pair = validated(cp1xcp1_square())
@@ -123,7 +130,7 @@ class TestKernelData:
             n = pair.body.dim
             assert data.torus_rank == m - n
             for j in range(data.kernel_basis.cols):
-                assert data.lambda_matrix.mul_vector(data.kernel_basis.col(j)) \
+                assert mul_vector(data.lambda_matrix, data.kernel_basis.col(j)) \
                     == tuple([0] * n)
 
     def test_requires_validation(self):
