@@ -6,8 +6,8 @@ The embedding realizes the body inside R^(n+s) first: each hole gets an
 auxiliary coordinate that is 1 on the hole boundary and falls off to 0
 affinely across a collar around the hole, then one nonnegative coordinate
 per facet measures a weighted distance to that facet.  Collar widths are
-certified by exact feasibility checks so that distinct facets never share
-a zero locus.
+certified exactly, from the basic points of the expanded hole's rows
+(tmh.polytope), so that distinct facets never share a zero locus.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import prod
 from .charpair import CharacteristicPair, vertex_determinants
 from .errors import DimensionError, DomainError, NotValidatedError
 from .exactlin import IntMatrix, RatVector, kernel_lattice_basis, rat_vector, smith_normal_form
-from .polytope import PolytopeWithHoles, fm_feasible
+from .polytope import PolytopeWithHoles, _basic_points, feasible
 
 
 def _l1(normal) -> int:
@@ -37,37 +37,30 @@ def _expanded_hole_system(hole, width):
     return [(h.normal, h.offset - width * _l1(h.normal)) for h in hole.halfspaces]
 
 
+def _collar_fits(body: PolytopeWithHoles, k: int, width) -> bool:
+    """Whether hole k expanded by the width misses the outer boundary and
+    every other hole.  The expanded hole contains hole k, which is interior
+    to the outer body, so it misses the boundary iff its vertices are
+    strictly inside."""
+    expanded = _expanded_hole_system(body.holes[k], width)
+    if not all(body.outer.contains(p, strict=True)
+               for p, _ in _basic_points(body.dim, expanded)):
+        return False
+    return not any(feasible(body.dim, expanded + [(h.normal, h.offset) for h in other.halfspaces])
+                   for j, other in enumerate(body.holes) if j != k)
+
+
 def _certified_collar_widths(body: PolytopeWithHoles) -> tuple[Fraction, ...]:
-    """A positive collar width per hole, halved until the expanded hole
-    provably misses the outer boundary and every other hole."""
-    outer = body.outer
+    """A positive collar width per hole: half the clearance of the hole
+    from the outer facets, halved until the collar fits.  The fit holds
+    exactly below a positive threshold, since the closed holes are disjoint
+    and interior, so the halving ends."""
     widths = []
     for k, hole in enumerate(body.holes):
-        guess = min(h.value(v.point) / _l1(h.normal)
-                    for h in outer.halfspaces for v in hole.vertices) / 2
-        width = guess
-        for _ in range(64):
-            ok = True
-            expanded = _expanded_hole_system(hole, width)
-            for i, h in enumerate(outer.halfspaces):
-                boundary = [(hh.normal, hh.offset) for hh in outer.halfspaces]
-                boundary.append((tuple(-c for c in h.normal), -h.offset))
-                if fm_feasible(expanded + boundary):
-                    ok = False
-                    break
-            if ok:
-                for j, other in enumerate(body.holes):
-                    if j == k:
-                        continue
-                    other_rows = [(h.normal, h.offset) for h in other.halfspaces]
-                    if fm_feasible(expanded + other_rows):
-                        ok = False
-                        break
-            if ok:
-                break
+        width = min(h.value(v.point) / _l1(h.normal)
+                    for h in body.outer.halfspaces for v in hole.vertices) / 2
+        while not _collar_fits(body, k, width):
             width /= 2
-        else:
-            raise AssertionError("collar width certification did not converge")
         widths.append(width)
     return tuple(widths)
 
@@ -98,6 +91,8 @@ class EmbeddingChart:
     def hole_coordinates(self, point) -> tuple[Fraction, ...]:
         """The auxiliary coordinates p_{n+1} ... p_{n+s} of the lift."""
         point = rat_vector(point)
+        if len(point) != self.body.dim:
+            raise DimensionError(f"point needs {self.body.dim} coordinates, got {len(point)}")
         out = []
         for k, hole in enumerate(self.body.holes):
             v = _violation(hole, point)
@@ -108,8 +103,6 @@ class EmbeddingChart:
     def evaluate(self, point) -> RatVector:
         """The facet coordinates (d_1(x), ..., d_m(x))."""
         point = rat_vector(point)
-        if len(point) != self.body.dim:
-            raise DimensionError(f"point needs {self.body.dim} coordinates, got {len(point)}")
         if not self.body.contains(point):
             raise DomainError(f"point {tuple(map(str, point))} is not in the body")
         p_hole = self.hole_coordinates(point)

@@ -1,9 +1,11 @@
 """Exact geometry and combinatorics of simple polytopes with holes.
 
 Polytopes are given by half-spaces ``normal . x >= offset`` with integer
-normals and rational offsets.  Vertices are enumerated by solving all
-n-subsets of facet equalities over the rationals, so every containment,
-disjointness and orientation decision below is exact.
+normals and rational offsets.  One enumeration of basic points (solve n
+rows with equality over the rationals, keep the solutions that satisfy
+every row) gives the vertices, decides feasibility and boundedness, and
+decides whether two holes meet, so every containment, disjointness and
+orientation decision below is exact.
 """
 
 from __future__ import annotations
@@ -71,6 +73,8 @@ class SimplePolytope:
         return len(self.vertices)
 
     def contains(self, point, strict: bool = False) -> bool:
+        if len(point) != self.dim:
+            raise DimensionError(f"point needs {self.dim} coordinates, got {len(point)}")
         if strict:
             return all(h.value(point) > 0 for h in self.halfspaces)
         return all(h.value(point) >= 0 for h in self.halfspaces)
@@ -112,47 +116,46 @@ class SimplePolytope:
 
 
 # ---------------------------------------------------------------------------
-# exact feasibility via Fourier-Motzkin elimination
+# basic points: feasibility, boundedness and vertices by one enumeration
 
 
-def fm_feasible(rows) -> bool:
-    """Decide feasibility of a system of rows (coeffs, rhs): coeffs.x >= rhs."""
-    rows = [([Fraction(c) for c in coeffs], Fraction(rhs)) for coeffs, rhs in rows]
-    nvars = len(rows[0][0]) if rows else 0
-    for var in range(nvars - 1, -1, -1):
-        lower, upper, rest = [], [], []
+def _basic_points(dim, rows, equalities=()):
+    """Yield (point, tight) for each point that satisfies every row
+    (coeffs, rhs), coeffs . x >= rhs, and solves dim independent equations:
+    the equalities and dim - len(equalities) of the rows.  ``tight`` holds
+    the indices of the rows with equality there.  A pointed nonempty
+    region has such a point, a vertex (Avis and Fukuda 1992)."""
+    for subset in itertools.combinations(range(len(rows)), dim - len(equalities)):
+        system = [rows[i] for i in subset] + list(equalities)
+        point = solve_rational([c for c, _ in system], [r for _, r in system])
+        if point is None:
+            continue
+        values = []
         for coeffs, rhs in rows:
-            c = coeffs[var]
-            if c > 0:
-                lower.append((coeffs, rhs))
-            elif c < 0:
-                upper.append((coeffs, rhs))
-            else:
-                rest.append((coeffs[:var], rhs))
-        for lc, lb in lower:
-            for uc, ub in upper:
-                p, q = lc[var], -uc[var]
-                coeffs = [q * a + p * b for a, b in zip(lc[:var], uc[:var])]
-                rest.append((coeffs, q * lb + p * ub))
-        rows = rest
-    return all(rhs <= 0 for _, rhs in rows)
+            values.append(sum(c * x for c, x in zip(coeffs, point)) - rhs)
+            if values[-1] < 0:
+                break
+        else:
+            yield point, frozenset(i for i, v in enumerate(values) if v == 0)
 
 
-def _recession_cone_nontrivial(halfspaces, dim) -> bool:
-    """True when {d : normal . d >= 0 for all facets} contains d != 0."""
+def _pins(dim, normals):
+    """Equalities x_j = 0 on coordinates that complete the rank of the
+    normals.  They keep a region nonempty (its lineality space maps onto
+    those coordinates) and make it pointed."""
+    pins, rank = [], rational_rank(normals)
     for j in range(dim):
-        for sign in (1, -1):
-            # substitute d_j = sign and test the remaining system
-            rows = []
-            for h in halfspaces:
-                coeffs = [Fraction(c) for i, c in enumerate(h.normal) if i != j]
-                rows.append((coeffs, Fraction(-sign * h.normal[j])))
-            if dim == 1:
-                if all(rhs <= 0 for _, rhs in rows):
-                    return True
-            elif fm_feasible(rows):
-                return True
-    return False
+        unit = tuple(int(i == j) for i in range(dim))
+        if rank < dim and rational_rank([*normals, *(c for c, _ in pins), unit]) > rank:
+            pins.append((unit, 0))
+            rank += 1
+    return pins
+
+
+def feasible(dim, rows) -> bool:
+    """Whether some x satisfies coeffs . x >= rhs for every row (coeffs, rhs)."""
+    pins = _pins(dim, [c for c, _ in rows])
+    return next(_basic_points(dim, rows, pins), None) is not None
 
 
 def build_polytope(dim: int, halfspaces) -> SimplePolytope:
@@ -166,30 +169,23 @@ def build_polytope(dim: int, halfspaces) -> SimplePolytope:
         if len(h.normal) != dim:
             raise DimensionError("normal length does not match dimension")
 
-    system = [(h.normal, h.offset) for h in hs]
-    if not fm_feasible(system):
+    normals = [h.normal for h in hs]
+    pins = _pins(dim, normals)
+    basic = list(_basic_points(dim, [(h.normal, h.offset) for h in hs], pins))
+    if not basic:
         raise EmptyError("half-space system is infeasible")
-    if _recession_cone_nontrivial(hs, dim):
+    # With normals of full rank, each d != 0 with normal . d >= 0 has s . d > 0
+    # for s their sum, so one exists iff an extreme ray meets s . d = 1.
+    s = tuple(map(sum, zip(*normals)))
+    if pins or next(_basic_points(dim, [(c, 0) for c in normals], [(s, 1)]), None):
         raise UnboundedError("half-space system is unbounded")
 
     vertices_by_facets: dict[frozenset[int], RatVector] = {}
-    for subset in itertools.combinations(range(len(hs)), dim):
-        a = [hs[i].normal for i in subset]
-        b = [hs[i].offset for i in subset]
-        point = solve_rational(a, b)
-        if point is None:
-            continue
-        values = [hs[i].value(point) for i in range(len(hs))]
-        if any(v < 0 for v in values):
-            continue
-        active = frozenset(i for i, v in enumerate(values) if v == 0)
+    for point, active in basic:
         if len(active) > dim:
             raise NotSimpleError(
                 f"point {tuple(map(str, point))} lies on {len(active)} facets")
         vertices_by_facets[active] = point
-
-    if not vertices_by_facets:
-        raise EmptyError("feasible region has no vertices")
 
     items = sorted(vertices_by_facets.items(), key=lambda kv: kv[1])
     vertices = tuple(Vertex(pt, facets) for facets, pt in items)
@@ -245,7 +241,11 @@ def polygon_from_vertices(points) -> SimplePolytope:
         ints = primitive_part(ints)
         offset = ints[0] * a[0] + ints[1] * a[1]
         halfspaces.append(HalfSpace(ints, offset))
-    return build_polytope(2, halfspaces)
+    poly = build_polytope(2, halfspaces)
+    # a cycle that winds more than once turns left at every vertex too
+    if {v.point for v in poly.vertices} != set(pts):
+        raise NotSimpleError("vertex cycle is not strictly convex counter-clockwise")
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +263,27 @@ class GlobalVertex:
 
 @dataclass(frozen=True)
 class PolytopeWithHoles:
-    """Outer simple polytope minus the open interiors of hole polytopes."""
+    """Outer simple polytope minus the open interiors of hole polytopes,
+    which must lie strictly inside it and be pairwise disjoint."""
 
     components: tuple[SimplePolytope, ...]
     facet_offsets: tuple[int, ...] = field(init=False)
     vertex_offsets: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
+        outer, holes = self.components[0], self.components[1:]
+        for k, hole in enumerate(holes, start=1):
+            if hole.dim != outer.dim:
+                raise DimensionError(f"hole {k} has dimension {hole.dim} != {outer.dim}")
+            for v in hole.vertices:
+                if not outer.contains(v.point, strict=True):
+                    raise ContainmentError(
+                        f"hole {k} vertex {tuple(map(str, v.point))} is not in the "
+                        "strict interior of the outer polytope")
+        for a, b in itertools.combinations(range(len(holes)), 2):
+            rows = [(h.normal, h.offset) for h in holes[a].halfspaces + holes[b].halfspaces]
+            if feasible(outer.dim, rows):
+                raise DisjointnessError(f"holes {a + 1} and {b + 1} intersect")
         fo, vo = [0], [0]
         for c in self.components:
             fo.append(fo[-1] + c.facet_count)
@@ -335,21 +349,7 @@ class PolytopeWithHoles:
 
 
 def build_with_holes(outer: SimplePolytope, holes) -> PolytopeWithHoles:
-    """Validate containment and disjointness, then assemble the body."""
-    holes = tuple(holes)
-    for k, hole in enumerate(holes, start=1):
-        if hole.dim != outer.dim:
-            raise DimensionError(f"hole {k} has dimension {hole.dim} != {outer.dim}")
-        for v in hole.vertices:
-            if not outer.contains(v.point, strict=True):
-                raise ContainmentError(
-                    f"hole {k} vertex {tuple(map(str, v.point))} is not in the "
-                    "strict interior of the outer polytope")
-    for a, b in itertools.combinations(range(len(holes)), 2):
-        system = [(h.normal, h.offset) for h in holes[a].halfspaces]
-        system += [(h.normal, h.offset) for h in holes[b].halfspaces]
-        if fm_feasible(system):
-            raise DisjointnessError(f"holes {a + 1} and {b + 1} intersect")
+    """The body of the outer polytope minus the holes (checked on construction)."""
     return PolytopeWithHoles((outer, *holes))
 
 

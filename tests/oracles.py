@@ -6,12 +6,21 @@ vertex, and ``freeness_by_kernel`` tests unimodularity of the m x m matrix
 answers the same questions from |det L_v| (tmh.charpair, tmh.mac); the
 tests require both routes to agree on ``candidates``, a seeded pool of
 valid and corrupted pairs.
+
+``fm_feasible`` decides feasibility by Fourier-Motzkin elimination.  On it
+rest ``fm_screen``, the emptiness and recession-cone checks that
+``build_polytope`` once ran before enumerating vertices, and
+``collar_widths_by_fm``, the collar halving loop with one Fourier-Motzkin
+system per outer facet and per other hole.  The library decides the same
+questions from basic points (tmh.polytope, tmh.mac).
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 from tmh.charpair import CharacteristicPair, ValidationReport
+from tmh.errors import EmptyError, UnboundedError
 from tmh.exactlin import (
     IntMatrix,
     det_exact,
@@ -19,6 +28,8 @@ from tmh.exactlin import (
     kernel_lattice_basis,
     smith_normal_form,
 )
+from tmh.mac import _expanded_hole_system, _l1
+from tmh.polytope import HalfSpace, PolytopeWithHoles
 
 from matrices import hstack
 from instances import (
@@ -75,6 +86,98 @@ def freeness_by_kernel(pair: CharacteristicPair) -> bool:
         if det_exact(stacked) not in (1, -1):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin routes
+
+
+def fm_feasible(rows) -> bool:
+    """Decide feasibility of a system of rows (coeffs, rhs): coeffs.x >= rhs."""
+    rows = [([Fraction(c) for c in coeffs], Fraction(rhs)) for coeffs, rhs in rows]
+    nvars = len(rows[0][0]) if rows else 0
+    for var in range(nvars - 1, -1, -1):
+        lower, upper, rest = [], [], []
+        for coeffs, rhs in rows:
+            c = coeffs[var]
+            if c > 0:
+                lower.append((coeffs, rhs))
+            elif c < 0:
+                upper.append((coeffs, rhs))
+            else:
+                rest.append((coeffs[:var], rhs))
+        for lc, lb in lower:
+            for uc, ub in upper:
+                p, q = lc[var], -uc[var]
+                coeffs = [q * a + p * b for a, b in zip(lc[:var], uc[:var])]
+                rest.append((coeffs, q * lb + p * ub))
+        rows = rest
+    return all(rhs <= 0 for _, rhs in rows)
+
+
+def _recession_cone_nontrivial(halfspaces, dim) -> bool:
+    """True when {d : normal . d >= 0 for all facets} contains d != 0."""
+    for j in range(dim):
+        for sign in (1, -1):
+            # substitute d_j = sign and test the remaining system
+            rows = []
+            for h in halfspaces:
+                coeffs = [Fraction(c) for i, c in enumerate(h.normal) if i != j]
+                rows.append((coeffs, Fraction(-sign * h.normal[j])))
+            if dim == 1:
+                if all(rhs <= 0 for _, rhs in rows):
+                    return True
+            elif fm_feasible(rows):
+                return True
+    return False
+
+
+def fm_screen(dim: int, halfspaces) -> None:
+    """Raise EmptyError or UnboundedError as build_polytope's checks before
+    its vertex enumeration did; return None when both pass."""
+    hs = tuple(h if isinstance(h, HalfSpace)
+               else HalfSpace(tuple(int(c) for c in h[0]), Fraction(h[1]))
+               for h in halfspaces)
+    system = [(h.normal, h.offset) for h in hs]
+    if not fm_feasible(system):
+        raise EmptyError("half-space system is infeasible")
+    if _recession_cone_nontrivial(hs, dim):
+        raise UnboundedError("half-space system is unbounded")
+
+
+def collar_widths_by_fm(body: PolytopeWithHoles) -> tuple[Fraction, ...]:
+    """A positive collar width per hole, halved until the expanded hole
+    provably misses the outer boundary and every other hole."""
+    outer = body.outer
+    widths = []
+    for k, hole in enumerate(body.holes):
+        guess = min(h.value(v.point) / _l1(h.normal)
+                    for h in outer.halfspaces for v in hole.vertices) / 2
+        width = guess
+        for _ in range(64):
+            ok = True
+            expanded = _expanded_hole_system(hole, width)
+            for i, h in enumerate(outer.halfspaces):
+                boundary = [(hh.normal, hh.offset) for hh in outer.halfspaces]
+                boundary.append((tuple(-c for c in h.normal), -h.offset))
+                if fm_feasible(expanded + boundary):
+                    ok = False
+                    break
+            if ok:
+                for j, other in enumerate(body.holes):
+                    if j == k:
+                        continue
+                    other_rows = [(h.normal, h.offset) for h in other.halfspaces]
+                    if fm_feasible(expanded + other_rows):
+                        ok = False
+                        break
+            if ok:
+                break
+            width /= 2
+        else:
+            raise AssertionError("collar width certification did not converge")
+        widths.append(width)
+    return tuple(widths)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -271,6 +272,38 @@ class TestArgumentErrors:
         self.assert_rejected(capsys, ["fibersum", pentagon_file, pentagon_file,
                                       "-o", str(out_path), f"--scale={scale}"], 1)
         assert not out_path.exists()
+
+
+class TestGeometryRegressions:
+    def test_pentagram_cycle_exit_1(self, tmp_path, capsys):
+        # every turn of this cycle is a left turn, but it winds twice
+        doc = pentagon_spec_dict()
+        doc["outer"]["vertices"] = [[0, 10], [-6, -8], [10, 3], [-10, 3], [6, -8]]
+        path = tmp_path / "pentagram.json"
+        path.write_text(json.dumps(doc))
+        TestArgumentErrors.assert_rejected(capsys, ["validate", str(path)], 1)
+
+    def test_collar_below_2_to_minus_64(self, tmp_path):
+        # the holes are 10^-30 apart, so the collar width needs ~100 halvings
+        lam = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+        gap = str(2 + Fraction(1, 10**30))
+        doc = {
+            "dimension": 2,
+            "metadata": {"name": "near-touching holes"},
+            "outer": {"vertices": [[0, 0], [10, 0], [10, 10], [0, 10]]},
+            "holes": [{"vertices": [[1, 1], [2, 1], [2, 2], [1, 2]]},
+                      {"vertices": [[gap, 1], [3, 1], [3, 2], [gap, 2]]}],
+            "characteristic": {f"{p}e{i + 1}": v for p in ("", "h1.", "h2.")
+                               for i, v in enumerate(lam)},
+        }
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["mac", str(path), "--point=5,8"])
+        assert code == 0
+        embedding = out.split("embedding:\n", 1)[1].splitlines()
+        assert embedding[:4] == ["  e1: 8", "  e2: 5", "  e3: 2", "  e4: 5"]
+        assert len(embedding) == 12
+        assert all(Fraction(line.split(": ")[1]) > 0 for line in embedding)
 
 
 class TestNegativeValues:

@@ -9,13 +9,17 @@ from tmh.mac import embedding_chart, embedding_coordinates, freeness_check, kern
 from tmh.polytope import polygon_from_vertices
 
 from matrices import mul_vector
-from oracles import candidates, freeness_by_kernel
+from oracles import candidates, collar_widths_by_fm, freeness_by_kernel
 from instances import (
     cp1xcp1_square,
     cp2_triangle,
+    fibersum_pairs,
+    hirzebruch_cp2_fibersum,
     pair_from_components,
     random_multi_hole_2d,
     random_one_hole_2d,
+    random_one_hole_3d,
+    random_quasitoric_2d,
     random_quasitoric_3d,
     square_in_square,
     validated,
@@ -91,6 +95,11 @@ class TestEmbeddingCoordinates:
         # far away it is exactly 0
         assert chart.hole_coordinates((F(1, 10), F(1, 10))) == (0,)
 
+    def test_hole_coordinates_wrong_length(self):
+        chart = embedding_chart(validated(square_in_square()))
+        with pytest.raises(DimensionError):
+            chart.hole_coordinates((F(1, 2), F(1, 2), 7))
+
     def test_continuity_across_collar(self):
         pair = validated(square_in_square())
         chart = embedding_chart(pair)
@@ -102,6 +111,29 @@ class TestEmbeddingCoordinates:
             p = (F(3, 2), base - t)
             expect = max(F(0), 1 - t / w)
             assert chart.hole_coordinates(p)[0] == expect
+
+
+class TestCollarWidths:
+    def test_match_fourier_motzkin_halving(self):
+        # the library tests each width on the basic points of the expanded
+        # hole; the oracle solves one system per outer facet and other hole
+        rng = random.Random(43)
+        pairs = [hirzebruch_cp2_fibersum(1), square_in_square()]
+        pairs += [random_one_hole_2d(rng) for _ in range(6)]
+        pairs += [random_multi_hole_2d(rng, holes=2) for _ in range(3)]
+        pairs += [fibersum_pairs(random_quasitoric_2d(rng),
+                                 [random_quasitoric_2d(rng, sides=k) for k in (3, 4, 3)]),
+                  random_one_hole_3d(rng)]
+        halved = 0
+        for pair in pairs:
+            widths = embedding_chart(pair).collar_widths
+            assert widths == collar_widths_by_fm(pair.body)
+            body = pair.body
+            for hole, width in zip(body.holes, widths):
+                guess = min(h.value(v.point) / sum(map(abs, h.normal))
+                            for h in body.outer.halfspaces for v in hole.vertices) / 2
+                halved += width < guess
+        assert halved >= 5
 
 
 class TestKernelData:

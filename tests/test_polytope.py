@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from tmh.errors import (
     ContainmentError,
+    DimensionError,
     DisjointnessError,
     EmptyError,
     NotSimpleError,
@@ -16,10 +18,12 @@ from tmh.polytope import (
     build_polytope,
     build_with_holes,
     edge_directions_at_vertex,
-    fm_feasible,
+    feasible,
     place_holes,
     polygon_from_vertices,
 )
+
+from oracles import fm_feasible, fm_screen
 
 F = Fraction
 
@@ -86,6 +90,12 @@ class TestBuildPolytope:
         with pytest.raises(NotSimpleError):
             build_polytope(3, octa)
 
+    def test_contains_wrong_length(self):
+        square = box(0, 0, 4, 4)
+        for point in ((1, 1, -99), (1,)):
+            with pytest.raises(DimensionError):
+                square.contains(point)
+
 
 class TestPolygonFromVertices:
     def test_square_cycle(self):
@@ -106,6 +116,13 @@ class TestPolygonFromVertices:
     def test_rational_coordinates(self):
         p = polygon_from_vertices([(0, 0), (F(1, 2), 0), (F(1, 2), F(1, 3)), (0, F(1, 3))])
         assert p.vertex_count == 4
+
+    def test_rejects_pentagram(self):
+        # every turn is a left turn, but the cycle winds twice; its
+        # half-planes cut out the inner pentagon, none of whose vertices
+        # is an input point
+        with pytest.raises(NotSimpleError, match="not strictly convex counter-clockwise"):
+            polygon_from_vertices([(0, 10), (-6, -8), (10, 3), (-10, 3), (6, -8)])
 
 
 class TestBuildWithHoles:
@@ -138,6 +155,11 @@ class TestBuildWithHoles:
         assert body.contains((1, 1))          # on the hole boundary
         assert not body.contains((F(3, 2), F(3, 2)))  # inside the hole
         assert not body.contains((5, 0))
+
+    def test_contains_wrong_length(self):
+        body = build_with_holes(box(0, 0, 4, 4), [box(1, 1, 2, 2)])
+        with pytest.raises(DimensionError):
+            body.contains((F(1, 2), F(1, 2), 7))
 
 
 class TestEdgeDirections:
@@ -230,11 +252,160 @@ class TestTwoDimensionalCounts:
 
 class TestFmFeasible:
     def test_simple_feasible(self):
-        assert fm_feasible([((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)])
+        assert feasible(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)])
 
     def test_simple_infeasible(self):
-        assert not fm_feasible([((1, 0), 2), ((-1, 0), 0)])
+        assert not feasible(2, [((1, 0), 2), ((-1, 0), 0)])
 
     def test_equality_encoded(self):
         rows = [((1, 0), 1), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -5)]
-        assert fm_feasible(rows)
+        assert feasible(2, rows)
+
+
+# ---------------------------------------------------------------------------
+# agreement with the Fourier-Motzkin oracles
+
+
+def _unimodular(rng, dim, steps=6):
+    u = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(steps):
+        i, j = rng.sample(range(dim), 2)
+        q = rng.choice((-1, 1))
+        for c in range(dim):
+            u[i][c] += q * u[j][c]
+    return u
+
+
+def _skew(u, rows):
+    """The same system in coordinates y with x = U y: normals c become c U."""
+    dim = len(u)
+    return [(tuple(sum(c[r] * u[r][k] for r in range(dim)) for k in range(dim)), rhs)
+            for c, rhs in rows]
+
+
+def _nonzero(rng, dim, bound=2):
+    while True:
+        c = tuple(rng.randint(-bound, bound) for _ in range(dim))
+        if any(c):
+            return c
+
+
+def _random_rows(rng, dim, count):
+    return [(_nonzero(rng, dim), rng.randint(-3, 1)) for _ in range(count)]
+
+
+def _box_rows(lo, hi):
+    dim = len(lo)
+    rows = []
+    for d in range(dim):
+        unit = tuple(int(i == d) for i in range(dim))
+        rows += [(unit, lo[d]), (tuple(-x for x in unit), -hi[d])]
+    return rows
+
+
+def _flat_normals(rng, dim, count):
+    """Nonzero normals spanning a proper subspace."""
+    basis = [_nonzero(rng, dim) for _ in range(dim - 1)]
+    out = []
+    while len(out) < count:
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        c = tuple(sum(a * b[k] for a, b in zip(coeffs, basis)) for k in range(dim))
+        if any(c):
+            out.append(c)
+    return out
+
+
+def _feasibility_pool(seed, per_kind=40):
+    """Seeded (kind, dim, rows) systems: random, infeasible (two parallel
+    rows with a gap), rank-deficient, and touching (two boxes sharing part
+    of their boundary, in skewed coordinates)."""
+    rng = random.Random(seed)
+    for i in range(per_kind):
+        dim = 2 + i % 2
+        yield "random", dim, _random_rows(rng, dim, rng.randint(dim + 1, dim + 4))
+
+        rows = _random_rows(rng, dim, rng.randint(1, dim + 2))
+        c, r = _nonzero(rng, dim), rng.randint(-2, 2)
+        rows += [(c, r), (tuple(-x for x in c), -r + rng.randint(1, 2))]
+        rng.shuffle(rows)
+        yield "infeasible", dim, rows
+
+        yield "rank-deficient", dim, [(c, rng.randint(-3, 2))
+                                      for c in _flat_normals(rng, dim, rng.randint(2, 5))]
+
+        lo = [rng.randint(-2, 0) for _ in range(dim)]
+        hi = [x + rng.randint(1, 3) for x in lo]
+        # the second box starts where the first ends along axis 0, and
+        # shares an interval or only an endpoint along the others
+        lo2 = [hi[0]] + [rng.choice((a, b)) for a, b in zip(lo[1:], hi[1:])]
+        hi2 = [x + rng.randint(1, 3) for x in lo2]
+        yield "touching", dim, _skew(_unimodular(rng, dim),
+                                     _box_rows(lo, hi) + _box_rows(lo2, hi2))
+
+
+def _error_pool(seed, per_kind=40):
+    """Seeded (kind, dim, rows) systems: empty (a box cut off by one row),
+    unbounded (every normal pairs nonnegatively with one direction, the
+    origin feasible), strips (rank-deficient normals) and random ones."""
+    rng = random.Random(seed)
+    for i in range(per_kind):
+        dim = 2 + i % 2
+        u = _unimodular(rng, dim)
+        size = rng.randint(1, 3)
+        c = _nonzero(rng, dim)
+        top = sum(max(0, x) for x in c) * size
+        rows = _box_rows([0] * dim, [size] * dim) + [(c, top + rng.randint(1, 2))]
+        yield "empty", dim, _skew(u, rows)
+
+        d, count = _nonzero(rng, dim), rng.randint(dim, dim + 3)
+        normals = []
+        while len(normals) < count:
+            n = _nonzero(rng, dim)
+            if sum(a * b for a, b in zip(n, d)) >= 0:
+                normals.append(n)
+        yield "unbounded", dim, [(n, rng.randint(-3, 0)) for n in normals]
+
+        yield "strip", dim, [(n, rng.randint(-3, 1))
+                             for n in _flat_normals(rng, dim, rng.randint(2, 5))]
+
+        yield "random", dim, _random_rows(rng, dim, rng.randint(dim + 1, dim + 4))
+
+
+def _screen_class(dim, rows):
+    try:
+        fm_screen(dim, rows)
+    except (EmptyError, UnboundedError) as exc:
+        return type(exc)
+    return None
+
+
+def _build_class(dim, rows):
+    try:
+        build_polytope(dim, rows)
+    except (EmptyError, UnboundedError) as exc:
+        return type(exc)
+    except (NotSimpleError, RedundantFacetError):
+        pass
+    return None
+
+
+class TestFourierMotzkinAgreement:
+    def test_feasible_matches_fm_feasible(self):
+        outcomes = {}
+        for kind, dim, rows in _feasibility_pool(2024):
+            got = feasible(dim, rows)
+            assert got == fm_feasible(rows), (kind, rows)
+            outcomes.setdefault(kind, set()).add(got)
+        assert outcomes == {"random": {True, False}, "infeasible": {False},
+                            "rank-deficient": {True, False}, "touching": {True}}
+
+    def test_build_polytope_raises_the_oracle_class(self):
+        classes = {}
+        for kind, dim, rows in _error_pool(2025):
+            want = _screen_class(dim, rows)
+            assert _build_class(dim, rows) is want, (kind, rows)
+            classes.setdefault(kind, set()).add(want)
+        assert classes["empty"] == {EmptyError}
+        assert classes["unbounded"] == {UnboundedError}
+        assert classes["strip"] == {EmptyError, UnboundedError}
+        assert None in classes["random"]
