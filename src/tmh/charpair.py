@@ -10,8 +10,16 @@ of those n vectors has |det L_v| = 1 at every vertex (Davis-Januszkiewicz,
 condition (*)).  Facet subsets are searched only at the first vertex that
 fails, to name the smallest offending face.
 
-Pairs are immutable, so the validation report and each vertex frame
-(facet order, sign, L_v and mu = L_v^-1) are kept on the pair once built.
+The sign sigma(v) compares the orientation that the ordered facets induce
+at v with det L_v.  Let N_v have as rows the inward normals of the facets
+at v, in ascending id, from the component that owns v.  The edge leaving
+facet i_k is a positive multiple of column k of N_v^-1, so the frame order
+is ascending with the last two facets swapped iff det N_v < 0, and
+sigma(v) = sgn det N_v * det L_v with the columns of L_v ascending.
+
+Pairs are immutable, so the validation report, det L_v per vertex and
+each vertex frame (facet order, sign, L_v and mu = L_v^-1) are kept on the
+pair once built.
 """
 
 from __future__ import annotations
@@ -24,22 +32,20 @@ from types import MappingProxyType
 from .errors import NotValidatedError
 from .exactlin import (
     IntMatrix,
-    RatVector,
     det_exact,
-    det_sign_columns,
     is_primitive,
     smith_normal_form,
     unimodular_inverse,
 )
-from .polytope import PolytopeWithHoles, edge_directions_at_vertex
+from .polytope import PolytopeWithHoles
 
 
 @dataclass(frozen=True)
 class CharacteristicPair:
     body: PolytopeWithHoles
     lam: Mapping[int, tuple[int, ...]]  # global facet id -> integer vector, read-only
-    # the validation report and the vertex frames; they depend on body and lam only
-    _cache: dict = field(default_factory=lambda: {"report": None, "frames": {}},
+    # the validation report, det L_v and the vertex frames; they depend on body and lam only
+    _cache: dict = field(default_factory=lambda: {"report": None, "dets": None, "frames": {}},
                          init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -79,7 +85,6 @@ class ValidationReport:
 class VertexFrame:
     vertex: int
     facet_order: tuple[int, ...]     # global facet ids i_1 ... i_n
-    directions: tuple[RatVector, ...]
     lambda_v: IntMatrix              # columns lambda_{i_1} ... lambda_{i_n}
     sign: int
     mu: tuple[tuple[int, ...], ...]  # rows of lambda_v^-1, one covector per facet
@@ -87,9 +92,11 @@ class VertexFrame:
 
 def vertex_determinants(pair: CharacteristicPair) -> dict[int, int]:
     """det L_v with the facets in ascending id, for every vertex in global
-    vertex order.  Needs no validation."""
-    return {gv.gid: det_exact(pair.facet_matrix(sorted(gv.facets)))
-            for gv in pair.body.global_vertices()}
+    vertex order.  Needs no validation; kept on the pair once computed."""
+    if pair._cache["dets"] is None:
+        pair._cache["dets"] = {gv.gid: det_exact(pair.facet_matrix(sorted(gv.facets)))
+                               for gv in pair.body.global_vertices()}
+    return pair._cache["dets"]
 
 
 def validate(pair: CharacteristicPair) -> ValidationReport:
@@ -127,27 +134,35 @@ def _check(pair: CharacteristicPair) -> ValidationReport:
     return ValidationReport(True)
 
 
-def vertex_frame(pair: CharacteristicPair, vid: int) -> VertexFrame:
-    """Facet order, edge directions, sign and edge covectors at one vertex.
+def _oriented_facets(body: PolytopeWithHoles, vid: int) -> tuple[list[int], int]:
+    """The facets at the vertex in frame order, and sgn det N_v."""
+    ci, li = body.vertex_location(vid)
+    comp = body.components[ci]
+    local = sorted(comp.vertices[li].facets)
+    order = [body.facet_gid(ci, f) for f in local]
+    if det_exact(IntMatrix.from_rows([comp.halfspaces[f].normal for f in local])) > 0:
+        return order, 1
+    order[-1], order[-2] = order[-2], order[-1]
+    return order, -1
 
-    The facets through the vertex are taken in ascending global id; if the
-    matching edge directions are negatively oriented the last two entries
-    are swapped, which is enough to make the basis positive.  Each frame is
-    built on first use and kept on the pair.
+
+def vertex_frame(pair: CharacteristicPair, vid: int) -> VertexFrame:
+    """Facet order, sign and edge covectors at one vertex.
+
+    The facets are taken in ascending global id, the last two swapped iff
+    det N_v < 0, which makes the edges leaving them a positive basis; then
+    sigma(v) = sgn det N_v * det L_v, with L_v's columns ascending.  Each
+    frame is built on first use and kept on the pair.
     """
     if not pair.validated:
         raise NotValidatedError("characteristic pair has not been validated")
     frames = pair._cache["frames"]
     if vid not in frames:
-        pairs = edge_directions_at_vertex(pair.body, vid)
-        order = [fid for fid, _ in pairs]
-        dirs = [d for _, d in pairs]
-        if det_sign_columns(dirs) < 0:
-            order[-1], order[-2] = order[-2], order[-1]
-            dirs[-1], dirs[-2] = dirs[-2], dirs[-1]
+        order, orientation = _oriented_facets(pair.body, vid)
         lambda_v = pair.facet_matrix(order)
-        frames[vid] = VertexFrame(vid, tuple(order), tuple(dirs), lambda_v,
-                                  det_exact(lambda_v), unimodular_inverse(lambda_v).entries)
+        frames[vid] = VertexFrame(vid, tuple(order), lambda_v,
+                                  orientation * vertex_determinants(pair)[vid],
+                                  unimodular_inverse(lambda_v).entries)
     return frames[vid]
 
 

@@ -157,10 +157,16 @@ def parse_spec_dict(doc, source: str = "<spec>") -> SpecDocument:
         raise SpecParseError("metadata: expected an object")
     name = meta.get("name", source)
     description = meta.get("description", "")
+    for key, value in (("name", name), ("description", description)):
+        if not isinstance(value, str):
+            raise SpecParseError(f"metadata.{key}: expected a string")
 
     outer, labels = _parse_component(doc.get("outer"), dim, "outer", "")
+    hole_objs = doc.get("holes")
+    if hole_objs is not None and not isinstance(hole_objs, list):
+        raise SpecParseError("holes: expected a list")
     holes = []
-    for k, hole_obj in enumerate(doc.get("holes", []) or []):
+    for k, hole_obj in enumerate(hole_objs or []):
         hole, hole_labels = _parse_component(
             hole_obj, dim, f"holes[{k}]", f"h{k + 1}.")
         holes.append(hole)
@@ -391,8 +397,9 @@ def compose_fibersum(base: SpecDocument, pieces, scale=None) -> dict:
             char[new_lbl] = list(piece.lam_by_label[lbl])
 
     name = base.name + "".join(f"+{p.name}" for p in pieces)
-    full_body = build_with_holes(base.body.outer, list(base.body.holes) + list(new_holes))
-    assert full_body.facet_count == len(char)
+    # place_holes never sees the base's own holes, so this is what rejects
+    # a piece that hits one
+    build_with_holes(base.body.outer, list(base.body.holes) + list(new_holes))
     return {
         "dimension": base.dimension,
         "metadata": {"name": name, "description": "fiber sum composition"},

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charpair import CharacteristicPair, all_signs, is_positive_omniorientation
-from .errors import DimensionError, ScopeError
+from .errors import DimensionError, InternalError, ScopeError
 from .exactlin import IntMatrix, solve_rational
 from .genus import chi_y
 
@@ -150,7 +150,9 @@ def _component_pairing(pair: CharacteristicPair, comp_index: int,
     for i in range(l):
         prev = lam[(i - 1) % l]
         cur = lam[i]
-        assert csigns[i] == prev[0] * cur[1] - prev[1] * cur[0]
+        if csigns[i] != prev[0] * cur[1] - prev[1] * cur[0]:
+            raise InternalError(f"component {comp_index} vertex {vcycle[i]}: sign is not "
+                                "det[lambda_(i-1), lambda_i]")
 
     q = [[0] * l for _ in range(l)]
     for i in range(l):
@@ -160,9 +162,11 @@ def _component_pairing(pair: CharacteristicPair, comp_index: int,
         rhs = [-sum(lam[i][t] * q[i][j] for i in range(l) if i != j) for t in (0, 1)]
         t_star = 0 if lam[j][0] != 0 else 1
         value = Fraction(rhs[t_star], lam[j][t_star])
-        assert value.denominator == 1, "self-intersection must be integral"
+        if value.denominator != 1:
+            raise InternalError("self-intersection must be integral")
         other = 1 - t_star
-        assert lam[j][other] * value == rhs[other], "relation solve inconsistent"
+        if lam[j][other] * value != rhs[other]:
+            raise InternalError("relation solve inconsistent")
         q[j][j] = int(value)
     return q, vcycle, fcycle
 
@@ -203,9 +207,11 @@ def _decompose(target, lam_first, lam_last):
     """Integer coefficients (a1, a2) with target = a1*first + a2*last."""
     sol = solve_rational(
         [[lam_first[0], lam_last[0]], [lam_first[1], lam_last[1]]], target)
-    assert sol is not None
+    if sol is None:
+        raise InternalError("endpoint vectors are not a basis")
     a1, a2 = sol
-    assert a1.denominator == 1 and a2.denominator == 1
+    if a1.denominator != 1 or a2.denominator != 1:
+        raise InternalError("endpoint vectors are not a lattice basis")
     return int(a1), int(a2)
 
 

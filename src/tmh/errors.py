@@ -68,3 +68,7 @@ class DomainError(TmhError):
 
 class SpecParseError(TmhError):
     """A specification document is malformed."""
+
+
+class InternalError(TmhError):
+    """A mathematical invariant the library relies on does not hold."""

@@ -313,13 +313,3 @@ def rational_rank(rows) -> int:
     rank, _ = _eliminate(work, len(work[0]) if work else 0)
     return rank
 
-
-def det_sign_columns(columns) -> int:
-    """Sign of the determinant of a square matrix of rational columns.
-
-    Each column is scaled by a positive rational to clear denominators,
-    which cannot change the sign.
-    """
-    scaled = [_integer_row(col) for col in columns]
-    d = det_exact(IntMatrix.from_columns(scaled))
-    return (d > 0) - (d < 0)

@@ -4,8 +4,8 @@ Polytopes are given by half-spaces ``normal . x >= offset`` with integer
 normals and rational offsets.  One enumeration of basic points (solve n
 rows with equality over the rationals, keep the solutions that satisfy
 every row) gives the vertices, decides feasibility and boundedness, and
-decides whether two holes meet, so every containment, disjointness and
-orientation decision below is exact.
+decides whether two holes meet, so every containment and disjointness
+decision below is exact.
 """
 
 from __future__ import annotations
@@ -90,12 +90,6 @@ class SimplePolytope:
 
     def edges_at_vertex(self, vid: int) -> list[Edge]:
         return [e for e in self.edges if vid in e.endpoints]
-
-    def edge_with_facets(self, facets: frozenset[int]) -> Edge:
-        for e in self.edges:
-            if e.facets == facets:
-                return e
-        raise KeyError(f"no edge with facet set {sorted(facets)}")
 
     def transformed(self, scale: Fraction, shift: RatVector) -> "SimplePolytope":
         """Uniformly scale by a positive rational, then translate.
@@ -351,27 +345,6 @@ class PolytopeWithHoles:
 def build_with_holes(outer: SimplePolytope, holes) -> PolytopeWithHoles:
     """The body of the outer polytope minus the holes (checked on construction)."""
     return PolytopeWithHoles((outer, *holes))
-
-
-def edge_directions_at_vertex(body: PolytopeWithHoles, vid: int):
-    """For each facet F through the vertex, the direction of the unique
-    edge through the vertex not contained in F (pointing away from it).
-
-    Directions are computed inside the component owning the vertex and
-    returned as (global facet id, direction) sorted by facet id.
-    """
-    ci, li = body.vertex_location(vid)
-    comp = body.components[ci]
-    vertex = comp.vertices[li]
-    out = []
-    for f in sorted(vertex.facets):
-        others = frozenset(vertex.facets - {f})
-        edge = comp.edge_with_facets(others)
-        other_end = edge.endpoints[0] if edge.endpoints[1] == li else edge.endpoints[1]
-        target = comp.vertices[other_end].point
-        direction = tuple(t - s for t, s in zip(target, vertex.point))
-        out.append((body.facet_gid(ci, f), direction))
-    return out
 
 
 def place_holes(outer: SimplePolytope, pieces, scale: Fraction | None = None) -> PolytopeWithHoles:

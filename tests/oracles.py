@@ -13,6 +13,12 @@ rest ``fm_screen``, the emptiness and recession-cone checks that
 ``collar_widths_by_fm``, the collar halving loop with one Fourier-Motzkin
 system per outer facet and per other hole.  The library decides the same
 questions from basic points (tmh.polytope, tmh.mac).
+
+``edge_directions_at_vertex`` walks the edge table for the direction of
+the edge leaving each facet at a vertex, and ``frame_order_by_edges``
+orders the facets so that those directions form a positive basis.  The
+library orders them from the sign of the determinant of their normals
+(tmh.charpair).
 """
 
 import itertools
@@ -23,6 +29,7 @@ from tmh.charpair import CharacteristicPair, ValidationReport
 from tmh.errors import EmptyError, UnboundedError
 from tmh.exactlin import (
     IntMatrix,
+    _integer_row,
     det_exact,
     is_primitive,
     kernel_lattice_basis,
@@ -178,6 +185,57 @@ def collar_widths_by_fm(body: PolytopeWithHoles) -> tuple[Fraction, ...]:
             raise AssertionError("collar width certification did not converge")
         widths.append(width)
     return tuple(widths)
+
+
+# ---------------------------------------------------------------------------
+# edge-direction route to vertex frames
+
+
+def edge_directions_at_vertex(body: PolytopeWithHoles, vid: int):
+    """For each facet F through the vertex, the direction of the unique
+    edge through the vertex not contained in F (pointing away from it).
+
+    Directions are computed inside the component owning the vertex and
+    returned as (global facet id, direction) sorted by facet id.
+    """
+    ci, li = body.vertex_location(vid)
+    comp = body.components[ci]
+    vertex = comp.vertices[li]
+    out = []
+    for f in sorted(vertex.facets):
+        others = frozenset(vertex.facets - {f})
+        edge = next(e for e in comp.edges if e.facets == others)
+        other_end = edge.endpoints[0] if edge.endpoints[1] == li else edge.endpoints[1]
+        target = comp.vertices[other_end].point
+        direction = tuple(t - s for t, s in zip(target, vertex.point))
+        out.append((body.facet_gid(ci, f), direction))
+    return out
+
+
+def det_sign_columns(columns) -> int:
+    """Sign of the determinant of a square matrix of rational columns.
+
+    Each column is scaled by a positive rational to clear denominators,
+    which cannot change the sign.
+    """
+    scaled = [_integer_row(col) for col in columns]
+    d = det_exact(IntMatrix.from_columns(scaled))
+    return (d > 0) - (d < 0)
+
+
+def frame_order_by_edges(body: PolytopeWithHoles, vid: int) -> tuple[int, ...]:
+    """The facets through the vertex in ascending id, the last two swapped
+    if the matching edge directions are negatively oriented."""
+    pairs = edge_directions_at_vertex(body, vid)
+    order = [fid for fid, _ in pairs]
+    if det_sign_columns([d for _, d in pairs]) < 0:
+        order[-1], order[-2] = order[-2], order[-1]
+    return tuple(order)
+
+
+def sign_by_edges(pair: CharacteristicPair, vid: int) -> int:
+    """sigma(v) = det L_v with the columns in edge-route frame order."""
+    return det_exact(pair.facet_matrix(frame_order_by_edges(pair.body, vid)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 import tmh
 from tmh.charpair import (
     CharacteristicPair,
+    _oriented_facets,
     all_signs,
     is_positive_omniorientation,
     validate,
@@ -23,7 +24,14 @@ from tmh.exactlin import IntMatrix
 from tmh.polytope import build_with_holes, polygon_from_vertices
 
 from golden_corpus import SPECS
-from oracles import candidates, validate_by_faces
+from oracles import (
+    candidates,
+    det_sign_columns,
+    edge_directions_at_vertex,
+    frame_order_by_edges,
+    sign_by_edges,
+    validate_by_faces,
+)
 from instances import (
     cp2_triangle,
     pair_from_components,
@@ -100,14 +108,28 @@ class TestVertexFrame:
             vertex_frame(pair, 0)
 
     def test_positive_direction_basis(self):
-        from tmh.exactlin import det_sign_columns
-
         rng = random.Random(31)
         for _ in range(8):
             pair = random_quasitoric_2d(rng)
             for gv in pair.body.global_vertices():
                 frame = vertex_frame(pair, gv.gid)
-                assert det_sign_columns(frame.directions) > 0
+                dirs = dict(edge_directions_at_vertex(pair.body, gv.gid))
+                assert det_sign_columns([dirs[f] for f in frame.facet_order]) > 0
+
+
+class TestEdgeRouteAgreement:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_frame_order_and_sign_match_edge_route(self, seed):
+        families = set()
+        for family, _, candidate in candidates(seed):
+            valid = validate(candidate).ok
+            for gv in candidate.body.global_vertices():
+                order, _ = _oriented_facets(candidate.body, gv.gid)
+                assert tuple(order) == frame_order_by_edges(candidate.body, gv.gid)
+                if valid:
+                    assert vertex_frame(candidate, gv.gid).sign == sign_by_edges(candidate, gv.gid)
+                    families.add(family)
+        assert families == {"2d", "2d-one-hole", "2d-two-holes", "3d", "3d-one-hole"}
 
 
 class TestSigns:
@@ -233,7 +255,7 @@ class TestFramesOnce:
                 return fn(*args, **kwargs)
             return wrapper
 
-        names = ("edge_directions_at_vertex", "unimodular_inverse")
+        names = ("unimodular_inverse", "det_exact")
         modules = [m for key, m in sys.modules.items()
                    if key == "tmh" or key.startswith("tmh.")]
         for module in modules:
@@ -242,4 +264,5 @@ class TestFramesOnce:
                     monkeypatch.setattr(module, name,
                                         counting(name, getattr(module, name)))
         build_report(parse_spec(str(SPECS / "pentagon.json")))
-        assert calls == {name: 5 for name in names}
+        # det_exact: det L_v and det N_v per vertex, and the intersection form
+        assert calls == {"unimodular_inverse": 5, "det_exact": 11}

@@ -247,11 +247,19 @@ class TestArgumentErrors:
     each with one `error:` line on stderr and nothing on stdout."""
 
     @staticmethod
-    def assert_rejected(capsys, argv, code):
+    def assert_rejected(capsys, argv, code, message=None):
         got, out = run_cli(argv)
         err = capsys.readouterr().err
         assert (got, out) == (code, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        if message is not None:
+            assert err == f"error: {message}\n"
+
+    @staticmethod
+    def spec_file(tmp_path, **fields):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({**pentagon_spec_dict(), **fields}))
+        return str(path)
 
     @pytest.mark.parametrize("args", [
         ["invariants", "--nu=1,x"],
@@ -265,6 +273,21 @@ class TestArgumentErrors:
 
     def test_point_outside_body_exit_2(self, pentagon_file, capsys):
         self.assert_rejected(capsys, ["mac", pentagon_file, "--point=9,9"], 2)
+
+    @pytest.mark.parametrize("holes", [5, "ab"], ids=repr)
+    @pytest.mark.parametrize("command", ["validate", "invariants", "homology",
+                                         "ring", "mac", "report"])
+    def test_holes_not_a_list_exit_1(self, tmp_path, capsys, command, holes):
+        path = self.spec_file(tmp_path, holes=holes)
+        self.assert_rejected(capsys, [command, path], 1, "holes: expected a list")
+
+    @pytest.mark.parametrize("key", ["name", "description"])
+    def test_metadata_not_a_string_exit_1(self, pentagon_file, tmp_path, capsys, key):
+        base = self.spec_file(tmp_path, metadata={key: 5})
+        out_path = tmp_path / "sum.json"
+        self.assert_rejected(capsys, ["fibersum", base, pentagon_file, "-o", str(out_path)],
+                             1, f"metadata.{key}: expected a string")
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("scale", ["x", "0", "-1"])
     def test_bad_scale_exit_1(self, pentagon_file, tmp_path, capsys, scale):
@@ -356,6 +379,29 @@ class TestFiberSum:
         run_cli(["fibersum", pentagon_file, pentagon_file, "-o", a])
         run_cli(["fibersum", pentagon_file, pentagon_file, "-o", b])
         assert open(a).read() == open(b).read()
+
+    def test_piece_inside_a_base_hole_exit_2(self, tmp_path, capsys):
+        # the piece is placed at the centroid of the base, inside its hole
+        lam = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps({
+            "dimension": 2,
+            "outer": {"vertices": [[0, 0], [8, 0], [8, 8], [0, 8]]},
+            "holes": [{"vertices": [[3, 3], [5, 3], [5, 5], [3, 5]]}],
+            "characteristic": {f"{p}e{i + 1}": v for p in ("", "h1.")
+                               for i, v in enumerate(lam)},
+        }))
+        piece = tmp_path / "piece.json"
+        piece.write_text(json.dumps({
+            "dimension": 2,
+            "outer": {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]},
+            "characteristic": {f"e{i + 1}": v for i, v in enumerate(lam)},
+        }))
+        out_path = tmp_path / "sum.json"
+        TestArgumentErrors.assert_rejected(
+            capsys, ["fibersum", str(base), str(piece), "-o", str(out_path)],
+            2, "holes 1 and 2 intersect")
+        assert not out_path.exists()
 
     def test_rejects_holed_piece(self, pentagon_file, tmp_path):
         holed = tmp_path / "holed.json"

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tmh import dim4
 from tmh.charpair import all_signs
 from tmh.dim4 import (
     chern_numbers_dim4,
@@ -13,7 +14,7 @@ from tmh.dim4 import (
     signature_of_matrix,
     structure_flags,
 )
-from tmh.errors import DimensionError, ScopeError
+from tmh.errors import DimensionError, InternalError, ScopeError
 from tmh.exactlin import IntMatrix, det_exact
 from tmh.genus import chi_y
 
@@ -307,3 +308,11 @@ class TestSignatureOfMatrix:
             neg = descartes_positive_roots(
                 [c * (-1) ** i for i, c in enumerate(coeffs)])
             assert signature_of_matrix(m) == pos - neg
+
+
+class TestInternalChecks:
+    def test_decompose_rejects_a_non_basis(self):
+        # (0, 1) = 0 * (2, 0) + 1/2 * (0, 2) has no integer coefficients;
+        # the check is a raise, so it also holds under python -O
+        with pytest.raises(InternalError):
+            dim4._decompose((0, 1), (2, 0), (0, 2))

@@ -17,13 +17,12 @@ from tmh.polytope import (
     HalfSpace,
     build_polytope,
     build_with_holes,
-    edge_directions_at_vertex,
     feasible,
     place_holes,
     polygon_from_vertices,
 )
 
-from oracles import fm_feasible, fm_screen
+from oracles import edge_directions_at_vertex, fm_feasible, fm_screen
 
 F = Fraction
 
@@ -163,6 +162,8 @@ class TestBuildWithHoles:
 
 
 class TestEdgeDirections:
+    """The edge-direction oracle that vertex frames are checked against."""
+
     def test_triangle_origin(self):
         body = build_with_holes(coordinate_triangle(), [])
         vid = next(v.gid for v in body.global_vertices() if v.point == (0, 0))
