@@ -93,6 +93,8 @@ def _parse_component(obj, dim: int, where: str, default_prefix: str):
             if not isinstance(label, str) or not label:
                 raise SpecParseError(f"{loc}.label: expected a nonempty string")
             normal = _parse_int_vector(entry.get("normal"), dim, f"{loc}.normal")
+            if not any(normal):
+                raise SpecParseError(f"{loc}.normal: expected a nonzero vector")
             offset = _parse_rational(entry.get("offset"), f"{loc}.offset")
             labels.append(label)
             hs.append(HalfSpace(normal, offset))

@@ -98,34 +98,20 @@ def _cycle(component, start_local: int | None = None):
 
     Returns (vertex_ids, facet_ids), both local, with facet i joining
     vertex i to vertex i+1.  Starts at the lexicographically smallest
-    vertex unless a start is given.
+    vertex unless a start is given.  The inward normals of the facets into
+    and out of a vertex, in that order, have a positive determinant.
     """
-    verts = component.vertices
-    neighbors: dict[int, list[int]] = {i: [] for i in range(len(verts))}
-    for e in component.edges:
-        a, b = e.endpoints
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    if start_local is None:
-        start_local = min(range(len(verts)), key=lambda i: verts[i].point)
-    order = [start_local, neighbors[start_local][0]]
-    while True:
-        nxt = [x for x in neighbors[order[-1]] if x != order[-2]][0]
-        if nxt == start_local:
-            break
-        order.append(nxt)
-    area2 = sum(
-        verts[order[i]].point[0] * verts[order[(i + 1) % len(order)]].point[1]
-        - verts[order[(i + 1) % len(order)]].point[0] * verts[order[i]].point[1]
-        for i in range(len(order)))
-    if area2 < 0:
-        order = [order[0]] + order[:0:-1]
-    facets = []
-    for i in range(len(order)):
-        a = verts[order[i]].facets
-        b = verts[order[(i + 1) % len(order)]].facets
-        (shared,) = a & b
-        facets.append(shared)
+    verts, normals = component.vertices, [h.normal for h in component.halfspaces]
+    ends = {f: e.endpoints for e in component.edges for f in e.facets}
+    first = min(range(len(verts)), key=lambda i: verts[i].point)
+    v = first if start_local is None else start_local
+    order, facets = [], []
+    while len(order) < len(verts):
+        a, b = sorted(verts[v].facets)
+        out = b if normals[a][0] * normals[b][1] - normals[a][1] * normals[b][0] > 0 else a
+        order.append(v)
+        facets.append(out)
+        v = sum(ends[out]) - v
     return order, facets
 
 

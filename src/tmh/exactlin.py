@@ -5,7 +5,7 @@ fractions.Fraction; no floating point is used anywhere.  Matrices are
 immutable and all operations are pure functions, so values can be shared
 freely between threads.
 
-Determinants, rational solves, ranks and unimodular inverses share one
+Determinants, rational solves and unimodular inverses share one
 fraction-free Gauss-Jordan routine (Bareiss 1968), with rational rows
 scaled to integers first.  Smith and Hermite forms keep their own integer
 operations, which divide with remainder.
@@ -305,11 +305,3 @@ def solve_rational(a_rows, b) -> RatVector | None:
     if rank < n:
         return None
     return tuple(Fraction(row[n], row[i]) for i, row in enumerate(rows))
-
-
-def rational_rank(rows) -> int:
-    """Rank of a matrix given as an iterable of rational rows."""
-    work = [_integer_row(row) for row in rows]
-    rank, _ = _eliminate(work, len(work[0]) if work else 0)
-    return rank
-

@@ -5,8 +5,9 @@ kernel torus action.
 The embedding realizes the body inside R^(n+s) first: each hole gets an
 auxiliary coordinate that is 1 on the hole boundary and falls off to 0
 affinely across a collar around the hole, then one nonnegative coordinate
-per facet measures a weighted distance to that facet.  Collar widths are
-certified exactly, from the basic points of the expanded hole's rows
+per facet measures a weighted distance to that facet.  Collar widths stay
+below the threshold where a hole's collar first meets the outer boundary
+or another hole, which one exact linear program per obstacle gives
 (tmh.polytope), so that distinct facets never share a zero locus.
 """
 
@@ -19,7 +20,7 @@ from math import prod
 from .charpair import CharacteristicPair, vertex_determinants
 from .errors import DimensionError, DomainError, NotValidatedError
 from .exactlin import IntMatrix, RatVector, kernel_lattice_basis, rat_vector, smith_normal_form
-from .polytope import PolytopeWithHoles, _basic_points, feasible
+from .polytope import PolytopeWithHoles, _Dictionary
 
 
 def _l1(normal) -> int:
@@ -32,36 +33,25 @@ def _violation(hole, point) -> Fraction:
                for h in hole.halfspaces)
 
 
-def _expanded_hole_system(hole, width):
-    """Half-space rows of the outer parallel body {violation <= width}."""
-    return [(h.normal, h.offset - width * _l1(h.normal)) for h in hole.halfspaces]
-
-
-def _collar_fits(body: PolytopeWithHoles, k: int, width) -> bool:
-    """Whether hole k expanded by the width misses the outer boundary and
-    every other hole.  The expanded hole contains hole k, which is interior
-    to the outer body, so it misses the boundary iff its vertices are
-    strictly inside."""
-    expanded = _expanded_hole_system(body.holes[k], width)
-    if not all(body.outer.contains(p, strict=True)
-               for p, _ in _basic_points(body.dim, expanded)):
-        return False
-    return not any(feasible(body.dim, expanded + [(h.normal, h.offset) for h in other.halfspaces])
-                   for j, other in enumerate(body.holes) if j != k)
-
-
 def _certified_collar_widths(body: PolytopeWithHoles) -> tuple[Fraction, ...]:
     """A positive collar width per hole: half the clearance of the hole
-    from the outer facets, halved until the collar fits.  The fit holds
-    exactly below a positive threshold, since the closed holes are disjoint
-    and interior, so the halving ends."""
+    from the outer facets, halved just below the threshold where the collar
+    {violation <= width} meets an obstacle (an outer facet's closed
+    complement, or another hole): per obstacle, the least t with
+    violation(x) <= t for some x in it, one linear program in (x, t).  The
+    closed holes are disjoint and interior, so the threshold is positive."""
+    outside = [[((*(-c for c in h.normal), 0), -h.offset)] for h in body.outer.halfspaces]
     widths = []
     for k, hole in enumerate(body.holes):
-        width = min(h.value(v.point) / _l1(h.normal)
+        gauge = [((*h.normal, _l1(h.normal)), h.offset) for h in hole.halfspaces]
+        others = [[((*h.normal, 0), h.offset) for h in other.halfspaces]
+                  for j, other in enumerate(body.holes) if j != k]
+        threshold = min(_Dictionary(body.dim + 1, gauge + rows).least(body.dim)
+                        for rows in outside + others)
+        guess = min(h.value(v.point) / _l1(h.normal)
                     for h in body.outer.halfspaces for v in hole.vertices) / 2
-        while not _collar_fits(body, k, width):
-            width /= 2
-        widths.append(width)
+        # 2^j > guess / threshold iff 2^j > floor(guess / threshold)
+        widths.append(guess / 2 ** (guess // threshold).bit_length())
     return tuple(widths)
 
 

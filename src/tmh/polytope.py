@@ -1,15 +1,18 @@
 """Exact geometry and combinatorics of simple polytopes with holes.
 
 Polytopes are given by half-spaces ``normal . x >= offset`` with integer
-normals and rational offsets.  One enumeration of basic points (solve n
-rows with equality over the rationals, keep the solutions that satisfy
-every row) gives the vertices, decides feasibility and boundedness, and
-decides whether two holes meet, so every containment and disjointness
-decision below is exact.
+normals and rational offsets.  One small simplex on integer dictionaries
+(least-index pivot rules, exact division by the previous pivot) decides
+feasibility, boundedness and whether two holes meet, one linear program
+each; the vertices and edges come from a walk that pivots from the first
+feasible vertex along every edge.  Polygons given by a vertex cycle are
+read off the cycle directly.  Every containment and disjointness decision
+below is exact.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,7 +27,7 @@ from .errors import (
     RedundantFacetError,
     UnboundedError,
 )
-from .exactlin import RatVector, primitive_part, rat_vector, rational_rank, solve_rational
+from .exactlin import RatVector, _integer_row, primitive_part, rat_vector
 
 
 @dataclass(frozen=True)
@@ -88,9 +91,6 @@ class SimplePolytope:
         hi = tuple(max(v.point[d] for v in self.vertices) for d in range(self.dim))
         return lo, hi
 
-    def edges_at_vertex(self, vid: int) -> list[Edge]:
-        return [e for e in self.edges if vid in e.endpoints]
-
     def transformed(self, scale: Fraction, shift: RatVector) -> "SimplePolytope":
         """Uniformly scale by a positive rational, then translate.
 
@@ -110,50 +110,93 @@ class SimplePolytope:
 
 
 # ---------------------------------------------------------------------------
-# basic points: feasibility, boundedness and vertices by one enumeration
+# an exact simplex: integer dictionaries and least-index pivot rules
 
 
-def _basic_points(dim, rows, equalities=()):
-    """Yield (point, tight) for each point that satisfies every row
-    (coeffs, rhs), coeffs . x >= rhs, and solves dim independent equations:
-    the equalities and dim - len(equalities) of the rows.  ``tight`` holds
-    the indices of the rows with equality there.  A pointed nonempty
-    region has such a point, a vertex (Avis and Fukuda 1992)."""
-    for subset in itertools.combinations(range(len(rows)), dim - len(equalities)):
-        system = [rows[i] for i in subset] + list(equalities)
-        point = solve_rational([c for c, _ in system], [r for _, r in system])
-        if point is None:
-            continue
-        values = []
-        for coeffs, rhs in rows:
-            values.append(sum(c * x for c, x in zip(coeffs, point)) - rhs)
-            if values[-1] < 0:
-                break
-        else:
-            yield point, frozenset(i for i, v in enumerate(values) if v == 0)
+class _Dictionary:
+    """The system coeffs . y >= rhs, y free, as an integer simplex
+    dictionary (Chvatal 1983).  Ids: y_j is -1 - j, the slack coeffs_i . y
+    - rhs_i >= 0 of row i (scaled to integers) is i.  Row r reads p *
+    basis[r] = rows[r][-1] + sum_k rows[r][k] * cols[k], p > 0.  Entries
+    are minors of the integer system, so a pivot divides exactly by the
+    previous p (Bareiss 1968).  A basic free variable never leaves; one
+    that cannot enter spans a lineality direction and stays 0."""
 
+    def __init__(self, dim, rows):
+        self.rows = [_integer_row([*c, -b]) for c, b in rows]
+        self.basis, self.p = list(range(len(self.rows))), 1
+        self.cols = [-1 - j for j in range(dim)]
+        for j in range(dim):
+            r = next((i for i, b in enumerate(self.basis) if b >= 0 and self.rows[i][j]), None)
+            if r is not None:
+                self.pivot(r, j)
 
-def _pins(dim, normals):
-    """Equalities x_j = 0 on coordinates that complete the rank of the
-    normals.  They keep a region nonempty (its lineality space maps onto
-    those coordinates) and make it pointed."""
-    pins, rank = [], rational_rank(normals)
-    for j in range(dim):
-        unit = tuple(int(i == j) for i in range(dim))
-        if rank < dim and rational_rank([*normals, *(c for c, _ in pins), unit]) > rank:
-            pins.append((unit, 0))
-            rank += 1
-    return pins
+    def pivot(self, r, k):
+        """Exchange basis[r] and cols[k], rebinding (never mutating) lists."""
+        top, p, q = self.rows[r], self.p, self.rows[r][k]
+        rows = [[(q * x - row[k] * y) // p for x, y in zip(row, top)] for row in self.rows]
+        for row, old in zip(rows, self.rows):
+            row[k] = old[k]
+        rows[r] = [-y for y in top]
+        rows[r][k] = p
+        self.rows = rows if q > 0 else [[-x for x in row] for row in rows]
+        self.p, self.basis, self.cols = abs(q), self.basis[:], self.cols[:]
+        self.basis[r], self.cols[k] = self.cols[k], self.basis[r]
+
+    def blocking(self, k) -> list[int]:
+        """The rows whose slack first reaches 0 as cols[k] grows."""
+        steps = {i: Fraction(row[-1], -row[k]) for i, row in enumerate(self.rows)
+                 if row[k] < 0 and self.basis[i] >= 0}
+        least = min(steps.values(), default=None)
+        return [i for i, step in steps.items() if step == least]
+
+    def phase_one(self) -> bool:
+        """Pivot to a basis with no negative slack; False if the system is
+        empty.  Least-index criss-cross steps (Terlaky 1985): the least
+        negative slack leaves for the least slack whose increase raises it.
+        If none raises it, it stays negative whatever the others are."""
+        while low := [i for i, b in enumerate(self.basis) if b >= 0 and self.rows[i][-1] < 0]:
+            r = min(low, key=self.basis.__getitem__)
+            rising = [k for k, c in enumerate(self.cols) if c >= 0 and self.rows[r][k] > 0]
+            if not rising:
+                return False
+            self.pivot(r, min(rising, key=self.cols.__getitem__))
+        return True
+
+    def least(self, j) -> Fraction:
+        """The least y_j over a nonempty system that bounds it below, by
+        Bland's rule (Bland 1977): the least slack that lowers y_j enters,
+        the least slack among the blocking rows leaves."""
+        self.phase_one()
+        objective = self.basis.index(-1 - j)
+        while entering := [k for k, c in enumerate(self.cols)
+                           if c >= 0 and self.rows[objective][k] < 0]:
+            k = min(entering, key=self.cols.__getitem__)
+            self.pivot(min(self.blocking(k), key=self.basis.__getitem__), k)
+        return Fraction(self.rows[objective][-1], self.p)
 
 
 def feasible(dim, rows) -> bool:
     """Whether some x satisfies coeffs . x >= rhs for every row (coeffs, rhs)."""
-    pins = _pins(dim, [c for c, _ in rows])
-    return next(_basic_points(dim, rows, pins), None) is not None
+    return _Dictionary(dim, rows).phase_one()
+
+
+def _assemble(dim, halfspaces, points, edge_ends) -> SimplePolytope:
+    """The polytope with vertices {facets: point}, sorted by point, and
+    edges {facets: the endpoints' facet sets}, sorted by facet set."""
+    order = sorted(points, key=points.__getitem__)
+    index = {facets: vid for vid, facets in enumerate(order)}
+    edges = sorted(edge_ends.items(), key=lambda kv: sorted(kv[0]))
+    return SimplePolytope(dim, tuple(halfspaces),
+                          tuple(Vertex(points[facets], facets) for facets in order),
+                          tuple(Edge(tuple(sorted(index[e] for e in ends)), facets)
+                                for facets, ends in edges))
 
 
 def build_polytope(dim: int, halfspaces) -> SimplePolytope:
-    """Enumerate vertices and edges of a simple polytope from half-spaces."""
+    """Vertices and edges of a simple polytope from half-spaces, by pivoting
+    from the first feasible vertex along every edge (Avis and Fukuda 1992).
+    Errors come in the order empty, unbounded, not simple, redundant."""
     if dim < 2:
         raise DimensionError("dimension must be at least 2")
     hs = tuple(h if isinstance(h, HalfSpace)
@@ -163,83 +206,69 @@ def build_polytope(dim: int, halfspaces) -> SimplePolytope:
         if len(h.normal) != dim:
             raise DimensionError("normal length does not match dimension")
 
-    normals = [h.normal for h in hs]
-    pins = _pins(dim, normals)
-    basic = list(_basic_points(dim, [(h.normal, h.offset) for h in hs], pins))
-    if not basic:
+    start = _Dictionary(dim, [(h.normal, h.offset) for h in hs])
+    if not start.phase_one():
         raise EmptyError("half-space system is infeasible")
-    # With normals of full rank, each d != 0 with normal . d >= 0 has s . d > 0
-    # for s their sum, so one exists iff an extreme ray meets s . d = 1.
+    # With normals of full rank (every free variable entered), each d != 0
+    # with normal . d >= 0 has s . d > 0 for s their sum.
+    normals = [h.normal for h in hs]
     s = tuple(map(sum, zip(*normals)))
-    if pins or next(_basic_points(dim, [(c, 0) for c in normals], [(s, 1)]), None):
+    if min(start.cols) < 0 or feasible(dim, [(c, 0) for c in normals] + [(s, 1)]):
         raise UnboundedError("half-space system is unbounded")
 
-    vertices_by_facets: dict[frozenset[int], RatVector] = {}
-    for point, active in basic:
-        if len(active) > dim:
+    # A vertex on more than dim facets means the body is not simple.  If
+    # each vertex reached lies on dim facets, each (dim-1)-subset of them
+    # spans an edge with two endpoints: dim edges, all walked.  The graph is
+    # connected, so every vertex is reached, and the vertices span the
+    # space: a lower-dimensional body has a vertex on more than dim facets.
+    free_rows = [start.basis.index(-1 - j) for j in range(dim)]
+
+    def point(tab):
+        return tuple(Fraction(tab.rows[i][-1], tab.p) for i in free_rows)
+
+    queue, found, edges = [start], {frozenset(start.cols): start}, {}
+    for tab in queue:
+        tight = sum(b >= 0 and row[-1] == 0 for b, row in zip(tab.basis, tab.rows))
+        if tight:
             raise NotSimpleError(
-                f"point {tuple(map(str, point))} lies on {len(active)} facets")
-        vertices_by_facets[active] = point
-
-    items = sorted(vertices_by_facets.items(), key=lambda kv: kv[1])
-    vertices = tuple(Vertex(pt, facets) for facets, pt in items)
-
-    points = [v.point for v in vertices]
-    base = points[0]
-    if rational_rank([[p[d] - base[d] for d in range(dim)] for p in points[1:]]) != dim:
-        raise NotSimpleError("vertices do not affinely span the ambient space")
-
-    for i in range(len(hs)):
-        if not any(i in v.facets for v in vertices):
-            raise RedundantFacetError(f"facet {i} supports no vertex")
-
-    edge_map: dict[frozenset[int], set[int]] = {}
-    for vid, v in enumerate(vertices):
-        for subset in itertools.combinations(sorted(v.facets), dim - 1):
-            edge_map.setdefault(frozenset(subset), set()).add(vid)
-    edges = []
-    for facets, vids in sorted(edge_map.items(), key=lambda kv: sorted(kv[0])):
-        if len(vids) != 2:
-            raise NotSimpleError(
-                f"facet set {sorted(facets)} is shared by {len(vids)} vertices")
-        a, b = sorted(vids)
-        edges.append(Edge((a, b), facets))
-    poly = SimplePolytope(dim, hs, vertices, tuple(edges))
-    for vid in range(len(vertices)):
-        if len(poly.edges_at_vertex(vid)) != dim:
-            raise NotSimpleError(f"vertex {vid} does not have {dim} edges")
-    return poly
+                f"point {tuple(map(str, point(tab)))} lies on {dim + tight} facets")
+        here = frozenset(tab.cols)
+        for k, f in enumerate(tab.cols):
+            # after a tie, the vertex queued lies on more than dim facets
+            i = tab.blocking(k)[0]
+            there = here - {f} | {tab.basis[i]}
+            if there not in found:
+                found[there] = copy.copy(tab)
+                found[there].pivot(i, k)
+                queue.append(found[there])
+            edges.setdefault(here - {f}, set()).update((here, there))
+    unused = set(range(len(hs))).difference(*found)
+    if unused:
+        raise RedundantFacetError(f"facet {min(unused)} supports no vertex")
+    return _assemble(dim, hs, {facets: point(tab) for facets, tab in found.items()}, edges)
 
 
 def polygon_from_vertices(points) -> SimplePolytope:
-    """Build a 2D polytope from a counter-clockwise strictly convex cycle."""
+    """Build a 2D polytope from a counter-clockwise strictly convex cycle;
+    facet i is the edge from point i to point i + 1."""
     pts = [rat_vector(p) for p in points]
     if len(pts) < 3:
         raise DimensionError("a polygon needs at least three vertices")
     if any(len(p) != 2 for p in pts):
         raise DimensionError("polygon vertices must be 2-dimensional")
     k = len(pts)
-    for i in range(k):
-        a, b, c = pts[i], pts[(i + 1) % k], pts[(i + 2) % k]
-        cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-        if cross <= 0:
-            raise NotSimpleError(
-                "vertex cycle is not strictly convex counter-clockwise")
-    halfspaces = []
-    for i in range(k):
-        a, b = pts[i], pts[(i + 1) % k]
-        t = (b[0] - a[0], b[1] - a[1])
-        normal = (-t[1], t[0])  # inward for a CCW cycle
-        mult = normal[0].denominator * normal[1].denominator
-        ints = (int(normal[0] * mult), int(normal[1] * mult))
-        ints = primitive_part(ints)
-        offset = ints[0] * a[0] + ints[1] * a[1]
-        halfspaces.append(HalfSpace(ints, offset))
-    poly = build_polytope(2, halfspaces)
-    # a cycle that winds more than once turns left at every vertex too
-    if {v.point for v in poly.vertices} != set(pts):
+    steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(pts, pts[1:] + pts[:1])]
+    turns = list(zip(steps, steps[1:] + steps[:1]))
+    # left turns alone admit a cycle that winds w > 1 times; its steps then
+    # pass +x, from (dy, dx) < (0, 0) to the rest, w times
+    if (not all(t[0] * u[1] - t[1] * u[0] > 0 for t, u in turns)
+            or sum((t[1], t[0]) < (0, 0) <= (u[1], u[0]) for t, u in turns) != 1):
         raise NotSimpleError("vertex cycle is not strictly convex counter-clockwise")
-    return poly
+    normals = [primitive_part(_integer_row((-t[1], t[0]))) for t in steps]  # inward
+    hs = [HalfSpace(n, n[0] * a[0] + n[1] * a[1]) for n, a in zip(normals, pts)]
+    corners = [frozenset({(i - 1) % k, i}) for i in range(k)]  # point i's facets
+    return _assemble(2, hs, dict(zip(corners, pts)),
+                     {frozenset({i}): (corners[i], corners[(i + 1) % k]) for i in range(k)})
 
 
 # ---------------------------------------------------------------------------

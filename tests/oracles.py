@@ -12,7 +12,12 @@ rest ``fm_screen``, the emptiness and recession-cone checks that
 ``build_polytope`` once ran before enumerating vertices, and
 ``collar_widths_by_fm``, the collar halving loop with one Fourier-Motzkin
 system per outer facet and per other hole.  The library decides the same
-questions from basic points (tmh.polytope, tmh.mac).
+questions with an exact simplex (tmh.polytope, tmh.mac).
+
+``build_by_enumeration`` solves every n-subset of the rows and keeps the
+solutions that satisfy all of them; its basic points are the vertices.
+The library walks from one vertex to the next by pivoting instead, and
+reads polygons off their vertex cycle.
 
 ``edge_directions_at_vertex`` walks the edge table for the direction of
 the edge leaving each facet at a vertex, and ``frame_order_by_edges``
@@ -26,17 +31,32 @@ import random
 from fractions import Fraction
 
 from tmh.charpair import CharacteristicPair, ValidationReport
-from tmh.errors import EmptyError, UnboundedError
+from tmh.errors import (
+    DimensionError,
+    EmptyError,
+    NotSimpleError,
+    RedundantFacetError,
+    UnboundedError,
+)
 from tmh.exactlin import (
     IntMatrix,
+    RatVector,
+    _eliminate,
     _integer_row,
     det_exact,
     is_primitive,
     kernel_lattice_basis,
     smith_normal_form,
+    solve_rational,
 )
-from tmh.mac import _expanded_hole_system, _l1
-from tmh.polytope import HalfSpace, PolytopeWithHoles
+from tmh.mac import _l1
+from tmh.polytope import (
+    Edge,
+    HalfSpace,
+    PolytopeWithHoles,
+    SimplePolytope,
+    Vertex,
+)
 
 from matrices import hstack
 from instances import (
@@ -152,6 +172,11 @@ def fm_screen(dim: int, halfspaces) -> None:
         raise UnboundedError("half-space system is unbounded")
 
 
+def _expanded_hole_system(hole, width):
+    """Half-space rows of the outer parallel body {violation <= width}."""
+    return [(h.normal, h.offset - width * _l1(h.normal)) for h in hole.halfspaces]
+
+
 def collar_widths_by_fm(body: PolytopeWithHoles) -> tuple[Fraction, ...]:
     """A positive collar width per hole, halved until the expanded hole
     provably misses the outer boundary and every other hole."""
@@ -185,6 +210,109 @@ def collar_widths_by_fm(body: PolytopeWithHoles) -> tuple[Fraction, ...]:
             raise AssertionError("collar width certification did not converge")
         widths.append(width)
     return tuple(widths)
+
+
+# ---------------------------------------------------------------------------
+# basic-point enumeration
+
+
+def rational_rank(rows) -> int:
+    """Rank of a matrix given as an iterable of rational rows."""
+    work = [_integer_row(row) for row in rows]
+    rank, _ = _eliminate(work, len(work[0]) if work else 0)
+    return rank
+
+
+def _basic_points(dim, rows, equalities=()):
+    """Yield (point, tight) for each point that satisfies every row
+    (coeffs, rhs), coeffs . x >= rhs, and solves dim independent equations:
+    the equalities and dim - len(equalities) of the rows.  ``tight`` holds
+    the indices of the rows with equality there.  A pointed nonempty
+    region has such a point, a vertex (Avis and Fukuda 1992)."""
+    for subset in itertools.combinations(range(len(rows)), dim - len(equalities)):
+        system = [rows[i] for i in subset] + list(equalities)
+        point = solve_rational([c for c, _ in system], [r for _, r in system])
+        if point is None:
+            continue
+        values = []
+        for coeffs, rhs in rows:
+            values.append(sum(c * x for c, x in zip(coeffs, point)) - rhs)
+            if values[-1] < 0:
+                break
+        else:
+            yield point, frozenset(i for i, v in enumerate(values) if v == 0)
+
+
+def _pins(dim, normals):
+    """Equalities x_j = 0 on coordinates that complete the rank of the
+    normals.  They keep a region nonempty (its lineality space maps onto
+    those coordinates) and make it pointed."""
+    pins, rank = [], rational_rank(normals)
+    for j in range(dim):
+        unit = tuple(int(i == j) for i in range(dim))
+        if rank < dim and rational_rank([*normals, *(c for c, _ in pins), unit]) > rank:
+            pins.append((unit, 0))
+            rank += 1
+    return pins
+
+
+def build_by_enumeration(dim: int, halfspaces) -> SimplePolytope:
+    """Enumerate vertices and edges of a simple polytope from half-spaces."""
+    if dim < 2:
+        raise DimensionError("dimension must be at least 2")
+    hs = tuple(h if isinstance(h, HalfSpace)
+               else HalfSpace(tuple(int(c) for c in h[0]), Fraction(h[1]))
+               for h in halfspaces)
+    for h in hs:
+        if len(h.normal) != dim:
+            raise DimensionError("normal length does not match dimension")
+
+    normals = [h.normal for h in hs]
+    pins = _pins(dim, normals)
+    basic = list(_basic_points(dim, [(h.normal, h.offset) for h in hs], pins))
+    if not basic:
+        raise EmptyError("half-space system is infeasible")
+    # With normals of full rank, each d != 0 with normal . d >= 0 has s . d > 0
+    # for s their sum, so one exists iff an extreme ray meets s . d = 1.
+    s = tuple(map(sum, zip(*normals)))
+    if pins or next(_basic_points(dim, [(c, 0) for c in normals], [(s, 1)]), None):
+        raise UnboundedError("half-space system is unbounded")
+
+    vertices_by_facets: dict[frozenset[int], RatVector] = {}
+    for point, active in basic:
+        if len(active) > dim:
+            raise NotSimpleError(
+                f"point {tuple(map(str, point))} lies on {len(active)} facets")
+        vertices_by_facets[active] = point
+
+    items = sorted(vertices_by_facets.items(), key=lambda kv: kv[1])
+    vertices = tuple(Vertex(pt, facets) for facets, pt in items)
+
+    points = [v.point for v in vertices]
+    base = points[0]
+    if rational_rank([[p[d] - base[d] for d in range(dim)] for p in points[1:]]) != dim:
+        raise NotSimpleError("vertices do not affinely span the ambient space")
+
+    for i in range(len(hs)):
+        if not any(i in v.facets for v in vertices):
+            raise RedundantFacetError(f"facet {i} supports no vertex")
+
+    edge_map: dict[frozenset[int], set[int]] = {}
+    for vid, v in enumerate(vertices):
+        for subset in itertools.combinations(sorted(v.facets), dim - 1):
+            edge_map.setdefault(frozenset(subset), set()).add(vid)
+    edges = []
+    for facets, vids in sorted(edge_map.items(), key=lambda kv: sorted(kv[0])):
+        if len(vids) != 2:
+            raise NotSimpleError(
+                f"facet set {sorted(facets)} is shared by {len(vids)} vertices")
+        a, b = sorted(vids)
+        edges.append(Edge((a, b), facets))
+    poly = SimplePolytope(dim, hs, vertices, tuple(edges))
+    for vid in range(len(vertices)):
+        if len([e for e in poly.edges if vid in e.endpoints]) != dim:
+            raise NotSimpleError(f"vertex {vid} does not have {dim} edges")
+    return poly
 
 
 # ---------------------------------------------------------------------------

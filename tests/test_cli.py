@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from tmh import polytope
 from tmh.cli import build_report, compose_fibersum, parse_spec, render_json, run
 
 from instances import PENTAGON_LAMBDA, PENTAGON_VERTICES
@@ -281,6 +282,24 @@ class TestArgumentErrors:
         path = self.spec_file(tmp_path, holes=holes)
         self.assert_rejected(capsys, [command, path], 1, "holes: expected a list")
 
+    @pytest.mark.parametrize("where", ["outer", "holes[0]"])
+    @pytest.mark.parametrize("command", ["validate", "invariants", "homology",
+                                         "ring", "mac", "report", "fibersum"])
+    def test_zero_normal_exit_1(self, pentagon_file, tmp_path, capsys, command, where):
+        zero = {"label": "z", "normal": [0, 0], "offset": 0}
+        doc = cp2_spec_dict()
+        if where == "outer":
+            doc["outer"]["halfspaces"].insert(0, zero)
+        else:
+            doc["holes"] = [{"halfspaces": [zero, *cp2_spec_dict()["outer"]["halfspaces"]]}]
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        out_path = tmp_path / "sum.json"
+        extra = [pentagon_file, "-o", str(out_path)] if command == "fibersum" else []
+        self.assert_rejected(capsys, [command, str(path), *extra], 1,
+                             f"{where}.halfspaces[0].normal: expected a nonzero vector")
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("key", ["name", "description"])
     def test_metadata_not_a_string_exit_1(self, pentagon_file, tmp_path, capsys, key):
         base = self.spec_file(tmp_path, metadata={key: 5})
@@ -306,10 +325,11 @@ class TestGeometryRegressions:
         path.write_text(json.dumps(doc))
         TestArgumentErrors.assert_rejected(capsys, ["validate", str(path)], 1)
 
-    def test_collar_below_2_to_minus_64(self, tmp_path):
-        # the holes are 10^-30 apart, so the collar width needs ~100 halvings
+    @staticmethod
+    def near_touching_file(tmp_path, exponent):
+        """Two unit-square holes 10^-exponent apart in a 10 x 10 square."""
         lam = [[1, 0], [0, 1], [-1, 0], [0, -1]]
-        gap = str(2 + Fraction(1, 10**30))
+        gap = str(2 + Fraction(1, 10**exponent))
         doc = {
             "dimension": 2,
             "metadata": {"name": "near-touching holes"},
@@ -319,14 +339,39 @@ class TestGeometryRegressions:
             "characteristic": {f"{p}e{i + 1}": v for p in ("", "h1.", "h2.")
                                for i, v in enumerate(lam)},
         }
-        path = tmp_path / "near.json"
+        path = tmp_path / f"near{exponent}.json"
         path.write_text(json.dumps(doc))
-        code, out = run_cli(["mac", str(path), "--point=5,8"])
+        return str(path)
+
+    def test_collar_below_2_to_minus_64(self, tmp_path):
+        # the holes are 10^-30 apart, so the collar width is ~100 halvings
+        # of the first guess
+        code, out = run_cli(["mac", self.near_touching_file(tmp_path, 30), "--point=5,8"])
         assert code == 0
         embedding = out.split("embedding:\n", 1)[1].splitlines()
         assert embedding[:4] == ["  e1: 8", "  e2: 5", "  e3: 2", "  e4: 5"]
         assert len(embedding) == 12
         assert all(Fraction(line.split(": ")[1]) > 0 for line in embedding)
+
+    def test_collar_work_does_not_grow_with_the_gap(self, tmp_path, monkeypatch):
+        # the width is computed from one threshold, not found by halving:
+        # as many linear programs at 10^-300 as at 10^-30
+        calls = []
+        phase_one = polytope._Dictionary.phase_one
+
+        def counted(tab):
+            calls.append(1)
+            return phase_one(tab)
+
+        monkeypatch.setattr(polytope._Dictionary, "phase_one", counted)
+        counts = []
+        for exponent in (30, 300):
+            calls.clear()
+            code, out = run_cli(["mac", self.near_touching_file(tmp_path, exponent),
+                                 "--point=5,8"])
+            assert code == 0 and "embedding:" in out
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestNegativeValues:

@@ -115,8 +115,9 @@ class TestEmbeddingCoordinates:
 
 class TestCollarWidths:
     def test_match_fourier_motzkin_halving(self):
-        # the library tests each width on the basic points of the expanded
-        # hole; the oracle solves one system per outer facet and other hole
+        # the library computes each width from one threshold LP per
+        # obstacle; the oracle halves, solving one system per outer facet
+        # and other hole at each width
         rng = random.Random(43)
         pairs = [hirzebruch_cp2_fibersum(1), square_in_square()]
         pairs += [random_one_hole_2d(rng) for _ in range(6)]

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import cmp_to_key
+from math import gcd
 
 import pytest
 
@@ -22,7 +24,7 @@ from tmh.polytope import (
     polygon_from_vertices,
 )
 
-from oracles import edge_directions_at_vertex, fm_feasible, fm_screen
+from oracles import build_by_enumeration, edge_directions_at_vertex, fm_feasible, fm_screen
 
 F = Fraction
 
@@ -410,3 +412,142 @@ class TestFourierMotzkinAgreement:
         assert classes["unbounded"] == {UnboundedError}
         assert classes["strip"] == {EmptyError, UnboundedError}
         assert None in classes["random"]
+
+
+# ---------------------------------------------------------------------------
+# agreement with the basic-point enumeration
+
+
+def _by_angle(a, b):
+    """Order directions by angle in [0, 2 pi), exactly."""
+    half_a, half_b = (a[1], a[0]) < (0, 0), (b[1], b[0]) < (0, 0)
+    return (half_a - half_b) or -(a[0] * b[1] - a[1] * b[0])
+
+
+def _lattice_cycle(rng, sides, bound):
+    """Counter-clockwise vertex cycle of a strictly convex lattice polygon:
+    sides - 1 distinct primitive edge vectors and the one closing them up,
+    taken in angle order."""
+    while True:
+        steps = []
+        while len(steps) < sides - 1:
+            v = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+            if gcd(*v) == 1 and v not in steps:
+                steps.append(v)
+        close = (-sum(v[0] for v in steps), -sum(v[1] for v in steps))
+        g = gcd(*close)
+        if g == 0 or (close[0] // g, close[1] // g) in steps:
+            continue
+        steps = sorted([*steps, close], key=cmp_to_key(_by_angle))
+        x, y = rng.randint(-5, 5), rng.randint(-5, 5)
+        pts = []
+        for v in steps:
+            pts.append((x, y))
+            x, y = x + v[0], y + v[1]
+        return pts
+
+
+def _rows(poly):
+    return [(h.normal, h.offset) for h in poly.halfspaces]
+
+
+def _simple_bodies(seed):
+    """Seeded (kind, dim, rows) simple bounded bodies: lattice polygons as
+    half-planes, prisms over 4- to 24-gons, and boxes and simplices in
+    skewed coordinates, each with its rows shuffled."""
+    rng = random.Random(seed)
+    for sides in range(3, 25):
+        rows = _rows(polygon_from_vertices(_lattice_cycle(rng, sides, 2 + sides // 6)))
+        rng.shuffle(rows)
+        yield "polygon", 2, rows
+    for sides in (4, 8, 12, 16, 20, 24):
+        base = _rows(polygon_from_vertices(_lattice_cycle(rng, sides, 2 + sides // 6)))
+        rows = [((*c, 0), b) for c, b in base]
+        rows += [((0, 0, 1), F(rng.randint(-3, 3), 2)), ((0, 0, -1), -rng.randint(4, 6))]
+        rng.shuffle(rows)
+        yield "prism", 3, _skew(_unimodular(rng, 3), rows)
+    for i in range(24):
+        dim = 2 + i % 2
+        lo = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dim)]
+        hi = [x + rng.randint(1, 3) for x in lo]
+        rows = _box_rows(lo, hi)
+        rng.shuffle(rows)
+        yield "box", dim, _skew(_unimodular(rng, dim), rows)
+        rows = [(tuple(int(k == d) for k in range(dim)), lo[d]) for d in range(dim)]
+        rows.append(((-1,) * dim, -sum(lo) - rng.randint(1, 4)))
+        rng.shuffle(rows)
+        yield "simplex", dim, _skew(_unimodular(rng, dim), rows)
+
+
+def _not_simple_systems(seed):
+    """Seeded (kind, dim, rows) bounded nonempty systems that are not simple
+    polytopes: flat boxes, an extra facet through a vertex, and a facet
+    that only touches the body (at a vertex, along a face, or a copy)."""
+    rng = random.Random(seed)
+    for i in range(24):
+        dim = 2 + i % 2
+        u = _unimodular(rng, dim)
+        lo = [rng.randint(-3, 1) for _ in range(dim)]
+        hi = [x + rng.randint(1, 3) for x in lo]
+        flat = rng.sample(range(dim), rng.randint(1, dim))
+        yield "flat", dim, _skew(u, _box_rows(lo, [lo[d] if d in flat else hi[d]
+                                                   for d in range(dim)]))
+
+        box = _box_rows(lo, hi)
+        corner = [rng.choice(pair) for pair in zip(lo, hi)]
+        c = _nonzero(rng, dim)
+        rows = box + [(c, sum(a * x for a, x in zip(c, corner)))]
+        rng.shuffle(rows)
+        yield "through-vertex", dim, _skew(u, rows)
+
+        # min of c over the box sits at a vertex, or along a face when c
+        # has zero entries
+        c = _nonzero(rng, dim)
+        low = sum(a * (x if a > 0 else y) for a, x, y in zip(c, lo, hi))
+        rows = box + [(c, low)]
+        rng.shuffle(rows)
+        yield "touching", dim, _skew(u, rows)
+
+
+def _error_class(build, dim, rows):
+    try:
+        build(dim, rows)
+    except (EmptyError, UnboundedError, NotSimpleError, RedundantFacetError) as exc:
+        return type(exc)
+    return None
+
+
+class TestEnumerationAgreement:
+    def test_walk_matches_enumeration(self):
+        kinds = set()
+        for kind, dim, rows in _simple_bodies(2026):
+            assert build_polytope(dim, rows) == build_by_enumeration(dim, rows), (kind, rows)
+            kinds.add(kind)
+        assert kinds == {"polygon", "prism", "box", "simplex"}
+
+    def test_polygon_matches_enumeration_of_its_half_planes(self):
+        rng = random.Random(2027)
+        for sides in [*range(3, 25), *range(3, 25)]:
+            poly = polygon_from_vertices(_lattice_cycle(rng, sides, 2 + sides // 6))
+            assert poly == build_by_enumeration(2, poly.halfspaces), sides
+
+    @pytest.mark.parametrize("sides, step", [(5, 2), (7, 2), (7, 3), (8, 3)],
+                             ids=lambda x: str(x))
+    def test_star_cycles_rejected(self, sides, step):
+        rng = random.Random(sides * 10 + step)
+        pts = _lattice_cycle(rng, sides, 4)
+        star = [pts[i * step % sides] for i in range(sides)]
+        # every turn is a left turn; only the winding number is wrong
+        for a, b, c in zip(star, star[1:] + star[:1], star[2:] + star[:2]):
+            assert (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]) > 0
+        with pytest.raises(NotSimpleError, match="not strictly convex counter-clockwise"):
+            polygon_from_vertices(star)
+
+    def test_not_simple_raises_the_oracle_class(self):
+        classes = {}
+        for kind, dim, rows in _not_simple_systems(2028):
+            want = _error_class(build_by_enumeration, dim, rows)
+            assert _error_class(build_polytope, dim, rows) is want, (kind, rows)
+            classes.setdefault(kind, set()).add(want)
+        assert classes == {kind: {NotSimpleError}
+                           for kind in ("flat", "through-vertex", "touching")}
