@@ -212,6 +212,11 @@ def parse_spec(path: str) -> SpecDocument:
     except json.JSONDecodeError as exc:
         raise SpecParseError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SpecParseError(f"{path}: invalid JSON: nested too deeply") from exc
+    except ValueError as exc:
+        # int() refuses a literal longer than sys.get_int_max_str_digits()
+        raise SpecParseError(f"{path}: invalid JSON: integer literal too long") from exc
     return parse_spec_dict(doc, source=path)
 
 

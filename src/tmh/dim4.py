@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .charpair import CharacteristicPair, all_signs, is_positive_omniorientation
 from .errors import DimensionError, InternalError, ScopeError
-from .exactlin import IntMatrix, solve_rational
+from .exactlin import IntMatrix
 from .genus import chi_y
 
 
@@ -190,15 +190,15 @@ def _closest_vertex_pair(body):
 
 
 def _decompose(target, lam_first, lam_last):
-    """Integer coefficients (a1, a2) with target = a1*first + a2*last."""
-    sol = solve_rational(
-        [[lam_first[0], lam_last[0]], [lam_first[1], lam_last[1]]], target)
-    if sol is None:
+    """Integer (a1, a2) with target = a1*first + a2*last, by Cramer's rule."""
+    det = lam_first[0] * lam_last[1] - lam_first[1] * lam_last[0]
+    if det == 0:
         raise InternalError("endpoint vectors are not a basis")
-    a1, a2 = sol
-    if a1.denominator != 1 or a2.denominator != 1:
+    a1, r1 = divmod(target[0] * lam_last[1] - target[1] * lam_last[0], det)
+    a2, r2 = divmod(lam_first[0] * target[1] - lam_first[1] * target[0], det)
+    if r1 or r2:
         raise InternalError("endpoint vectors are not a lattice basis")
-    return int(a1), int(a2)
+    return a1, a2
 
 
 def one_hole_intersection_matrix(pair: CharacteristicPair) -> IntersectionData:

@@ -5,10 +5,11 @@ fractions.Fraction; no floating point is used anywhere.  Matrices are
 immutable and all operations are pure functions, so values can be shared
 freely between threads.
 
-Determinants, rational solves and unimodular inverses share one
-fraction-free Gauss-Jordan routine (Bareiss 1968), with rational rows
-scaled to integers first.  Smith and Hermite forms keep their own integer
-operations, which divide with remainder.
+Two elimination routines do all the work.  Determinants and unimodular
+inverses share one fraction-free Gauss-Jordan routine (Bareiss 1968),
+whose divisions are exact.  Every lattice question (the Smith normal form
+and the saturated integer kernel) goes through the row Hermite normal
+form, whose integer row operations divide with remainder.
 """
 
 from __future__ import annotations
@@ -133,126 +134,26 @@ def det_exact(m: IntMatrix) -> int:
     return det if rank == m.rows else 0
 
 
-def _snf_diagonalize(mat: IntMatrix, track_cols: bool):
-    """Bring a copy of ``mat`` to Smith form; optionally track column ops.
-
-    Returns (diagonal entries incl. zeros, V) where V is the unimodular
-    column-operation matrix with mat . V congruent to the Smith form up to
-    untracked row operations.  Row operations never change the kernel, so V
-    is all that kernel extraction needs.
-    """
-    rows, cols = mat.rows, mat.cols
-    d = [list(row) for row in mat.entries]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if track_cols else None
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-
-    def swap_cols(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        if v is not None:
-            for r in v:
-                r[i], r[j] = r[j], r[i]
-
-    def add_col(dst, src, q):
-        # column dst += q * column src
-        for r in d:
-            r[dst] += q * r[src]
-        if v is not None:
-            for r in v:
-                r[dst] += q * r[src]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        # locate the nonzero entry of smallest magnitude as pivot
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                e = d[i][j]
-                if e != 0 and (best is None or abs(e) < best):
-                    best = abs(e)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-
-        while True:
-            restart = False
-            # clear the pivot column with row operations
-            for i in range(t + 1, rows):
-                if d[i][t] == 0:
-                    continue
-                q = d[i][t] // d[t][t]
-                d[i] = [d[i][j] - q * d[t][j] for j in range(cols)]
-                if d[i][t] != 0:
-                    swap_rows(t, i)
-                    restart = True
-                    break
-            if restart:
-                continue
-            # clear the pivot row with column operations
-            for j in range(t + 1, cols):
-                if d[t][j] == 0:
-                    continue
-                q = d[t][j] // d[t][t]
-                add_col(j, t, -q)
-                if d[t][j] != 0:
-                    swap_cols(t, j)
-                    restart = True
-                    break
-            if restart:
-                continue
-            # force the pivot to divide the remaining block
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if d[i][j] % d[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            d[t] = [d[t][j] + d[offender][j] for j in range(cols)]
-
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-        t += 1
-
-    diag = [d[i][i] for i in range(limit)]
-    vmat = IntMatrix.from_rows(v) if track_cols else None
-    return diag, vmat
-
-
-def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], int]:
-    """Nonzero elementary divisors d1 | d2 | ... and the rank of ``m``."""
-    diag, _ = _snf_diagonalize(m, track_cols=False)
-    divisors = tuple(x for x in diag if x != 0)
-    return divisors, len(divisors)
-
-
 def _row_hnf(rows: list[list[int]]) -> list[list[int]]:
     """Row Hermite normal form (positive pivots, reduced above) in place."""
     if not rows:
         return rows
-    ncols = len(rows[0])
     r = 0
-    for c in range(ncols):
+    for c in range(len(rows[0])):
         pivot = None
         for i in range(r, len(rows)):
             if rows[i][c] != 0 and (pivot is None or abs(rows[i][c]) < abs(rows[pivot][c])):
                 pivot = i
+                if abs(rows[i][c]) == 1:
+                    break
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         for i in range(r + 1, len(rows)):
             while rows[i][c] != 0:
                 q = rows[r][c] // rows[i][c]
-                rows[r] = [a - q * b for a, b in zip(rows[r], rows[i])]
+                if q:
+                    rows[r] = [a - q * b for a, b in zip(rows[r], rows[i])]
                 rows[r], rows[i] = rows[i], rows[r]
         if rows[r][c] < 0:
             rows[r] = [-x for x in rows[r]]
@@ -261,22 +162,42 @@ def _row_hnf(rows: list[list[int]]) -> list[list[int]]:
             if q:
                 rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
         r += 1
-    return [row for row in rows[:r]]
+    return rows[:r]
+
+
+def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], int]:
+    """Nonzero elementary divisors d1 | d2 | ... and the rank of ``m``."""
+    # m and m^T have one Smith form; start from the one with more rows
+    d = _row_hnf([list(row) for row in
+                  (m.entries if m.rows >= m.cols else zip(*m.entries))])
+    # Alternate row and column Hermite forms (Kannan and Bachem 1979).  Each
+    # pass takes the previous first row as its first column, so the (1,1)
+    # entry, their positive gcd, never grows.  Once it stops falling it
+    # divides that column, and as the Hermite form of a lattice is unique,
+    # the pass clears its row and column for good; the same holds for the
+    # block below, so the loop ends.
+    while any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j):
+        d = _row_hnf([list(col) for col in zip(*d)])
+    divisors = [d[i][i] for i in range(len(d))]
+    for i in range(len(divisors)):
+        for j in range(i + 1, len(divisors)):
+            g = gcd(divisors[i], divisors[j])
+            divisors[i], divisors[j] = g, divisors[i] * divisors[j] // g
+    return tuple(divisors), len(divisors)
 
 
 def kernel_lattice_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the saturated integer kernel lattice, as matrix columns.
 
     The result has cols(m) - rank(m) columns, each annihilated by ``m``.
-    Columns are Hermite-reduced so the output is deterministic.
+    They are the rows of the Hermite form of [m^T | I] that vanish on the
+    m^T block, cut to their I part: those rows span {x : m x = 0} and are
+    its Hermite basis, so the output is deterministic.
     """
-    diag, v = _snf_diagonalize(m, track_cols=True)
-    rank = sum(1 for x in diag if x != 0)
-    kernel_cols = [v.col(j) for j in range(rank, m.cols)]
-    if not kernel_cols:
-        return IntMatrix(m.cols, 0, tuple(() for _ in range(m.cols)))
-    reduced = _row_hnf([list(c) for c in kernel_cols])
-    return IntMatrix.from_columns([tuple(r) for r in reduced], rows=m.cols)
+    rows = [[row[j] for row in m.entries] + [int(i == j) for i in range(m.cols)]
+            for j in range(m.cols)]
+    kernel = [row[m.rows:] for row in _row_hnf(rows) if not any(row[:m.rows])]
+    return IntMatrix.from_columns(kernel, rows=m.cols)
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
@@ -292,16 +213,3 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     return IntMatrix(n, n, tuple(tuple(x * row[i] for x in row[n:])
                                  for i, row in enumerate(rows)))
 
-
-# ---------------------------------------------------------------------------
-# rational helpers shared by the geometry modules
-
-
-def solve_rational(a_rows, b) -> RatVector | None:
-    """Solve the square rational system A x = b; None if A is singular."""
-    n = len(a_rows)
-    rows = [_integer_row([*row, rhs]) for row, rhs in zip(a_rows, b)]
-    rank, _ = _eliminate(rows, n)
-    if rank < n:
-        return None
-    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(rows))

@@ -1,11 +1,18 @@
 """Independent reference routes, kept for tests only.
 
+``smith_by_pivoting`` brings a matrix to Smith form by pivoting on its
+least entry, and ``kernel_by_pivoting`` reads the kernel lattice off the
+column operations of that pivoting.  The library takes both from Hermite
+forms (tmh.exactlin).  Only the last step of ``kernel_by_pivoting``, which
+puts its basis in Hermite form so that entries can be compared, is
+library code; the lattice it reduces comes from the pivoting.
+
 ``validate_by_faces`` runs the Smith normal form of every face of every
 vertex, and ``freeness_by_kernel`` tests unimodularity of the m x m matrix
-[kernel basis | coordinate columns] at every vertex.  The library
-answers the same questions from |det L_v| (tmh.charpair, tmh.mac); the
-tests require both routes to agree on ``candidates``, a seeded pool of
-valid and corrupted pairs.
+[kernel basis | coordinate columns] at every vertex, both by pivoting.
+The library answers the same questions from |det L_v| (tmh.charpair,
+tmh.mac); the tests require both routes to agree on ``candidates``, a
+seeded pool of valid and corrupted pairs.
 
 ``fm_feasible`` decides feasibility by Fourier-Motzkin elimination.  On it
 rest ``fm_screen``, the emptiness and recession-cone checks that
@@ -43,11 +50,9 @@ from tmh.exactlin import (
     RatVector,
     _eliminate,
     _integer_row,
+    _row_hnf,
     det_exact,
     is_primitive,
-    kernel_lattice_basis,
-    smith_normal_form,
-    solve_rational,
 )
 from tmh.mac import _l1
 from tmh.polytope import (
@@ -66,6 +71,131 @@ from instances import (
     random_quasitoric_2d,
     random_quasitoric_3d,
 )
+
+
+# ---------------------------------------------------------------------------
+# Smith form and kernel lattice by pivoting
+
+
+def _snf_diagonalize(mat: IntMatrix, track_cols: bool):
+    """Bring a copy of ``mat`` to Smith form; optionally track column ops.
+
+    Returns (diagonal entries incl. zeros, V) where V is the unimodular
+    column-operation matrix with mat . V congruent to the Smith form up to
+    untracked row operations.  Row operations never change the kernel, so V
+    is all that kernel extraction needs.
+    """
+    rows, cols = mat.rows, mat.cols
+    d = [list(row) for row in mat.entries]
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if track_cols else None
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+
+    def swap_cols(i, j):
+        for r in d:
+            r[i], r[j] = r[j], r[i]
+        if v is not None:
+            for r in v:
+                r[i], r[j] = r[j], r[i]
+
+    def add_col(dst, src, q):
+        # column dst += q * column src
+        for r in d:
+            r[dst] += q * r[src]
+        if v is not None:
+            for r in v:
+                r[dst] += q * r[src]
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        # locate the nonzero entry of smallest magnitude as pivot
+        pivot = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                e = d[i][j]
+                if e != 0 and (best is None or abs(e) < best):
+                    best = abs(e)
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+
+        while True:
+            restart = False
+            # clear the pivot column with row operations
+            for i in range(t + 1, rows):
+                if d[i][t] == 0:
+                    continue
+                q = d[i][t] // d[t][t]
+                d[i] = [d[i][j] - q * d[t][j] for j in range(cols)]
+                if d[i][t] != 0:
+                    swap_rows(t, i)
+                    restart = True
+                    break
+            if restart:
+                continue
+            # clear the pivot row with column operations
+            for j in range(t + 1, cols):
+                if d[t][j] == 0:
+                    continue
+                q = d[t][j] // d[t][t]
+                add_col(j, t, -q)
+                if d[t][j] != 0:
+                    swap_cols(t, j)
+                    restart = True
+                    break
+            if restart:
+                continue
+            # force the pivot to divide the remaining block
+            offender = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if d[i][j] % d[t][t] != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            d[t] = [d[t][j] + d[offender][j] for j in range(cols)]
+
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+        t += 1
+
+    diag = [d[i][i] for i in range(limit)]
+    vmat = IntMatrix.from_rows(v) if track_cols else None
+    return diag, vmat
+
+
+def smith_by_pivoting(m: IntMatrix) -> tuple[tuple[int, ...], int]:
+    """Nonzero elementary divisors d1 | d2 | ... and the rank of ``m``."""
+    diag, _ = _snf_diagonalize(m, track_cols=False)
+    divisors = tuple(x for x in diag if x != 0)
+    return divisors, len(divisors)
+
+
+def kernel_by_pivoting(m: IntMatrix) -> IntMatrix:
+    """Basis of the saturated integer kernel lattice, as matrix columns.
+
+    The result has cols(m) - rank(m) columns, each annihilated by ``m``.
+    Columns are Hermite-reduced so the output is deterministic.
+    """
+    diag, v = _snf_diagonalize(m, track_cols=True)
+    rank = sum(1 for x in diag if x != 0)
+    kernel_cols = [v.col(j) for j in range(rank, m.cols)]
+    if not kernel_cols:
+        return IntMatrix(m.cols, 0, tuple(() for _ in range(m.cols)))
+    reduced = _row_hnf([list(c) for c in kernel_cols])
+    return IntMatrix.from_columns([tuple(r) for r in reduced], rows=m.cols)
+
+
+# ---------------------------------------------------------------------------
+# characteristic-pair routes
 
 
 def validate_by_faces(pair: CharacteristicPair) -> ValidationReport:
@@ -88,7 +218,7 @@ def validate_by_faces(pair: CharacteristicPair) -> ValidationReport:
                     continue
                 seen.add(key)
                 m = IntMatrix.from_columns([pair.lam[f] for f in subset], rows=n)
-                divisors, rank = smith_normal_form(m)
+                divisors, rank = smith_by_pivoting(m)
                 if rank != k or any(d != 1 for d in divisors):
                     return ValidationReport(
                         False, "summand", subset,
@@ -102,7 +232,7 @@ def freeness_by_kernel(pair: CharacteristicPair) -> bool:
     facets through each vertex: [kernel basis | coordinate columns] is
     unimodular."""
     lam = pair.lambda_matrix()
-    basis = kernel_lattice_basis(lam)
+    basis = kernel_by_pivoting(lam)
     m = pair.body.facet_count
     if basis.cols + pair.body.dim != m:
         return False  # rank-deficient characteristic map
@@ -214,6 +344,16 @@ def collar_widths_by_fm(body: PolytopeWithHoles) -> tuple[Fraction, ...]:
 
 # ---------------------------------------------------------------------------
 # basic-point enumeration
+
+
+def solve_rational(a_rows, b) -> RatVector | None:
+    """Solve the square rational system A x = b; None if A is singular."""
+    n = len(a_rows)
+    rows = [_integer_row([*row, rhs]) for row, rhs in zip(a_rows, b)]
+    rank, _ = _eliminate(rows, n)
+    if rank < n:
+        return None
+    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(rows))
 
 
 def rational_rank(rows) -> int:

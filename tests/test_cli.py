@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -314,6 +315,33 @@ class TestArgumentErrors:
         self.assert_rejected(capsys, ["fibersum", pentagon_file, pentagon_file,
                                       "-o", str(out_path), f"--scale={scale}"], 1)
         assert not out_path.exists()
+
+    def assert_unreadable(self, tmp_path, capsys, pentagon_file, role, text, reason):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out_path = tmp_path / "sum.json"
+        argv = {
+            "report": ["report", str(bad)],
+            "fibersum base": ["fibersum", str(bad), pentagon_file, "-o", str(out_path)],
+            "fibersum piece": ["fibersum", pentagon_file, str(bad), "-o", str(out_path)],
+        }[role]
+        self.assert_rejected(capsys, argv, 1, f"{bad}: invalid JSON: {reason}")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("role", ["report", "fibersum base", "fibersum piece"])
+    def test_deeply_nested_json_exit_1(self, pentagon_file, tmp_path, capsys, role):
+        self.assert_unreadable(tmp_path, capsys, pentagon_file, role,
+                               "[" * 200000 + "]" * 200000, "nested too deeply")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on integer string conversion")
+    @pytest.mark.parametrize("role", ["report", "fibersum base", "fibersum piece"])
+    def test_integer_over_the_digit_limit_exit_1(self, pentagon_file, tmp_path, capsys, role):
+        doc = pentagon_spec_dict()
+        doc["outer"]["vertices"][0][0] = "HUGE"
+        text = json.dumps(doc).replace('"HUGE"', "1" + "0" * 5000)
+        self.assert_unreadable(tmp_path, capsys, pentagon_file, role, text,
+                               "integer literal too long")
 
 
 class TestGeometryRegressions:

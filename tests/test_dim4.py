@@ -316,3 +316,7 @@ class TestInternalChecks:
         # the check is a raise, so it also holds under python -O
         with pytest.raises(InternalError):
             dim4._decompose((0, 1), (2, 0), (0, 2))
+
+    def test_decompose_rejects_a_parallel_pair(self):
+        with pytest.raises(InternalError, match="endpoint vectors are not a basis"):
+            dim4._decompose((0, 1), (1, 0), (2, 0))

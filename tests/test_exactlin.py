@@ -16,6 +16,7 @@ from tmh.exactlin import (
 )
 
 from matrices import identity, matmul, mul_vector
+from oracles import kernel_by_pivoting, smith_by_pivoting
 
 
 def det_by_permutations(m: IntMatrix) -> int:
@@ -153,6 +154,44 @@ class TestKernelLatticeBasis:
     def test_deterministic(self):
         m = IntMatrix.from_rows([[2, 4, 6], [1, 2, 3]])
         assert kernel_lattice_basis(m) == kernel_lattice_basis(m)
+
+
+class TestPivotingAgreement:
+    """The Hermite routes give the divisors, rank and kernel basis of the
+    pivoting oracles (tests/oracles.py)."""
+
+    @staticmethod
+    def assert_agree(m):
+        assert smith_normal_form(m) == smith_by_pivoting(m)
+        assert kernel_lattice_basis(m) == kernel_by_pivoting(m)
+
+    def test_random_matrices(self):
+        rng = random.Random(29)
+        for i in range(2000):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 7)
+            bound = (1, 6, 10**6, 10**30)[i % 4]
+            entries = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+            if i % 3 == 0 and rows > 1:
+                # a multiple of another row lowers the rank
+                a, b = rng.sample(range(rows), 2)
+                entries[a] = [rng.randint(-3, 3) * x for x in entries[b]]
+            self.assert_agree(IntMatrix.from_rows(entries))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_lambda_shaped(self, n):
+        rng = random.Random(n)
+        for m in (n, n + 1, 8, 32, 128):
+            cols = []
+            while len(cols) < m:
+                vec = tuple(rng.randint(-3, 3) for _ in range(n))
+                if is_primitive(vec):
+                    cols.append(vec)
+            self.assert_agree(IntMatrix.from_columns(cols))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (3, 0)])
+    def test_empty(self, shape):
+        rows, cols = shape
+        self.assert_agree(IntMatrix(rows, cols, ((0,) * cols,) * rows))
 
 
 class TestUnimodularInverse:
