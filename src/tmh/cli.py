@@ -26,7 +26,8 @@ from fractions import Fraction
 
 from . import dim4, genus, mac
 from .charpair import CharacteristicPair, all_signs, is_positive_omniorientation, validate
-from .errors import DomainError, GenericityError, GeometryError, ScopeError, SpecParseError
+from .errors import (DomainError, GenericityError, GeometryError, InternalError, ScopeError,
+                     SpecParseError)
 from .exactlin import det_exact
 from .polytope import (
     HalfSpace,
@@ -58,6 +59,9 @@ def _parse_rational(value, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction also reads exponents, and 1e10000000 takes seconds to expand
+        if "e" in value or "E" in value:
+            raise SpecParseError(f"{where}: bad rational {value!r}: exponents are not allowed")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -244,17 +248,24 @@ def _homology_section(pair) -> dict:
     }
 
 
-def _intersection_section(doc: SpecDocument, pair) -> dict | None:
+def _intersection_section(doc: SpecDocument, pair, signature: int) -> dict | None:
+    """The intersection form; its signature is chi_1 of the genus.  A
+    unimodular form of rank r and signature s has determinant
+    (-1)^((r - s) / 2), which certifies the matrix and chi_1 together."""
     if pair.body.hole_count > 1:
         return None
     data = dim4.intersection_form(pair)
+    det, r = det_exact(data.matrix), data.matrix.rows
+    if (r - signature) % 2 or abs(signature) > r or det != (-1) ** ((r - signature) // 2):
+        raise InternalError(f"intersection form of rank {r} has determinant {det}, "
+                            f"not that of a unimodular form of signature {signature}")
     return {
         "generators": [doc.facet_labels[g] if kind == "facet" else f"S{g}"
                        for kind, g in data.generators],
         "matrix": [list(row) for row in data.matrix.entries],
         "one_three_pairing": data.one_three_pairing,
-        "determinant": det_exact(data.matrix),
-        "signature": dim4.signature_of_matrix(data.matrix),
+        "determinant": det,
+        "signature": signature,
     }
 
 
@@ -306,7 +317,7 @@ def build_report(doc: SpecDocument) -> dict:
             **_homology_section(pair),
             "c1_squared": c1sq,
             "c2": c2,
-            "intersection": _intersection_section(doc, pair),
+            "intersection": _intersection_section(doc, pair, report["chi_y"]["signature"]),
         }
 
     flags = dim4.structure_flags(pair)
@@ -531,7 +542,9 @@ def _command(args, out) -> int:
         if pair.body.hole_count > 1:
             raise ScopeError("intersection products are only computed for "
                              "at most one hole")
-        section, rows = _intersection_section(doc, pair), ("matrix",)
+        # chi_1 does not depend on the direction, so a pinned nu is not used
+        section = _intersection_section(doc, pair, genus.chi_y(pair).signature)
+        rows = ("matrix",)
     else:
         section = _moment_angle_section(pair)
         if point is not None:

@@ -5,15 +5,15 @@ All of this applies to pairs over 2-dimensional bodies.  Intersection
 forms are computed on explicit generator lists: characteristic spheres
 over the facets plus, in the one-hole case, the two circle-factor spheres
 over the segment joining the closest outer/hole vertex pair.  Entries are
-obtained by localizing intersections at vertices, and the two linear
-relations satisfied by the characteristic classes of each quasitoric
-block determine the self-intersections.
+obtained by localizing intersections at vertices; self-intersections are
+in closed form, from the linear relations satisfied by the characteristic
+classes of each quasitoric block.  The form's signature is chi_1 of the
+genus, and the report checks the form's determinant against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .charpair import CharacteristicPair, all_signs, is_positive_omniorientation
 from .errors import DimensionError, InternalError, ScopeError
@@ -118,42 +118,29 @@ def _cycle(component, start_local: int | None = None):
 def _component_pairing(pair: CharacteristicPair, comp_index: int,
                        start_local: int | None = None):
     """Full pairing matrix of the characteristic sphere classes of one
-    component, in its cyclic facet order.
+    component, in its cyclic facet order, where v_j joins facets j-1 and j.
 
     Adjacent classes pair to the sign of the shared vertex; non-adjacent
-    ones to zero; the diagonal is forced by the relations
-    sum_i lambda_i^(t) (x_i . x_j) = 0 for t = 1, 2.
+    ones to zero.  Crossing sum_i lambda_i (x_i . x_j) = 0 with lambda_(j-1)
+    gives sigma(v_j) q_jj + det[lambda_(j-1), lambda_(j+1)] sigma(v_(j+1)) = 0.
     """
     body = pair.body
-    comp = body.components[comp_index]
-    vcycle, fcycle = _cycle(comp, start_local)
+    vcycle, fcycle = _cycle(body.components[comp_index], start_local)
     signs = all_signs(pair)
     csigns = [signs[body.vertex_gid(comp_index, v)] for v in vcycle]
     lam = [pair.lam[body.facet_gid(comp_index, f)] for f in fcycle]
     l = len(fcycle)
 
-    # the CCW cycle convention makes sigma(v_i) = det[lambda_{i-1}, lambda_i]
-    for i in range(l):
-        prev = lam[(i - 1) % l]
-        cur = lam[i]
-        if csigns[i] != prev[0] * cur[1] - prev[1] * cur[0]:
-            raise InternalError(f"component {comp_index} vertex {vcycle[i]}: sign is not "
-                                "det[lambda_(i-1), lambda_i]")
-
     q = [[0] * l for _ in range(l)]
-    for i in range(l):
-        j = (i + 1) % l
-        q[i][j] = q[j][i] = csigns[j] if j != 0 else csigns[0]
     for j in range(l):
-        rhs = [-sum(lam[i][t] * q[i][j] for i in range(l) if i != j) for t in (0, 1)]
-        t_star = 0 if lam[j][0] != 0 else 1
-        value = Fraction(rhs[t_star], lam[j][t_star])
-        if value.denominator != 1:
-            raise InternalError("self-intersection must be integral")
-        other = 1 - t_star
-        if lam[j][other] * value != rhs[other]:
-            raise InternalError("relation solve inconsistent")
-        q[j][j] = int(value)
+        k = (j + 1) % l
+        prev, cur, nxt = lam[j - 1], lam[j], lam[k]
+        # the CCW cycle convention makes sigma(v_j) = det[lambda_(j-1), lambda_j]
+        if csigns[j] != prev[0] * cur[1] - prev[1] * cur[0]:
+            raise InternalError(f"component {comp_index} vertex {vcycle[j]}: sign is not "
+                                "det[lambda_(j-1), lambda_j]")
+        q[j][k] = q[k][j] = csigns[k]
+        q[j][j] = -csigns[j] * csigns[k] * (prev[0] * nxt[1] - prev[1] * nxt[0])
     return q, vcycle, fcycle
 
 
@@ -278,41 +265,6 @@ def intersection_form(pair: CharacteristicPair) -> IntersectionData:
     if s == 1:
         return one_hole_intersection_matrix(pair)
     raise ScopeError(f"intersection form is not computed for {s} holes")
-
-
-def signature_of_matrix(m: IntMatrix) -> int:
-    """Signature of a symmetric integer matrix by exact congruence
-    diagonalization over the rationals."""
-    n = m.rows
-    a = [[Fraction(x) for x in row] for row in m.entries]
-    pos = neg = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if swap is not None:
-                for r in a:
-                    r[k], r[swap] = r[swap], r[k]
-                a[k], a[swap] = a[swap], a[k]
-            else:
-                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                if j is None:
-                    continue  # remaining block is zero in this row/column
-                # congruence e_k <- e_k + e_j gives diagonal entry 2 a[k][j]
-                for r in a:
-                    r[k] += r[j]
-                a[k] = [x + y for x, y in zip(a[k], a[j])]
-        pivot = a[k][k]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            f = a[i][k] / pivot
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-                for r in a:
-                    r[i] -= f * r[k]
-    return pos - neg
 
 
 def chern_numbers_dim4(pair: CharacteristicPair) -> tuple[int, int]:

@@ -167,6 +167,28 @@ def random_quasitoric_2d(rng, sides=None):
     return validated(pair_from_components(poly, [], [lam]))
 
 
+def random_many_sided_quasitoric_2d(rng, sides):
+    """Quasitoric pair over a lattice polygon with 3..48 facets.
+
+    The edge vectors are primitive with max-norm <= 4, each taken with its
+    negative so that the cycle closes; an odd count merges the first two
+    edges into their sum, whose direction lies strictly between theirs.
+    """
+    from math import atan2
+
+    half = [(a, b) for a in range(-4, 5) for b in range(0, 5)
+            if (b > 0 or a > 0) and gcd(abs(a), b) == 1]
+    picked = rng.sample(half, (sides + 1) // 2)
+    edges = sorted(picked + [(-a, -b) for a, b in picked], key=lambda v: atan2(v[1], v[0]))
+    if sides % 2:
+        edges[:2] = [(edges[0][0] + edges[1][0], edges[0][1] + edges[1][1])]
+    pts = [(0, 0)]
+    for e in edges[:-1]:
+        pts.append((pts[-1][0] + e[0], pts[-1][1] + e[1]))
+    poly = polygon_from_vertices(pts)
+    return validated(pair_from_components(poly, [], [random_cycle_lambda(rng, sides)]))
+
+
 def random_one_hole_2d(rng):
     outer_pair = random_quasitoric_2d(rng)
     hole_pair = random_quasitoric_2d(rng)

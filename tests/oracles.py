@@ -31,16 +31,25 @@ the edge leaving each facet at a vertex, and ``frame_order_by_edges``
 orders the facets so that those directions form a positive basis.  The
 library orders them from the sign of the determinant of their normals
 (tmh.charpair).
+
+``pairing_by_relations`` solves the relations sum_i lambda_i (x_i . x_j) = 0
+for each self-intersection of a component's characteristic spheres, and
+``signature_of_matrix`` diagonalizes a symmetric matrix by congruence over
+the rationals.  The library reads each self-intersection off a closed
+form and takes the signature from chi_1 of the genus (tmh.dim4, tmh.cli).
+Both pairings walk the library's facet cycle, ``tmh.dim4._cycle``.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
-from tmh.charpair import CharacteristicPair, ValidationReport
+from tmh.charpair import CharacteristicPair, ValidationReport, all_signs
+from tmh.dim4 import _cycle
 from tmh.errors import (
     DimensionError,
     EmptyError,
+    InternalError,
     NotSimpleError,
     RedundantFacetError,
     UnboundedError,
@@ -249,8 +258,16 @@ def freeness_by_kernel(pair: CharacteristicPair) -> bool:
 # Fourier-Motzkin routes
 
 
+# Fourier-Motzkin can square the row count at each step; tier-1 systems stay
+# below ~2,400 rows, and a larger system fails loudly instead of filling memory
+FM_ROW_CAP = 20_000
+
+
 def fm_feasible(rows) -> bool:
-    """Decide feasibility of a system of rows (coeffs, rhs): coeffs.x >= rhs."""
+    """Decide feasibility of a system of rows (coeffs, rhs): coeffs.x >= rhs.
+
+    Raises RuntimeError before an elimination step would hold more than
+    FM_ROW_CAP rows."""
     rows = [([Fraction(c) for c in coeffs], Fraction(rhs)) for coeffs, rhs in rows]
     nvars = len(rows[0][0]) if rows else 0
     for var in range(nvars - 1, -1, -1):
@@ -263,6 +280,8 @@ def fm_feasible(rows) -> bool:
                 upper.append((coeffs, rhs))
             else:
                 rest.append((coeffs[:var], rhs))
+        if len(rest) + len(lower) * len(upper) > FM_ROW_CAP:
+            raise RuntimeError(f"Fourier-Motzkin elimination passed {FM_ROW_CAP} rows")
         for lc, lb in lower:
             for uc, ub in upper:
                 p, q = lc[var], -uc[var]
@@ -504,6 +523,87 @@ def frame_order_by_edges(body: PolytopeWithHoles, vid: int) -> tuple[int, ...]:
 def sign_by_edges(pair: CharacteristicPair, vid: int) -> int:
     """sigma(v) = det L_v with the columns in edge-route frame order."""
     return det_exact(pair.facet_matrix(frame_order_by_edges(pair.body, vid)))
+
+
+# ---------------------------------------------------------------------------
+# intersection forms by relation solving and congruence
+
+
+def pairing_by_relations(pair: CharacteristicPair, comp_index: int,
+                           start_local: int | None = None):
+    """Full pairing matrix of the characteristic sphere classes of one
+    component, in its cyclic facet order.
+
+    Adjacent classes pair to the sign of the shared vertex; non-adjacent
+    ones to zero; the diagonal is forced by the relations
+    sum_i lambda_i^(t) (x_i . x_j) = 0 for t = 1, 2.
+    """
+    body = pair.body
+    comp = body.components[comp_index]
+    vcycle, fcycle = _cycle(comp, start_local)
+    signs = all_signs(pair)
+    csigns = [signs[body.vertex_gid(comp_index, v)] for v in vcycle]
+    lam = [pair.lam[body.facet_gid(comp_index, f)] for f in fcycle]
+    l = len(fcycle)
+
+    # the CCW cycle convention makes sigma(v_i) = det[lambda_{i-1}, lambda_i]
+    for i in range(l):
+        prev = lam[(i - 1) % l]
+        cur = lam[i]
+        if csigns[i] != prev[0] * cur[1] - prev[1] * cur[0]:
+            raise InternalError(f"component {comp_index} vertex {vcycle[i]}: sign is not "
+                                "det[lambda_(i-1), lambda_i]")
+
+    q = [[0] * l for _ in range(l)]
+    for i in range(l):
+        j = (i + 1) % l
+        q[i][j] = q[j][i] = csigns[j] if j != 0 else csigns[0]
+    for j in range(l):
+        rhs = [-sum(lam[i][t] * q[i][j] for i in range(l) if i != j) for t in (0, 1)]
+        t_star = 0 if lam[j][0] != 0 else 1
+        value = Fraction(rhs[t_star], lam[j][t_star])
+        if value.denominator != 1:
+            raise InternalError("self-intersection must be integral")
+        other = 1 - t_star
+        if lam[j][other] * value != rhs[other]:
+            raise InternalError("relation solve inconsistent")
+        q[j][j] = int(value)
+    return q, vcycle, fcycle
+
+
+def signature_of_matrix(m: IntMatrix) -> int:
+    """Signature of a symmetric integer matrix by exact congruence
+    diagonalization over the rationals."""
+    n = m.rows
+    a = [[Fraction(x) for x in row] for row in m.entries]
+    pos = neg = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+            if swap is not None:
+                for r in a:
+                    r[k], r[swap] = r[swap], r[k]
+                a[k], a[swap] = a[swap], a[k]
+            else:
+                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                if j is None:
+                    continue  # remaining block is zero in this row/column
+                # congruence e_k <- e_k + e_j gives diagonal entry 2 a[k][j]
+                for r in a:
+                    r[k] += r[j]
+                a[k] = [x + y for x, y in zip(a[k], a[j])]
+        pivot = a[k][k]
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            f = a[i][k] / pivot
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+                for r in a:
+                    r[i] -= f * r[k]
+    return pos - neg
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,13 @@ from tmh.dim4 import (
     intersection_form,
     one_hole_intersection_matrix,
     quasitoric_intersection_form,
-    signature_of_matrix,
     structure_flags,
 )
 from tmh.exactlin import det_exact, smith_normal_form, IntMatrix
 from tmh.genus import chi_y, is_generic
 from tmh.mac import embedding_chart, freeness_check, kernel_data
 
-from oracles import candidates, freeness_by_kernel, validate_by_faces
+from oracles import candidates, freeness_by_kernel, signature_of_matrix, validate_by_faces
 from instances import (
     cp1xcp1_square,
     cp2_triangle,

@@ -6,7 +6,11 @@ from fractions import Fraction
 import pytest
 
 from tmh import polytope
-from tmh.cli import build_report, compose_fibersum, parse_spec, render_json, run
+from tmh.charpair import validate
+from tmh.cli import (_intersection_section, _parse_rational, build_report, compose_fibersum,
+                     parse_spec, render_json, run)
+from tmh.errors import InternalError
+from tmh.genus import chi_y
 
 from instances import PENTAGON_LAMBDA, PENTAGON_VERTICES
 
@@ -177,6 +181,31 @@ class TestCommands:
         assert "signature: 3" in out
         assert "determinant" in out
 
+    def test_ring_ignores_a_non_generic_nu(self, tmp_path):
+        # every lambda is +-e1 or +-e2, so nu = (1, 0) pairs to zero with
+        # the edge vectors +-e2; chi_1, and so ring, does not depend on nu
+        outputs = []
+        for nu in ([1, 0], None):
+            spec = square_in_square_spec_dict()
+            if nu is not None:
+                spec["nu"] = nu
+            path = tmp_path / f"nu{nu}.json"
+            path.write_text(json.dumps(spec))
+            if nu is not None:
+                assert run_cli(["invariants", str(path)])[0] == 2
+            outputs.append(run_cli(["ring", str(path)]))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and "signature: 0" in outputs[0][1]
+
+    def test_intersection_section_checks_the_signature(self, pentagon_file):
+        doc = parse_spec(pentagon_file)
+        pair = doc.to_pair()
+        assert validate(pair).ok
+        signature = chi_y(pair).signature
+        assert _intersection_section(doc, pair, signature)["signature"] == 3
+        with pytest.raises(InternalError, match="not that of a unimodular form"):
+            _intersection_section(doc, pair, signature + 2)
+
     def test_mac_with_point(self, cp2_file):
         code, out = run_cli(["mac", cp2_file, "--point", "1/4,1/4"])
         assert code == 0
@@ -316,6 +345,41 @@ class TestArgumentErrors:
                                       "-o", str(out_path), f"--scale={scale}"], 1)
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("where, value", [
+        ("outer.halfspaces[2].offset", "-1e100000"),
+        ("outer.vertices[0][1]", "5E-1"),
+        ("--point[0]", "-125e-3"),
+        ("--point[0]", "1e10000000"),
+        ("--scale", "1e-1"),
+    ])
+    def test_exponent_exit_1(self, pentagon_file, tmp_path, capsys, where, value):
+        # Fraction reads exponents: an offset of -1e100000 made the report
+        # fail while printing a 100,001-digit vertex coordinate, and
+        # expanding 1e10000000 alone takes seconds
+        out_path = tmp_path / "sum.json"
+        if where == "outer.halfspaces[2].offset":
+            doc = cp2_spec_dict()
+            doc["outer"]["halfspaces"][2]["offset"] = value
+            argv = ["report", self.spec_file(tmp_path, **doc)]
+        elif where == "outer.vertices[0][1]":
+            doc = pentagon_spec_dict()
+            doc["outer"]["vertices"][0][1] = value
+            argv = ["report", self.spec_file(tmp_path, **doc)]
+        elif where == "--point[0]":
+            argv = ["mac", pentagon_file, f"--point={value},2"]
+        else:
+            argv = ["fibersum", pentagon_file, pentagon_file, "-o", str(out_path),
+                    f"--scale={value}"]
+        self.assert_rejected(capsys, argv, 1,
+                             f"{where}: bad rational {value!r}: exponents are not allowed")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("text, value", [
+        ("7", Fraction(7)), ("-7/2", Fraction(-7, 2)), ("0.25", Fraction(1, 4)),
+        (" 1/3 ", Fraction(1, 3)), (-4, Fraction(-4))])
+    def test_parse_rational_keeps_integers_fractions_and_decimals(self, text, value):
+        assert _parse_rational(text, "x") == value
+
     def assert_unreadable(self, tmp_path, capsys, pentagon_file, role, text, reason):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -451,7 +515,8 @@ class TestFiberSum:
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         run_cli(["fibersum", pentagon_file, pentagon_file, "-o", a])
         run_cli(["fibersum", pentagon_file, pentagon_file, "-o", b])
-        assert open(a).read() == open(b).read()
+        with open(a) as fa, open(b) as fb:
+            assert fa.read() == fb.read()
 
     def test_piece_inside_a_base_hole_exit_2(self, tmp_path, capsys):
         # the piece is placed at the centroid of the base, inside its hole

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from tmh import dim4
-from tmh.charpair import all_signs
+from tmh.charpair import all_signs, validate
+from tmh.cli import SpecDocument, build_report
 from tmh.dim4 import (
     chern_numbers_dim4,
     cw_cell_counts,
@@ -11,7 +12,6 @@ from tmh.dim4 import (
     intersection_form,
     one_hole_intersection_matrix,
     quasitoric_intersection_form,
-    signature_of_matrix,
     structure_flags,
 )
 from tmh.errors import DimensionError, InternalError, ScopeError
@@ -19,6 +19,7 @@ from tmh.exactlin import IntMatrix, det_exact
 from tmh.genus import chi_y
 
 from matrices import identity, transpose
+from oracles import candidates, pairing_by_relations, signature_of_matrix
 from instances import (
     cp1xcp1_square,
     cp2_triangle,
@@ -26,6 +27,7 @@ from instances import (
     hirzebruch_cp2_fibersum,
     hirzebruch_square,
     pentagon_y,
+    random_many_sided_quasitoric_2d,
     random_multi_hole_2d,
     random_one_hole_2d,
     random_quasitoric_2d,
@@ -257,6 +259,51 @@ class TestStructureFlags:
         flags = structure_flags(pair)
         assert flags.c1_squared is None
         assert not flags.complex_excluded_by_bmy
+
+
+class TestClosedFormAgreement:
+    """The closed-form self-intersections equal the relation solve, and the
+    report's signature (chi_1) and determinant agree with a congruence
+    diagonalization of the printed matrix."""
+
+    @staticmethod
+    def check(pair):
+        body = pair.body
+        starts = [None]
+        if body.hole_count == 1:
+            starts.append(dim4._closest_vertex_pair(body))
+        for start in starts:
+            for comp in range(len(body.components)):
+                local = None if start is None else start[comp]
+                assert (dim4._component_pairing(pair, comp, local)
+                        == pairing_by_relations(pair, comp, local))
+        labels = tuple(f"f{i}" for i in range(body.facet_count))
+        doc = SpecDocument("agreement", "", 2, body, labels,
+                           {label: pair.lam[i] for i, label in enumerate(labels)}, None)
+        section = build_report(doc)["dim4"]["intersection"]
+        r = len(section["matrix"])
+        sig = signature_of_matrix(IntMatrix.from_rows(section["matrix"]))
+        assert section["signature"] == sig
+        assert (r - sig) % 2 == 0
+        assert section["determinant"] == (-1) ** ((r - sig) // 2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_candidate_pairs(self, seed):
+        checked = 0
+        for _, _, pair in candidates(seed):
+            if pair.body.dim == 2 and pair.body.hole_count <= 1 and validate(pair).ok:
+                self.check(pair)
+                checked += 1
+        assert checked >= 30
+
+    def test_many_sided_polygons(self):
+        rng = random.Random(31)
+        pairs = [random_many_sided_quasitoric_2d(rng, sides) for sides in (30, 33, 37, 40)]
+        for outer, hole in ((30, 4), (36, 31), (40, 40)):
+            pairs.append(fibersum_pairs(random_many_sided_quasitoric_2d(rng, outer),
+                                        [random_many_sided_quasitoric_2d(rng, hole)]))
+        for pair in pairs:
+            self.check(pair)
 
 
 class TestSignatureOfMatrix:

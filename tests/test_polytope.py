@@ -402,6 +402,15 @@ class TestFourierMotzkinAgreement:
         assert outcomes == {"random": {True, False}, "infeasible": {False},
                             "rank-deficient": {True, False}, "touching": {True}}
 
+    def test_fm_feasible_refuses_to_grow_past_its_row_cap(self):
+        # 12 rows in 4 variables with no zero coefficient: the row count
+        # roughly squares at each elimination step
+        rng = random.Random(0)
+        rows = [([rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(4)], rng.randint(-5, 5))
+                for _ in range(12)]
+        with pytest.raises(RuntimeError, match="Fourier-Motzkin elimination passed"):
+            fm_feasible(rows)
+
     def test_build_polytope_raises_the_oracle_class(self):
         classes = {}
         for kind, dim, rows in _error_pool(2025):

@@ -7,8 +7,9 @@ import random
 
 import pytest
 
-from tmh.dim4 import signature_of_matrix
 from tmh.exactlin import IntMatrix, det_exact, smith_normal_form
+
+from oracles import signature_of_matrix
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import invariant_factors
