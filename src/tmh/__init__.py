@@ -25,7 +25,6 @@ from .exactlin import (
     IntMatrix,
     RatVector,
     det_exact,
-    kernel_lattice_basis,
     smith_normal_form,
     unimodular_inverse,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "is_generic",
     "is_positive_omniorientation",
     "kernel_data",
-    "kernel_lattice_basis",
     "one_hole_intersection_matrix",
     "place_holes",
     "polygon_from_vertices",

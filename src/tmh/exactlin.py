@@ -7,9 +7,9 @@ freely between threads.
 
 Two elimination routines do all the work.  Determinants and unimodular
 inverses share one fraction-free Gauss-Jordan routine (Bareiss 1968),
-whose divisions are exact.  Every lattice question (the Smith normal form
-and the saturated integer kernel) goes through the row Hermite normal
-form, whose integer row operations divide with remainder.
+whose divisions are exact.  The Smith normal form and the canonical kernel
+bases of tmh.mac go through the row Hermite normal form, whose integer row
+operations divide with remainder.
 """
 
 from __future__ import annotations
@@ -184,20 +184,6 @@ def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], int]:
             g = gcd(divisors[i], divisors[j])
             divisors[i], divisors[j] = g, divisors[i] * divisors[j] // g
     return tuple(divisors), len(divisors)
-
-
-def kernel_lattice_basis(m: IntMatrix) -> IntMatrix:
-    """Basis of the saturated integer kernel lattice, as matrix columns.
-
-    The result has cols(m) - rank(m) columns, each annihilated by ``m``.
-    They are the rows of the Hermite form of [m^T | I] that vanish on the
-    m^T block, cut to their I part: those rows span {x : m x = 0} and are
-    its Hermite basis, so the output is deterministic.
-    """
-    rows = [[row[j] for row in m.entries] + [int(i == j) for i in range(m.cols)]
-            for j in range(m.cols)]
-    kernel = [row[m.rows:] for row in _row_hnf(rows) if not any(row[:m.rows])]
-    return IntMatrix.from_columns(kernel, rows=m.cols)
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:

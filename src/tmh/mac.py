@@ -1,6 +1,6 @@
 """Moment-angle-complex data: the m-coordinate embedding functions, the
-kernel lattice of the characteristic map, and the freeness check for the
-kernel torus action.
+kernel lattice of the characteristic map, read off one unimodular vertex,
+and the freeness check for the kernel torus action.
 
 The embedding realizes the body inside R^(n+s) first: each hole gets an
 auxiliary coordinate that is 1 on the hole boundary and falls off to 0
@@ -19,7 +19,7 @@ from math import prod
 
 from .charpair import CharacteristicPair, vertex_determinants
 from .errors import DimensionError, DomainError, NotValidatedError
-from .exactlin import IntMatrix, RatVector, kernel_lattice_basis, rat_vector, smith_normal_form
+from .exactlin import IntMatrix, RatVector, _eliminate, _row_hnf, rat_vector, smith_normal_form
 from .polytope import PolytopeWithHoles, _Dictionary
 
 
@@ -131,11 +131,24 @@ class KernelData:
 
 
 def kernel_data(pair: CharacteristicPair) -> KernelData:
+    """Lambda and the Hermite basis of its kernel.  L_v is unimodular at a
+    vertex v of a valid pair, so e_j - sum_k (L_v^-1 lambda_j)_k e_(i_k), for
+    the facets j off v and i_1 < ... < i_n at v, span the kernel; on the last
+    facets that basis is nearly echelon, and Hermite forms are unique."""
     if not pair.validated:
         raise NotValidatedError("kernel data needs a validated pair")
     lam = pair.lambda_matrix()
-    basis = kernel_lattice_basis(lam)
-    return KernelData(lam, basis, basis.cols)
+    at = sorted(max((gv.facets for gv in pair.body.global_vertices()),
+                    key=lambda facets: sorted(facets, reverse=True)))
+    off = [j for j in range(lam.cols) if j not in at]
+    rows = [[row[j] for j in at + off] for row in lam.entries]
+    _eliminate(rows, lam.rows)  # row k: p = +-1 at column k, then p * (L_v^-1 lambda_off)_k
+    basis = [[int(i == j) for i in range(lam.cols)] for j in off]
+    for t, vec in enumerate(basis, start=lam.rows):
+        for k, i in enumerate(at):
+            vec[i] = -rows[k][k] * rows[k][t]
+    kernel = _row_hnf(basis)
+    return KernelData(lam, IntMatrix.from_columns(kernel, rows=lam.cols), len(kernel))
 
 
 def freeness_check(pair: CharacteristicPair) -> bool:

@@ -6,14 +6,15 @@ normals and rational offsets.  One small simplex on integer dictionaries
 feasibility, boundedness and whether two holes meet, one linear program
 each; the vertices and edges come from a walk that pivots from the first
 feasible vertex along every edge.  Polygons given by a vertex cycle are
-read off the cycle directly.  Every containment and disjointness decision
-below is exact.
+read off the cycle directly.  Hole containment is checked in integers;
+every containment and disjointness decision below is exact.
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -284,6 +285,13 @@ class GlobalVertex:
     facets: frozenset[int]  # global facet ids
 
 
+def _locate(offsets, gid, what) -> tuple[int, int]:
+    c = bisect_right(offsets, gid) - 1
+    if not 0 <= c < len(offsets) - 1:
+        raise KeyError(f"{what} id {gid} out of range")
+    return c, gid - offsets[c]
+
+
 @dataclass(frozen=True)
 class PolytopeWithHoles:
     """Outer simple polytope minus the open interiors of hole polytopes,
@@ -292,14 +300,18 @@ class PolytopeWithHoles:
     components: tuple[SimplePolytope, ...]
     facet_offsets: tuple[int, ...] = field(init=False)
     vertex_offsets: tuple[int, ...] = field(init=False)
+    _vertex_table: tuple[GlobalVertex, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         outer, holes = self.components[0], self.components[1:]
+        # h.value(x) > 0 in integers: row . (X, d) > 0 with x = X / d, d > 0
+        outer_rows = [_integer_row([*h.normal, -h.offset]) for h in outer.halfspaces]
         for k, hole in enumerate(holes, start=1):
             if hole.dim != outer.dim:
                 raise DimensionError(f"hole {k} has dimension {hole.dim} != {outer.dim}")
             for v in hole.vertices:
-                if not outer.contains(v.point, strict=True):
+                point = _integer_row([*v.point, 1])
+                if not all(sum(a * x for a, x in zip(row, point)) > 0 for row in outer_rows):
                     raise ContainmentError(
                         f"hole {k} vertex {tuple(map(str, v.point))} is not in the "
                         "strict interior of the outer polytope")
@@ -307,12 +319,13 @@ class PolytopeWithHoles:
             rows = [(h.normal, h.offset) for h in holes[a].halfspaces + holes[b].halfspaces]
             if feasible(outer.dim, rows):
                 raise DisjointnessError(f"holes {a + 1} and {b + 1} intersect")
-        fo, vo = [0], [0]
-        for c in self.components:
-            fo.append(fo[-1] + c.facet_count)
-            vo.append(vo[-1] + c.vertex_count)
-        object.__setattr__(self, "facet_offsets", tuple(fo))
-        object.__setattr__(self, "vertex_offsets", tuple(vo))
+        fo = (0, *itertools.accumulate(c.facet_count for c in self.components))
+        vo = (0, *itertools.accumulate(c.vertex_count for c in self.components))
+        object.__setattr__(self, "facet_offsets", fo)
+        object.__setattr__(self, "vertex_offsets", vo)
+        object.__setattr__(self, "_vertex_table", tuple(
+            GlobalVertex(vo[ci] + li, ci, li, v.point, frozenset(fo[ci] + f for f in v.facets))
+            for ci, comp in enumerate(self.components) for li, v in enumerate(comp.vertices)))
 
     @property
     def outer(self) -> SimplePolytope:
@@ -342,27 +355,17 @@ class PolytopeWithHoles:
         return self.facet_offsets[component] + local
 
     def facet_location(self, gid: int) -> tuple[int, int]:
-        for c in range(len(self.components)):
-            if gid < self.facet_offsets[c + 1]:
-                return c, gid - self.facet_offsets[c]
-        raise KeyError(f"facet id {gid} out of range")
+        return _locate(self.facet_offsets, gid, "facet")
 
     def vertex_gid(self, component: int, local: int) -> int:
         return self.vertex_offsets[component] + local
 
     def vertex_location(self, gid: int) -> tuple[int, int]:
-        for c in range(len(self.components)):
-            if gid < self.vertex_offsets[c + 1]:
-                return c, gid - self.vertex_offsets[c]
-        raise KeyError(f"vertex id {gid} out of range")
+        return _locate(self.vertex_offsets, gid, "vertex")
 
-    def global_vertices(self) -> list[GlobalVertex]:
-        out = []
-        for ci, comp in enumerate(self.components):
-            for li, v in enumerate(comp.vertices):
-                facets = frozenset(self.facet_gid(ci, f) for f in v.facets)
-                out.append(GlobalVertex(self.vertex_gid(ci, li), ci, li, v.point, facets))
-        return out
+    def global_vertices(self) -> tuple[GlobalVertex, ...]:
+        """Every vertex of every component, in global vertex order."""
+        return self._vertex_table
 
     def contains(self, point) -> bool:
         """Membership in P = outer minus the open hole interiors."""

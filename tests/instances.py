@@ -167,16 +167,17 @@ def random_quasitoric_2d(rng, sides=None):
     return validated(pair_from_components(poly, [], [lam]))
 
 
-def random_many_sided_quasitoric_2d(rng, sides):
-    """Quasitoric pair over a lattice polygon with 3..48 facets.
+def random_many_sided_quasitoric_2d(rng, sides, bound=4):
+    """Quasitoric pair over a lattice polygon with 3..48 facets, or up to
+    176 facets with bound=8.
 
-    The edge vectors are primitive with max-norm <= 4, each taken with its
-    negative so that the cycle closes; an odd count merges the first two
+    The edge vectors are primitive with max-norm <= bound, each taken with
+    its negative so that the cycle closes; an odd count merges the first two
     edges into their sum, whose direction lies strictly between theirs.
     """
     from math import atan2
 
-    half = [(a, b) for a in range(-4, 5) for b in range(0, 5)
+    half = [(a, b) for a in range(-bound, bound + 1) for b in range(0, bound + 1)
             if (b > 0 or a > 0) and gcd(abs(a), b) == 1]
     picked = rng.sample(half, (sides + 1) // 2)
     edges = sorted(picked + [(-a, -b) for a, b in picked], key=lambda v: atan2(v[1], v[0]))

@@ -2,10 +2,13 @@
 
 ``smith_by_pivoting`` brings a matrix to Smith form by pivoting on its
 least entry, and ``kernel_by_pivoting`` reads the kernel lattice off the
-column operations of that pivoting.  The library takes both from Hermite
-forms (tmh.exactlin).  Only the last step of ``kernel_by_pivoting``, which
-puts its basis in Hermite form so that entries can be compared, is
-library code; the lattice it reduces comes from the pivoting.
+column operations of that pivoting.  ``kernel_by_hermite`` takes the
+kernel from the Hermite form of [m^T | I] over all m columns.  The library
+takes the Smith form from Hermite forms (tmh.exactlin) and the kernel of a
+valid pair from one unimodular vertex (tmh.mac).  Only the last step of
+``kernel_by_pivoting``, which puts its basis in Hermite form so that
+entries can be compared, is library code; the lattice it reduces comes
+from the pivoting.
 
 ``validate_by_faces`` runs the Smith normal form of every face of every
 vertex, and ``freeness_by_kernel`` tests unimodularity of the m x m matrix
@@ -186,6 +189,20 @@ def smith_by_pivoting(m: IntMatrix) -> tuple[tuple[int, ...], int]:
     diag, _ = _snf_diagonalize(m, track_cols=False)
     divisors = tuple(x for x in diag if x != 0)
     return divisors, len(divisors)
+
+
+def kernel_by_hermite(m: IntMatrix) -> IntMatrix:
+    """Basis of the saturated integer kernel lattice, as matrix columns.
+
+    The result has cols(m) - rank(m) columns, each annihilated by ``m``.
+    They are the rows of the Hermite form of [m^T | I] that vanish on the
+    m^T block, cut to their I part: those rows span {x : m x = 0} and are
+    its Hermite basis, so the output is deterministic.
+    """
+    rows = [[row[j] for row in m.entries] + [int(i == j) for i in range(m.cols)]
+            for j in range(m.cols)]
+    kernel = [row[m.rows:] for row in _row_hnf(rows) if not any(row[:m.rows])]
+    return IntMatrix.from_columns(kernel, rows=m.cols)
 
 
 def kernel_by_pivoting(m: IntMatrix) -> IntMatrix:

@@ -9,14 +9,13 @@ from tmh.exactlin import (
     IntMatrix,
     det_exact,
     is_primitive,
-    kernel_lattice_basis,
     primitive_part,
     smith_normal_form,
     unimodular_inverse,
 )
 
 from matrices import identity, matmul, mul_vector
-from oracles import kernel_by_pivoting, smith_by_pivoting
+from oracles import kernel_by_hermite, kernel_by_pivoting, smith_by_pivoting
 
 
 def det_by_permutations(m: IntMatrix) -> int:
@@ -119,19 +118,22 @@ class TestSmithNormalForm:
 
 
 class TestKernelLatticeBasis:
+    """The test-side kernel_by_hermite (tests/oracles.py); the library's
+    kernel of a valid pair is checked against it in tests/test_mac.py."""
+
     def test_rank_one_kernel(self):
         m = IntMatrix.from_rows([[1, 0, -1], [0, 1, -1]])
-        k = kernel_lattice_basis(m)
+        k = kernel_by_hermite(m)
         assert (k.rows, k.cols) == (3, 1)
         assert k.col(0) in ((1, 1, 1), (-1, -1, -1))
 
     def test_identity_has_empty_kernel(self):
-        k = kernel_lattice_basis(identity(3))
+        k = kernel_by_hermite(identity(3))
         assert (k.rows, k.cols) == (3, 0)
 
     def test_two_dimensional_kernel(self):
         m = IntMatrix.from_rows([[1, 0, 0, 1], [0, 1, 0, 1]])
-        k = kernel_lattice_basis(m)
+        k = kernel_by_hermite(m)
         assert k.cols == 2
         for j in range(k.cols):
             assert mul_vector(m, k.col(j)) == (0, 0)
@@ -141,7 +143,7 @@ class TestKernelLatticeBasis:
         for _ in range(40):
             rows, cols = rng.randint(1, 3), rng.randint(2, 5)
             m = random_matrix(rng, rows, cols)
-            k = kernel_lattice_basis(m)
+            k = kernel_by_hermite(m)
             _, rank = smith_normal_form(m)
             assert k.cols == cols - rank
             for j in range(k.cols):
@@ -153,17 +155,18 @@ class TestKernelLatticeBasis:
 
     def test_deterministic(self):
         m = IntMatrix.from_rows([[2, 4, 6], [1, 2, 3]])
-        assert kernel_lattice_basis(m) == kernel_lattice_basis(m)
+        assert kernel_by_hermite(m) == kernel_by_hermite(m)
 
 
 class TestPivotingAgreement:
-    """The Hermite routes give the divisors, rank and kernel basis of the
+    """The Hermite routes, the library's Smith form and the test-side
+    kernel_by_hermite, give the divisors, rank and kernel basis of the
     pivoting oracles (tests/oracles.py)."""
 
     @staticmethod
     def assert_agree(m):
         assert smith_normal_form(m) == smith_by_pivoting(m)
-        assert kernel_lattice_basis(m) == kernel_by_pivoting(m)
+        assert kernel_by_hermite(m) == kernel_by_pivoting(m)
 
     def test_random_matrices(self):
         rng = random.Random(29)

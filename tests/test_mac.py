@@ -6,16 +6,25 @@ import pytest
 from tmh.charpair import CharacteristicPair, validate
 from tmh.errors import DimensionError, DomainError, NotValidatedError
 from tmh.mac import embedding_chart, embedding_coordinates, freeness_check, kernel_data
-from tmh.polytope import polygon_from_vertices
+from tmh.polytope import build_polytope, polygon_from_vertices
 
 from matrices import mul_vector
-from oracles import candidates, collar_widths_by_fm, freeness_by_kernel
+from oracles import (
+    candidates,
+    collar_widths_by_fm,
+    freeness_by_kernel,
+    kernel_by_hermite,
+    kernel_by_pivoting,
+)
 from instances import (
+    _apply_gl,
     cp1xcp1_square,
     cp2_triangle,
     fibersum_pairs,
     hirzebruch_cp2_fibersum,
     pair_from_components,
+    random_gl3z,
+    random_many_sided_quasitoric_2d,
     random_multi_hole_2d,
     random_one_hole_2d,
     random_one_hole_3d,
@@ -169,6 +178,76 @@ class TestKernelData:
     def test_requires_validation(self):
         with pytest.raises(NotValidatedError):
             kernel_data(cp2_triangle())
+
+
+def prism_pair(rng, sides):
+    """Prism over a lattice polygon, caps last, with lambda taken through a
+    random GL(3, Z).  The last two facets are parallel and share no vertex."""
+    base = random_many_sided_quasitoric_2d(rng, sides)
+    halfspaces = [((*h.normal, 0), h.offset) for h in base.body.outer.halfspaces]
+    halfspaces += [((0, 0, 1), 0), ((0, 0, -1), -1)]
+    # sides (lambda_i, 0) and caps (a, b, +-1): a vertex joins sides i, i + 1
+    # and a cap, so det L_v = +-det[lambda_i, lambda_(i+1)].  Twisted caps
+    # keep the vertex basis of the kernel away from Hermite form.
+    lam = [(*base.lam[f], 0) for f in range(sides)]
+    lam += [(rng.randint(-2, 2), rng.randint(-2, 2), 1),
+            (rng.randint(-2, 2), rng.randint(-2, 2), -1)]
+    u = random_gl3z(rng)
+    return validated(pair_from_components(build_polytope(3, halfspaces), [],
+                                          [[_apply_gl(u, v) for v in lam]]))
+
+
+class TestKernelAgreement:
+    """kernel_data reads the kernel off one unimodular vertex; both oracles
+    take it from all of Lambda (tests/oracles.py)."""
+
+    @staticmethod
+    def assert_agree(pair):
+        lam = pair.lambda_matrix()
+        basis = kernel_data(pair).kernel_basis
+        assert basis == kernel_by_hermite(lam)
+        assert basis == kernel_by_pivoting(lam)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_candidates(self, seed):
+        checked = 0
+        for _, _, pair in candidates(seed):
+            if validate(pair).ok:
+                self.assert_agree(pair)
+                checked += 1
+        assert checked >= 80
+
+    @pytest.mark.parametrize("sides, bound", [(32, 4), (64, 8), (128, 8)])
+    def test_many_sided_polygons(self, sides, bound):
+        rng = random.Random(sides)
+        for _ in range(2):
+            pair = random_many_sided_quasitoric_2d(rng, sides, bound=bound)
+            assert pair.body.facet_count == sides
+            self.assert_agree(pair)
+
+    def test_prisms_with_parallel_last_facets(self):
+        rng = random.Random(53)
+        for sides in (3, 4, 5, 6, 8, 12):
+            pair = prism_pair(rng, sides)
+            m = pair.body.facet_count
+            assert not any({m - 2, m - 1} <= gv.facets for gv in pair.body.global_vertices())
+            self.assert_agree(pair)
+        # the prism as the outer body and as the last hole
+        self.assert_agree(fibersum_pairs(prism_pair(rng, 6), [random_quasitoric_3d(rng)]))
+        self.assert_agree(fibersum_pairs(random_quasitoric_3d(rng), [prism_pair(rng, 5)]))
+
+    def test_one_and_several_holes(self):
+        rng = random.Random(59)
+        pairs = [validated(hirzebruch_cp2_fibersum(1)), validated(square_in_square())]
+        pairs += [random_one_hole_2d(rng) for _ in range(4)]
+        pairs += [random_multi_hole_2d(rng, holes=k) for k in (2, 3, 4)]
+        pairs += [fibersum_pairs(random_quasitoric_2d(rng),
+                                 [random_quasitoric_2d(rng, sides=k) for k in (3, 4, 3)]),
+                  random_one_hole_3d(rng),
+                  fibersum_pairs(random_quasitoric_3d(rng),
+                                 [random_quasitoric_3d(rng) for _ in range(2)])]
+        for pair in pairs:
+            self.assert_agree(pair)
 
 
 class TestFreeness:

@@ -16,7 +16,9 @@ from tmh.errors import (
     UnboundedError,
 )
 from tmh.polytope import (
+    GlobalVertex,
     HalfSpace,
+    PolytopeWithHoles,
     build_polytope,
     build_with_holes,
     feasible,
@@ -251,6 +253,136 @@ class TestTwoDimensionalCounts:
         for comp in body.components:
             assert comp.vertex_count == comp.facet_count
         assert body.vertex_count == body.facet_count
+
+
+class TestGlobalIds:
+    def test_negative_ids_raise(self):
+        body = build_with_holes(box(0, 0, 4, 4), [box(1, 1, 2, 2)])
+        for gid in (-1, -3, -8, -9, 8, 9):
+            with pytest.raises(KeyError, match="out of range"):
+                body.facet_location(gid)
+            with pytest.raises(KeyError, match="out of range"):
+                body.vertex_location(gid)
+
+    def test_locations_invert_gids(self):
+        body = build_with_holes(box(0, 0, 8, 8), [
+            box(1, 1, 2, 2), polygon_from_vertices([(4, 4), (6, 4), (5, 6)])])
+        for c, comp in enumerate(body.components):
+            for local in range(comp.facet_count):
+                assert body.facet_location(body.facet_gid(c, local)) == (c, local)
+            for local in range(comp.vertex_count):
+                assert body.vertex_location(body.vertex_gid(c, local)) == (c, local)
+
+    def test_global_vertex_table_is_built_once(self):
+        rng = random.Random(61)
+        outer = polygon_from_vertices([(0, 0), (12, 0), (12, 12), (0, 12)])
+        pieces = [polygon_from_vertices(_lattice_cycle(rng, k, 2)) for k in (3, 5, 4)]
+        bodies = [build_with_holes(box(0, 0, 4, 4), [box(1, 1, 2, 2)]),
+                  place_holes(outer, pieces),
+                  build_with_holes(build_polytope(3, _box_rows((0, 0, 0), (4, 4, 4))),
+                                   [build_polytope(3, _box_rows((1, 1, 1), (2, 2, 2)))])]
+        for body in bodies:
+            table = body.global_vertices()
+            assert isinstance(table, tuple)
+            assert body.global_vertices() is table
+            # the loop that built a new list on every call
+            old = []
+            for ci, comp in enumerate(body.components):
+                for li, v in enumerate(comp.vertices):
+                    facets = frozenset(body.facet_gid(ci, f) for f in v.facets)
+                    old.append(GlobalVertex(body.vertex_gid(ci, li), ci, li, v.point, facets))
+            assert table == tuple(old)
+            # equality, hash and repr see the components and offsets only
+            twin = PolytopeWithHoles(body.components)
+            assert twin == body and twin.global_vertices() is not table
+            assert hash(twin) == hash(body) == hash(
+                (body.components, body.facet_offsets, body.vertex_offsets))
+            assert "_vertex_table" not in repr(body)
+
+
+# outer offsets over large, pairwise coprime denominators
+LEFT = F(10**20 + 1, 3 * 10**20 + 7)          # x >= ~1/3
+BOTTOM = F(-(10**21 + 3), 7 * 10**21 + 13)    # y >= ~-1/7
+SLANT = F(-(5 * 10**22 + 1), 10**22 + 9)      # -x - y >= ~-5
+TINY = F(1, 10**30)
+
+
+def _slanted_triangle():
+    return build_polytope(2, [((1, 0), LEFT), ((0, 1), BOTTOM), ((-1, -1), SLANT)])
+
+
+def _hole_at(point, interior):
+    """A triangle with one vertex at the point and two at interior points,
+    counter-clockwise; None if the three are collinear."""
+    a, b = interior
+    turn = (a[0] - point[0]) * (b[1] - point[1]) - (a[1] - point[1]) * (b[0] - point[0])
+    if turn == 0:
+        return None
+    return polygon_from_vertices([point, a, b] if turn > 0 else [point, b, a])
+
+
+def _accepts(outer, hole):
+    try:
+        build_with_holes(outer, [hole])
+    except ContainmentError:
+        return False
+    return True
+
+
+class TestIntegerContainment:
+    INTERIOR = ((F(3, 2), F(1, 4)), (F(3, 2), F(3, 4)))
+
+    def test_vertex_on_each_outer_facet_is_rejected(self):
+        dens = [x.denominator for x in (LEFT, BOTTOM, SLANT)]
+        assert min(dens) > 10**20
+        assert all(gcd(a, b) == 1 for a, b in zip(dens, dens[1:] + dens[:1]))
+        outer = _slanted_triangle()
+        on_facets = [(LEFT, F(1, 2)), (1, BOTTOM), (-SLANT - 1, 1)]
+        for point in on_facets:
+            assert any(h.value(point) == 0 for h in outer.halfspaces)
+            with pytest.raises(ContainmentError, match=r"hole 1 vertex \(.*\) is not in the "
+                               "strict interior of the outer polytope"):
+                build_with_holes(outer, [_hole_at(point, self.INTERIOR)])
+
+    def test_one_part_in_10_30_decides(self):
+        outer = _slanted_triangle()
+        for normal, point in zip([(1, 0), (0, 1), (-1, -1)],
+                                 [(LEFT, F(1, 2)), (1, BOTTOM), (-SLANT - 1, 1)]):
+            inside = tuple(x + TINY * c for x, c in zip(point, normal))
+            outside = tuple(x - TINY * c for x, c in zip(point, normal))
+            assert _accepts(outer, _hole_at(inside, self.INTERIOR))
+            assert not _accepts(outer, _hole_at(outside, self.INTERIOR))
+
+    def test_agrees_with_strict_contains(self):
+        rng = random.Random(67)
+        verdicts = {True: 0, False: 0}
+        for _ in range(12):
+            scale = F(rng.randint(10**12, 10**13), rng.randint(10**12, 10**13))
+            shift = (F(rng.randint(-10**9, 10**9), rng.randint(10**9, 2 * 10**9)),
+                     F(rng.randint(-10**9, 10**9), rng.randint(10**9, 2 * 10**9)))
+            outer = polygon_from_vertices(
+                _lattice_cycle(rng, rng.randint(3, 8), 3)).transformed(scale, shift)
+            c = outer.centroid()
+            interior = (c, (c[0] + F(1, 10**6), c[1] + F(1, 3 * 10**6)))
+            vs = [v.point for v in outer.vertices]
+            points = []
+            for a, b in zip(vs, vs[1:] + vs[:1]):
+                t = F(rng.randint(1, 99), 100)
+                on_edge = tuple(x + t * (y - x) for x, y in zip(a, b))
+                toward = tuple(x - y for x, y in zip(c, on_edge))
+                points += [a, on_edge] + [tuple(x + e * d for x, d in zip(on_edge, toward))
+                                          for e in (TINY, -TINY, F(1, 2), F(-1, 2))]
+            lo, hi = outer.bounding_box()
+            points += [tuple(l + F(rng.randint(-200, 1200), 1000) * (h - l)
+                             for l, h in zip(lo, hi)) for _ in range(10)]
+            for point in points:
+                hole = _hole_at(point, interior)
+                if hole is None:
+                    continue
+                expect = outer.contains(point, strict=True)
+                assert _accepts(outer, hole) == expect
+                verdicts[expect] += 1
+        assert min(verdicts.values()) >= 100
 
 
 class TestFmFeasible:
