@@ -17,8 +17,6 @@ from .dim4 import (
     cw_cell_counts,
     homology_groups,
     intersection_form,
-    one_hole_intersection_matrix,
-    quasitoric_intersection_form,
     structure_flags,
 )
 from .exactlin import (
@@ -86,10 +84,8 @@ __all__ = [
     "is_generic",
     "is_positive_omniorientation",
     "kernel_data",
-    "one_hole_intersection_matrix",
     "place_holes",
     "polygon_from_vertices",
-    "quasitoric_intersection_form",
     "smith_normal_form",
     "structure_flags",
     "unimodular_inverse",

@@ -1,14 +1,17 @@
 """Dimension-4 invariants: CW cell counts, homology, intersection forms,
 Chern numbers and structure obstruction flags.
 
-All of this applies to pairs over 2-dimensional bodies.  Intersection
-forms are computed on explicit generator lists: characteristic spheres
-over the facets plus, in the one-hole case, the two circle-factor spheres
-over the segment joining the closest outer/hole vertex pair.  Entries are
-obtained by localizing intersections at vertices; self-intersections are
-in closed form, from the linear relations satisfied by the characteristic
-classes of each quasitoric block.  The form's signature is chi_1 of the
-genus, and the report checks the form's determinant against it.
+All of this applies to pairs over 2-dimensional bodies.  One routine
+gives the intersection form of a body with at most one hole, on an
+explicit generator list: the outer characteristic spheres minus the last
+two, and with one hole the two circle-factor spheres over the segment
+joining the closest outer/hole vertex pair and the hole's characteristic
+spheres.  With no hole only the outer (quasitoric) block remains.  Entries
+are obtained by localizing intersections at vertices; self-intersections
+are in closed form, from the linear relations satisfied by the
+characteristic classes of each quasitoric block.  The form's signature is
+chi_1 of the genus, and the report checks the form's determinant against
+it.
 """
 
 from __future__ import annotations
@@ -144,24 +147,6 @@ def _component_pairing(pair: CharacteristicPair, comp_index: int,
     return q, vcycle, fcycle
 
 
-def quasitoric_intersection_form(pair: CharacteristicPair) -> IntersectionData:
-    """Intersection form of a quasitoric (s = 0) pair on the kept basis.
-
-    The two classes dropped to reach a basis of H_2 are the last two facets
-    of the cyclic numbering, whose 2-cells are absorbed into the CW
-    structure's top cells.
-    """
-    _require_dim2(pair)
-    if pair.body.hole_count != 0:
-        raise ScopeError("quasitoric form needs a body without holes")
-    q, _, fcycle = _component_pairing(pair, 0)
-    l = len(fcycle)
-    kept = list(range(l - 2))
-    matrix = IntMatrix.from_rows([[q[i][j] for j in kept] for i in kept])
-    generators = tuple(("facet", pair.body.facet_gid(0, fcycle[i])) for i in kept)
-    return IntersectionData(generators, matrix, None)
-
-
 def _closest_vertex_pair(body):
     """Outer/hole local vertex ids minimizing the squared distance."""
     outer = body.outer
@@ -188,83 +173,57 @@ def _decompose(target, lam_first, lam_last):
     return a1, a2
 
 
-def one_hole_intersection_matrix(pair: CharacteristicPair) -> IntersectionData:
-    """Intersection matrix of a one-hole pair on its l0 + l1 generators.
+def intersection_form(pair: CharacteristicPair) -> IntersectionData:
+    """Intersection form on a basis of H_2, for at most one hole.
 
-    Basis: kept outer characteristic spheres x_1 .. x_{l0-2}, the two
-    circle-factor spheres over the connecting segment (torus directions
-    (0,1) then (1,0)), and all hole characteristic spheres.  Entries
-    involving the special spheres come from endpoint localization: writing
-    (0,1) = a1 lambda_1 + a2 lambda_{l0} at the outer endpoint with
-    d = sigma(v_1) gives the contribution a1 a2 d to the self-intersection
-    and a1 to the product with x_1; the hole endpoint and the direction
-    (1,0) follow the same recipe.
+    Basis: the outer characteristic spheres x_1 .. x_{l0-2} (the last two
+    facets of the cyclic numbering are dropped; their 2-cells are absorbed
+    into the top cells), then with one hole the two circle-factor spheres
+    over the connecting segment (torus directions (0,1) then (1,0)) and all
+    hole characteristic spheres.  With one hole both cycles start at the
+    closest outer/hole vertex pair.  Entries involving the circle spheres
+    come from endpoint localization: writing (0,1) = a1 lambda_first +
+    a2 lambda_last at an endpoint with sign d gives a1 a2 d to the
+    self-intersection and a1, a2 to the products with the first and last
+    facet; (1,0) = c1 lambda_first + c2 lambda_last follows the same recipe,
+    and the two circle spheres meet in a2 c1 d.  s >= 2 is out of scope.
     """
     _require_dim2(pair)
-    if pair.body.hole_count != 1:
-        raise ScopeError("one-hole matrix needs exactly one hole")
     body = pair.body
-    v1, u1 = _closest_vertex_pair(body)
-    q0, vcyc0, fcyc0 = _component_pairing(pair, 0, start_local=v1)
-    q1, vcyc1, fcyc1 = _component_pairing(pair, 1, start_local=u1)
-    l0, l1 = len(fcyc0), len(fcyc1)
+    s = body.hole_count
+    if s > 1:
+        raise ScopeError(f"intersection form is not computed for {s} holes")
+    v1, u1 = _closest_vertex_pair(body) if s else (None, None)
+    q0, vcyc0, fcyc0 = _component_pairing(pair, 0, v1)
+    l0 = len(fcyc0)
+    s01, s10 = l0 - 2, l0 - 1      # l0 - 2 outer classes are kept; the circle spheres follow
+    generators = tuple(("facet", body.facet_gid(0, f)) for f in fcyc0[:s01])
+    if s == 0:
+        return IntersectionData(generators, IntMatrix.from_rows([r[:s01] for r in q0[:s01]]))
+
+    q1, vcyc1, fcyc1 = _component_pairing(pair, 1, u1)
+    size = l0 + len(fcyc1)
+    mat = ([r[:s01] + [0] * (size - s01) for r in q0[:s01]] + [[0] * size, [0] * size]
+           + [[0] * l0 + r for r in q1])
     signs = all_signs(pair)
-
-    lam0_first = pair.lam[body.facet_gid(0, fcyc0[0])]
-    lam0_last = pair.lam[body.facet_gid(0, fcyc0[-1])]
-    lam1_first = pair.lam[body.facet_gid(1, fcyc1[0])]
-    lam1_last = pair.lam[body.facet_gid(1, fcyc1[-1])]
-    d = signs[body.vertex_gid(0, vcyc0[0])]
-    dp = signs[body.vertex_gid(1, vcyc1[0])]
-
-    a1, a2 = _decompose((0, 1), lam0_first, lam0_last)
-    c1, c2 = _decompose((1, 0), lam0_first, lam0_last)
-    b1, b2 = _decompose((0, 1), lam1_first, lam1_last)
-    e1, e2 = _decompose((1, 0), lam1_first, lam1_last)
-
-    size = l0 + l1
-    mat = [[0] * size for _ in range(size)]
-    s01 = l0 - 2          # index of the (0,1)-sphere
-    s10 = l0 - 1          # index of the (1,0)-sphere
-    hole0 = l0            # first hole generator
-
-    for i in range(l0 - 2):
-        for j in range(l0 - 2):
-            mat[i][j] = q0[i][j]
-    for i in range(l1):
-        for j in range(l1):
-            mat[hole0 + i][hole0 + j] = q1[i][j]
-
-    mat[s01][s01] = a1 * a2 * d + b1 * b2 * dp
-    mat[s10][s10] = c1 * c2 * d + e1 * e2 * dp
-    cross = a2 * c1 * d + b2 * e1 * dp
-    mat[s01][s10] = mat[s10][s01] = cross
-
-    def set_sym(i, j, value):
-        mat[i][j] = mat[j][i] = value
-
-    set_sym(0, s01, a1)
-    set_sym(0, s10, c1)
-    set_sym(hole0, s01, b1)
-    set_sym(hole0, s10, e1)
-    set_sym(hole0 + l1 - 1, s01, b2)
-    set_sym(hole0 + l1 - 1, s10, e2)
-
-    generators = tuple(("facet", body.facet_gid(0, fcyc0[i])) for i in range(l0 - 2))
+    # generator index of each endpoint's first and last facet; the outer last one is dropped
+    for comp, vcyc, fcyc, ends in ((0, vcyc0, fcyc0, (0, None)),
+                                   (1, vcyc1, fcyc1, (l0, size - 1))):
+        d = signs[body.vertex_gid(comp, vcyc[0])]
+        first, last = (pair.lam[body.facet_gid(comp, f)] for f in (fcyc[0], fcyc[-1]))
+        a1, a2 = _decompose((0, 1), first, last)
+        c1, c2 = _decompose((1, 0), first, last)
+        mat[s01][s01] += a1 * a2 * d
+        mat[s10][s10] += c1 * c2 * d
+        mat[s01][s10] += a2 * c1 * d
+        for i, a, c in zip(ends, (a1, a2), (c1, c2)):
+            if i is not None:
+                mat[i][s01] = mat[s01][i] = a
+                mat[i][s10] = mat[s10][i] = c
+    mat[s10][s01] = mat[s01][s10]
     generators += (("circle", "(0,1)"), ("circle", "(1,0)"))
     generators += tuple(("facet", body.facet_gid(1, f)) for f in fcyc1)
     return IntersectionData(generators, IntMatrix.from_rows(mat), 1)
-
-
-def intersection_form(pair: CharacteristicPair) -> IntersectionData:
-    """Dispatch on the hole count; s >= 2 is out of scope."""
-    _require_dim2(pair)
-    s = pair.body.hole_count
-    if s == 0:
-        return quasitoric_intersection_form(pair)
-    if s == 1:
-        return one_hole_intersection_matrix(pair)
-    raise ScopeError(f"intersection form is not computed for {s} holes")
 
 
 def chern_numbers_dim4(pair: CharacteristicPair) -> tuple[int, int]:

@@ -27,12 +27,6 @@ def _l1(normal) -> int:
     return sum(abs(c) for c in normal)
 
 
-def _violation(hole, point) -> Fraction:
-    """Weighted depth of the point outside the hole; 0 exactly on the hole."""
-    return max((h.offset - sum(n * x for n, x in zip(h.normal, point))) / _l1(h.normal)
-               for h in hole.halfspaces)
-
-
 def _certified_collar_widths(body: PolytopeWithHoles) -> tuple[Fraction, ...]:
     """A positive collar width per hole: half the clearance of the hole
     from the outer facets, halved just below the threshold where the collar
@@ -78,34 +72,37 @@ class EmbeddingChart:
                 constants[gid] = widths[k - 1] * _l1(h.normal) + max(Fraction(0), deficit) + 1
         return cls(body, widths, constants)
 
-    def hole_coordinates(self, point) -> tuple[Fraction, ...]:
-        """The auxiliary coordinates p_{n+1} ... p_{n+s} of the lift."""
+    def _lift(self, point):
+        """The point, its facet values h(x) per component, each read once,
+        and its hole coordinates max(0, 1 - depth / width)."""
         point = rat_vector(point)
         if len(point) != self.body.dim:
             raise DimensionError(f"point needs {self.body.dim} coordinates, got {len(point)}")
-        out = []
-        for k, hole in enumerate(self.body.holes):
-            v = _violation(hole, point)
-            w = self.collar_widths[k]
-            out.append(max(Fraction(0), 1 - v / w))
-        return tuple(out)
+        values = [[h.value(point) for h in c.halfspaces] for c in self.body.components]
+        p_hole = []
+        for vals, hole, w in zip(values[1:], self.body.holes, self.collar_widths):
+            # weighted depth of the point outside the hole; 0 exactly on the hole
+            depth = max(-v / _l1(h.normal) for v, h in zip(vals, hole.halfspaces))
+            p_hole.append(max(Fraction(0), 1 - depth / w))
+        return point, values, tuple(p_hole)
+
+    def hole_coordinates(self, point) -> tuple[Fraction, ...]:
+        """The auxiliary coordinates p_{n+1} ... p_{n+s} of the lift."""
+        return self._lift(point)[2]
 
     def evaluate(self, point) -> RatVector:
         """The facet coordinates (d_1(x), ..., d_m(x))."""
-        point = rat_vector(point)
-        if not self.body.contains(point):
+        point, values, p_hole = self._lift(point)
+        # outside the outer body, or in the open interior of a hole
+        if min(values[0]) < 0 or any(min(vals) > 0 for vals in values[1:]):
             raise DomainError(f"point {tuple(map(str, point))} is not in the body")
-        p_hole = self.hole_coordinates(point)
         total_hole = sum(p_hole)
-        out = []
-        for h in self.body.outer.halfspaces:
-            out.append(h.value(point) + total_hole)
-        for k, hole in enumerate(self.body.holes, start=1):
+        out = [v + total_hole for v in values[0]]
+        for k, vals in enumerate(values[1:], start=1):
             a_k = 1 - p_hole[k - 1]
             others = total_hole - p_hole[k - 1]
-            for local, h in enumerate(hole.halfspaces):
-                gid = self.body.facet_gid(k, local)
-                padded = h.value(point) + self.hole_constants[gid] * a_k
+            for local, v in enumerate(vals):
+                padded = v + self.hole_constants[self.body.facet_gid(k, local)] * a_k
                 out.append(padded + a_k + others)
         return tuple(out)
 

@@ -292,6 +292,13 @@ def _locate(offsets, gid, what) -> tuple[int, int]:
     return c, gid - offsets[c]
 
 
+def _gid(offsets, component, local, what) -> int:
+    if not (0 <= component < len(offsets) - 1
+            and 0 <= local < offsets[component + 1] - offsets[component]):
+        raise KeyError(f"{what} {local} of component {component} out of range")
+    return offsets[component] + local
+
+
 @dataclass(frozen=True)
 class PolytopeWithHoles:
     """Outer simple polytope minus the open interiors of hole polytopes,
@@ -352,13 +359,13 @@ class PolytopeWithHoles:
         return self.vertex_offsets[-1]
 
     def facet_gid(self, component: int, local: int) -> int:
-        return self.facet_offsets[component] + local
+        return _gid(self.facet_offsets, component, local, "facet")
 
     def facet_location(self, gid: int) -> tuple[int, int]:
         return _locate(self.facet_offsets, gid, "facet")
 
     def vertex_gid(self, component: int, local: int) -> int:
-        return self.vertex_offsets[component] + local
+        return _gid(self.vertex_offsets, component, local, "vertex")
 
     def vertex_location(self, gid: int) -> tuple[int, int]:
         return _locate(self.vertex_offsets, gid, "vertex")

@@ -41,20 +41,26 @@ for each self-intersection of a component's characteristic spheres, and
 the rationals.  The library reads each self-intersection off a closed
 form and takes the signature from chi_1 of the genus (tmh.dim4, tmh.cli).
 Both pairings walk the library's facet cycle, ``tmh.dim4._cycle``.
+``quasitoric_form_by_blocks`` and ``one_hole_form_by_blocks`` assemble the
+intersection form of a body without holes and with one hole as two
+separate routines; the library builds both in one (tmh.dim4).
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
+from tmh import dim4
 from tmh.charpair import CharacteristicPair, ValidationReport, all_signs
-from tmh.dim4 import _cycle
+from tmh.dim4 import IntersectionData, _cycle
 from tmh.errors import (
     DimensionError,
     EmptyError,
     InternalError,
     NotSimpleError,
     RedundantFacetError,
+    ScopeError,
     UnboundedError,
 )
 from tmh.exactlin import (
@@ -588,6 +594,92 @@ def pairing_by_relations(pair: CharacteristicPair, comp_index: int,
     return q, vcycle, fcycle
 
 
+def quasitoric_form_by_blocks(pair: CharacteristicPair) -> IntersectionData:
+    """Intersection form of a quasitoric (s = 0) pair on the kept basis.
+
+    The two classes dropped to reach a basis of H_2 are the last two facets
+    of the cyclic numbering, whose 2-cells are absorbed into the CW
+    structure's top cells.
+    """
+    dim4._require_dim2(pair)
+    if pair.body.hole_count != 0:
+        raise ScopeError("quasitoric form needs a body without holes")
+    q, _, fcycle = dim4._component_pairing(pair, 0)
+    l = len(fcycle)
+    kept = list(range(l - 2))
+    matrix = IntMatrix.from_rows([[q[i][j] for j in kept] for i in kept])
+    generators = tuple(("facet", pair.body.facet_gid(0, fcycle[i])) for i in kept)
+    return IntersectionData(generators, matrix, None)
+
+
+def one_hole_form_by_blocks(pair: CharacteristicPair) -> IntersectionData:
+    """Intersection matrix of a one-hole pair on its l0 + l1 generators.
+
+    Basis: kept outer characteristic spheres x_1 .. x_{l0-2}, the two
+    circle-factor spheres over the connecting segment (torus directions
+    (0,1) then (1,0)), and all hole characteristic spheres.  Entries
+    involving the special spheres come from endpoint localization: writing
+    (0,1) = a1 lambda_1 + a2 lambda_{l0} at the outer endpoint with
+    d = sigma(v_1) gives the contribution a1 a2 d to the self-intersection
+    and a1 to the product with x_1; the hole endpoint and the direction
+    (1,0) follow the same recipe.
+    """
+    dim4._require_dim2(pair)
+    if pair.body.hole_count != 1:
+        raise ScopeError("one-hole matrix needs exactly one hole")
+    body = pair.body
+    v1, u1 = dim4._closest_vertex_pair(body)
+    q0, vcyc0, fcyc0 = dim4._component_pairing(pair, 0, start_local=v1)
+    q1, vcyc1, fcyc1 = dim4._component_pairing(pair, 1, start_local=u1)
+    l0, l1 = len(fcyc0), len(fcyc1)
+    signs = all_signs(pair)
+
+    lam0_first = pair.lam[body.facet_gid(0, fcyc0[0])]
+    lam0_last = pair.lam[body.facet_gid(0, fcyc0[-1])]
+    lam1_first = pair.lam[body.facet_gid(1, fcyc1[0])]
+    lam1_last = pair.lam[body.facet_gid(1, fcyc1[-1])]
+    d = signs[body.vertex_gid(0, vcyc0[0])]
+    dp = signs[body.vertex_gid(1, vcyc1[0])]
+
+    a1, a2 = dim4._decompose((0, 1), lam0_first, lam0_last)
+    c1, c2 = dim4._decompose((1, 0), lam0_first, lam0_last)
+    b1, b2 = dim4._decompose((0, 1), lam1_first, lam1_last)
+    e1, e2 = dim4._decompose((1, 0), lam1_first, lam1_last)
+
+    size = l0 + l1
+    mat = [[0] * size for _ in range(size)]
+    s01 = l0 - 2          # index of the (0,1)-sphere
+    s10 = l0 - 1          # index of the (1,0)-sphere
+    hole0 = l0            # first hole generator
+
+    for i in range(l0 - 2):
+        for j in range(l0 - 2):
+            mat[i][j] = q0[i][j]
+    for i in range(l1):
+        for j in range(l1):
+            mat[hole0 + i][hole0 + j] = q1[i][j]
+
+    mat[s01][s01] = a1 * a2 * d + b1 * b2 * dp
+    mat[s10][s10] = c1 * c2 * d + e1 * e2 * dp
+    cross = a2 * c1 * d + b2 * e1 * dp
+    mat[s01][s10] = mat[s10][s01] = cross
+
+    def set_sym(i, j, value):
+        mat[i][j] = mat[j][i] = value
+
+    set_sym(0, s01, a1)
+    set_sym(0, s10, c1)
+    set_sym(hole0, s01, b1)
+    set_sym(hole0, s10, e1)
+    set_sym(hole0 + l1 - 1, s01, b2)
+    set_sym(hole0 + l1 - 1, s10, e2)
+
+    generators = tuple(("facet", body.facet_gid(0, fcyc0[i])) for i in range(l0 - 2))
+    generators += (("circle", "(0,1)"), ("circle", "(1,0)"))
+    generators += tuple(("facet", body.facet_gid(1, f)) for f in fcyc1)
+    return IntersectionData(generators, IntMatrix.from_rows(mat), 1)
+
+
 def signature_of_matrix(m: IntMatrix) -> int:
     """Signature of a symmetric integer matrix by exact congruence
     diagonalization over the rationals."""
@@ -659,11 +751,23 @@ def _corrupt(rng, pair, how):
     return CharacteristicPair(pair.body, lam)
 
 
-def candidates(seed: int, per_family: int = 64):
-    """Yield (family, corruption, pair) over every family and corruption,
-    ``per_family`` pairs per family, none of them validated yet."""
+@functools.lru_cache(maxsize=None)
+def _candidate_pool(seed: int, per_family: int):
+    """(family, corruption, body, lam) per candidate; bodies and lam are immutable."""
     rng = random.Random(seed)
+    pool = []
     for family, generate in FAMILIES:
         for i in range(per_family):
             how = CORRUPTIONS[i % len(CORRUPTIONS)]
-            yield family, how, _corrupt(rng, generate(rng), how)
+            pair = _corrupt(rng, generate(rng), how)
+            pool.append((family, how, pair.body, pair.lam))
+    return tuple(pool)
+
+
+def candidates(seed: int, per_family: int = 64):
+    """Yield (family, corruption, pair) over every family and corruption,
+    ``per_family`` pairs per family, none of them validated yet.  The bodies
+    and lambda are built once per (seed, per_family); every call yields new
+    pairs on them, so no validation or vertex frame carries over."""
+    for family, how, body, lam in _candidate_pool(seed, per_family):
+        yield family, how, CharacteristicPair(body, lam)

@@ -15,8 +15,6 @@ from tmh.dim4 import (
     cw_cell_counts,
     homology_groups,
     intersection_form,
-    one_hole_intersection_matrix,
-    quasitoric_intersection_form,
     structure_flags,
 )
 from tmh.exactlin import det_exact, smith_normal_form, IntMatrix
@@ -148,7 +146,7 @@ def test_criterion_05_homology_formulas():
 def test_criterion_06_cohomology_ring_golden():
     for k in (0, 1, 2):
         pair = validated(hirzebruch_cp2_fibersum(k))
-        data = one_hole_intersection_matrix(pair)
+        data = intersection_form(pair)
         e = data.matrix.entries
         x = lambda i, j: e[i - 1][j - 1]
         assert x(1, 1) == 0 and x(3, 3) == 0 and x(4, 4) == 0
@@ -263,7 +261,7 @@ def test_criterion_10_classic_sanity_values():
     product = validated(cp1xcp1_square())
     ppoly = chi_y(product)
     assert ppoly.signature == 0
-    form = quasitoric_intersection_form(product)
+    form = intersection_form(product)
     assert form.matrix.entries == ((0, 1), (1, 0))
     announce(10, "CP^2 gives chi_y = 1 - y + y^2, todd 1, signature 1, top "
                  "Chern 3, c1^2 = 9; CP^1 x CP^1 gives signature 0 and the "

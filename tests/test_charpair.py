@@ -207,6 +207,15 @@ class TestShortcutAgreement:
 
 
 class TestImmutablePair:
+    def test_candidates_are_fresh_on_every_call(self):
+        # the pool shares bodies and lambda between calls, never pairs
+        first = list(candidates(0))
+        assert validate(first[0][2]).ok and first[0][2].validated
+        again = list(candidates(0))
+        assert again == first
+        for (_, _, a), (_, _, b) in zip(first, again):
+            assert a is not b and not b.validated
+
     def test_lam_entries_are_read_only(self):
         pair = validated(pentagon_y())
         with pytest.raises(TypeError):

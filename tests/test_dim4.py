@@ -10,8 +10,6 @@ from tmh.dim4 import (
     cw_cell_counts,
     homology_groups,
     intersection_form,
-    one_hole_intersection_matrix,
-    quasitoric_intersection_form,
     structure_flags,
 )
 from tmh.errors import DimensionError, InternalError, ScopeError
@@ -19,7 +17,13 @@ from tmh.exactlin import IntMatrix, det_exact
 from tmh.genus import chi_y
 
 from matrices import identity, transpose
-from oracles import candidates, pairing_by_relations, signature_of_matrix
+from oracles import (
+    candidates,
+    one_hole_form_by_blocks,
+    pairing_by_relations,
+    quasitoric_form_by_blocks,
+    signature_of_matrix,
+)
 from instances import (
     cp1xcp1_square,
     cp2_triangle,
@@ -101,24 +105,24 @@ class TestHomology:
 
 class TestQuasitoricForm:
     def test_cp2(self):
-        data = quasitoric_intersection_form(validated(cp2_triangle()))
+        data = intersection_form(validated(cp2_triangle()))
         assert data.matrix.entries == ((1,),)
         assert signature_of_matrix(data.matrix) == 1
         assert data.one_three_pairing is None
 
     def test_cp1xcp1_hyperbolic(self):
-        data = quasitoric_intersection_form(validated(cp1xcp1_square()))
+        data = intersection_form(validated(cp1xcp1_square()))
         assert data.matrix.entries == ((0, 1), (1, 0))
         assert signature_of_matrix(data.matrix) == 0
 
     def test_hirzebruch_self_intersection(self):
         for k in (0, 1, 2, 3):
-            data = quasitoric_intersection_form(validated(hirzebruch_square(k)))
+            data = intersection_form(validated(hirzebruch_square(k)))
             assert entry(data, 2, 2) == -k
             assert abs(det_exact(data.matrix)) == 1
 
     def test_pentagon_signature(self):
-        data = quasitoric_intersection_form(validated(pentagon_y()))
+        data = intersection_form(validated(pentagon_y()))
         assert data.matrix.rows == 3
         assert signature_of_matrix(data.matrix) == 3
         assert abs(det_exact(data.matrix)) == 1
@@ -127,13 +131,9 @@ class TestQuasitoricForm:
         rng = random.Random(7)
         for _ in range(15):
             pair = random_quasitoric_2d(rng)
-            data = quasitoric_intersection_form(pair)
+            data = intersection_form(pair)
             assert abs(det_exact(data.matrix)) == 1
             assert signature_of_matrix(data.matrix) == chi_y(pair).signature
-
-    def test_scope_error_with_holes(self):
-        with pytest.raises(ScopeError):
-            quasitoric_intersection_form(validated(square_in_square()))
 
 
 class TestOneHoleMatrix:
@@ -141,7 +141,7 @@ class TestOneHoleMatrix:
     def test_golden_product_table(self, k):
         """Every product of the known Hirzebruch + CP^2 fiber sum table."""
         pair = validated(hirzebruch_cp2_fibersum(k))
-        data = one_hole_intersection_matrix(pair)
+        data = intersection_form(pair)
         assert data.matrix.rows == 7
         # squares
         assert entry(data, 1, 1) == 0
@@ -168,14 +168,14 @@ class TestOneHoleMatrix:
 
     def test_symmetry(self):
         pair = validated(hirzebruch_cp2_fibersum(1))
-        data = one_hole_intersection_matrix(pair)
+        data = intersection_form(pair)
         assert data.matrix == transpose(data.matrix)
 
     def test_random_unimodular_and_signature(self):
         rng = random.Random(11)
         for _ in range(12):
             pair = random_one_hole_2d(rng)
-            data = one_hole_intersection_matrix(pair)
+            data = intersection_form(pair)
             assert abs(det_exact(data.matrix)) == 1
             assert signature_of_matrix(data.matrix) == chi_y(pair).signature
 
@@ -183,7 +183,7 @@ class TestOneHoleMatrix:
         """Dropping the special rows/columns leaves the two quasitoric
         pairings with zero cross terms."""
         pair = validated(square_in_square())
-        data = one_hole_intersection_matrix(pair)
+        data = intersection_form(pair)
         l0 = pair.body.components[0].facet_count
         mat = data.matrix.entries
         for i in range(l0 - 2):
@@ -191,11 +191,9 @@ class TestOneHoleMatrix:
                 assert mat[i][j] == 0
 
     def test_scope_errors(self):
-        with pytest.raises(ScopeError):
-            one_hole_intersection_matrix(validated(cp2_triangle()))
         rng = random.Random(13)
-        with pytest.raises(ScopeError):
-            one_hole_intersection_matrix(random_multi_hole_2d(rng, holes=2))
+        with pytest.raises(ScopeError, match="intersection form is not computed for 2 holes"):
+            intersection_form(random_multi_hole_2d(rng, holes=2))
 
     def test_dispatch(self):
         assert intersection_form(validated(cp2_triangle())).matrix.rows == 1
@@ -304,6 +302,41 @@ class TestClosedFormAgreement:
                                         [random_many_sided_quasitoric_2d(rng, hole)]))
         for pair in pairs:
             self.check(pair)
+
+
+class TestOneRouteAgreement:
+    """intersection_form equals the block-by-block oracles: the same
+    generators in the same order, the same matrix and one_three_pairing."""
+
+    @staticmethod
+    def check(pair):
+        by_blocks = one_hole_form_by_blocks if pair.body.hole_count else quasitoric_form_by_blocks
+        data, expect = intersection_form(pair), by_blocks(pair)
+        assert data.generators == expect.generators
+        assert data.matrix == expect.matrix
+        assert data.one_three_pairing == expect.one_three_pairing
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_candidate_pairs(self, seed):
+        checked = [0, 0]
+        for _, _, pair in candidates(seed):
+            if pair.body.dim == 2 and pair.body.hole_count <= 1 and validate(pair).ok:
+                self.check(pair)
+                checked[pair.body.hole_count] += 1
+        assert min(checked) >= 10
+
+    def test_many_sided_polygons(self):
+        rng = random.Random(37)
+        pairs = [random_many_sided_quasitoric_2d(rng, sides, bound=8) for sides in (30, 64, 128)]
+        for outer, hole in ((30, 4), (64, 31), (128, 128)):
+            pairs.append(fibersum_pairs(random_many_sided_quasitoric_2d(rng, outer, bound=8),
+                                        [random_many_sided_quasitoric_2d(rng, hole, bound=8)]))
+        for pair in pairs:
+            self.check(pair)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_hirzebruch_cp2_fibersums(self, k):
+        self.check(validated(hirzebruch_cp2_fibersum(k)))
 
 
 class TestSignatureOfMatrix:

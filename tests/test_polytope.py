@@ -264,6 +264,18 @@ class TestGlobalIds:
             with pytest.raises(KeyError, match="out of range"):
                 body.vertex_location(gid)
 
+    def test_local_ids_out_of_range_raise(self):
+        # a square with a square hole: 4 + 4 facets and 4 + 4 vertices
+        body = build_with_holes(box(0, 0, 4, 4), [box(1, 1, 2, 2)])
+        for component, local in ((0, 4), (0, 5), (0, -1), (1, 4), (1, 7), (1, -1),
+                                 (2, 0), (-1, 0), (-1, 3)):
+            with pytest.raises(KeyError, match="out of range"):
+                body.facet_gid(component, local)
+            with pytest.raises(KeyError, match="out of range"):
+                body.vertex_gid(component, local)
+        assert [body.facet_gid(c, local) for c in (0, 1) for local in range(4)] == list(range(8))
+        assert [body.vertex_gid(c, local) for c in (0, 1) for local in range(4)] == list(range(8))
+
     def test_locations_invert_gids(self):
         body = build_with_holes(box(0, 0, 8, 8), [
             box(1, 1, 2, 2), polygon_from_vertices([(4, 4), (6, 4), (5, 6)])])
