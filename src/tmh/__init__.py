@@ -19,13 +19,7 @@ from .dim4 import (
     intersection_form,
     structure_flags,
 )
-from .exactlin import (
-    IntMatrix,
-    RatVector,
-    det_exact,
-    smith_normal_form,
-    unimodular_inverse,
-)
+from .exactlin import RatVector, det_exact, smith_normal_form, unimodular_inverse
 from .genus import (
     ChiYPolynomial,
     chi_y,
@@ -59,7 +53,6 @@ __all__ = [
     "EmbeddingChart",
     "HalfSpace",
     "HomologyProfile",
-    "IntMatrix",
     "IntersectionData",
     "KernelData",
     "PolytopeWithHoles",

@@ -30,13 +30,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import NotValidatedError
-from .exactlin import (
-    IntMatrix,
-    det_exact,
-    is_primitive,
-    smith_normal_form,
-    unimodular_inverse,
-)
+from .exactlin import det_exact, is_primitive, smith_normal_form, unimodular_inverse
 from .polytope import PolytopeWithHoles
 
 
@@ -64,13 +58,10 @@ class CharacteristicPair:
         report = self._cache["report"]
         return report is not None and report.ok
 
-    def lambda_matrix(self) -> IntMatrix:
-        """Columns lambda_1 ... lambda_m in global facet order (n x m)."""
-        return self.facet_matrix(range(self.body.facet_count))
-
-    def facet_matrix(self, facets) -> IntMatrix:
-        """Columns lambda_f for the given facets, in the given order."""
-        return IntMatrix.from_columns([self.lam[f] for f in facets], rows=self.body.dim)
+    def lambda_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The n rows of Lambda, whose columns are lambda_1 ... lambda_m in
+        global facet order."""
+        return tuple(zip(*(self.lam[f] for f in range(self.body.facet_count))))
 
 
 @dataclass(frozen=True)
@@ -85,16 +76,17 @@ class ValidationReport:
 class VertexFrame:
     vertex: int
     facet_order: tuple[int, ...]     # global facet ids i_1 ... i_n
-    lambda_v: IntMatrix              # columns lambda_{i_1} ... lambda_{i_n}
+    lambda_v: tuple[tuple[int, ...], ...]  # rows of L_v = [lambda_{i_1} ... lambda_{i_n}]
     sign: int
-    mu: tuple[tuple[int, ...], ...]  # rows of lambda_v^-1, one covector per facet
+    mu: tuple[tuple[int, ...], ...]  # rows of L_v^-1, one covector per facet
 
 
 def vertex_determinants(pair: CharacteristicPair) -> dict[int, int]:
     """det L_v with the facets in ascending id, for every vertex in global
-    vertex order.  Needs no validation; kept on the pair once computed."""
+    vertex order, as det of the lambda vectors taken as rows (det L_v^T).
+    Needs no validation; kept on the pair once computed."""
     if pair._cache["dets"] is None:
-        pair._cache["dets"] = {gv.gid: det_exact(pair.facet_matrix(sorted(gv.facets)))
+        pair._cache["dets"] = {gv.gid: det_exact([pair.lam[f] for f in sorted(gv.facets)])
                                for gv in pair.body.global_vertices()}
     return pair._cache["dets"]
 
@@ -122,10 +114,11 @@ def _check(pair: CharacteristicPair) -> ValidationReport:
     for gv in pair.body.global_vertices():
         if abs(dets[gv.gid]) == 1:
             continue
-        # faces of earlier vertices all passed, and so did single facets
+        # faces of earlier vertices all passed, and so did single facets;
+        # the lambda vectors as rows have the Smith form of their columns
         for k in range(2, pair.body.dim + 1):
             for subset in itertools.combinations(sorted(gv.facets), k):
-                divisors, rank = smith_normal_form(pair.facet_matrix(subset))
+                divisors, rank = smith_normal_form([pair.lam[f] for f in subset])
                 if rank != k or any(d != 1 for d in divisors):
                     return ValidationReport(
                         False, "summand", subset,
@@ -140,7 +133,7 @@ def _oriented_facets(body: PolytopeWithHoles, vid: int) -> tuple[list[int], int]
     comp = body.components[ci]
     local = sorted(comp.vertices[li].facets)
     order = [body.facet_gid(ci, f) for f in local]
-    if det_exact(IntMatrix.from_rows([comp.halfspaces[f].normal for f in local])) > 0:
+    if det_exact([comp.halfspaces[f].normal for f in local]) > 0:
         return order, 1
     order[-1], order[-2] = order[-2], order[-1]
     return order, -1
@@ -159,10 +152,10 @@ def vertex_frame(pair: CharacteristicPair, vid: int) -> VertexFrame:
     frames = pair._cache["frames"]
     if vid not in frames:
         order, orientation = _oriented_facets(pair.body, vid)
-        lambda_v = pair.facet_matrix(order)
+        lambda_v = tuple(zip(*(pair.lam[f] for f in order)))
         frames[vid] = VertexFrame(vid, tuple(order), lambda_v,
                                   orientation * vertex_determinants(pair)[vid],
-                                  unimodular_inverse(lambda_v).entries)
+                                  unimodular_inverse(lambda_v))
     return frames[vid]
 
 

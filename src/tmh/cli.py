@@ -255,14 +255,14 @@ def _intersection_section(doc: SpecDocument, pair, signature: int) -> dict | Non
     if pair.body.hole_count > 1:
         return None
     data = dim4.intersection_form(pair)
-    det, r = det_exact(data.matrix), data.matrix.rows
+    det, r = det_exact(data.matrix), len(data.matrix)
     if (r - signature) % 2 or abs(signature) > r or det != (-1) ** ((r - signature) // 2):
         raise InternalError(f"intersection form of rank {r} has determinant {det}, "
                             f"not that of a unimodular form of signature {signature}")
     return {
         "generators": [doc.facet_labels[g] if kind == "facet" else f"S{g}"
                        for kind, g in data.generators],
-        "matrix": [list(row) for row in data.matrix.entries],
+        "matrix": [list(row) for row in data.matrix],
         "one_three_pairing": data.one_three_pairing,
         "determinant": det,
         "signature": signature,
@@ -273,8 +273,7 @@ def _moment_angle_section(pair) -> dict:
     kdata = mac.kernel_data(pair)
     return {
         "torus_rank": kdata.torus_rank,
-        "kernel_basis_columns": [list(kdata.kernel_basis.col(j))
-                                 for j in range(kdata.kernel_basis.cols)],
+        "kernel_basis_columns": [list(vec) for vec in kdata.kernel_basis],
         "freeness": mac.freeness_check(pair),
     }
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .charpair import CharacteristicPair, all_signs, is_positive_omniorientation
 from .errors import DimensionError, InternalError, ScopeError
-from .exactlin import IntMatrix
 from .genus import chi_y
 
 
@@ -42,7 +41,7 @@ class IntersectionData:
     """
 
     generators: tuple[tuple[str, object], ...]
-    matrix: IntMatrix
+    matrix: tuple[tuple[int, ...], ...]  # rows
     one_three_pairing: int | None = None
 
 
@@ -199,7 +198,7 @@ def intersection_form(pair: CharacteristicPair) -> IntersectionData:
     s01, s10 = l0 - 2, l0 - 1      # l0 - 2 outer classes are kept; the circle spheres follow
     generators = tuple(("facet", body.facet_gid(0, f)) for f in fcyc0[:s01])
     if s == 0:
-        return IntersectionData(generators, IntMatrix.from_rows([r[:s01] for r in q0[:s01]]))
+        return IntersectionData(generators, tuple(tuple(r[:s01]) for r in q0[:s01]))
 
     q1, vcyc1, fcyc1 = _component_pairing(pair, 1, u1)
     size = l0 + len(fcyc1)
@@ -223,7 +222,7 @@ def intersection_form(pair: CharacteristicPair) -> IntersectionData:
     mat[s10][s01] = mat[s01][s10]
     generators += (("circle", "(0,1)"), ("circle", "(1,0)"))
     generators += tuple(("facet", body.facet_gid(1, f)) for f in fcyc1)
-    return IntersectionData(generators, IntMatrix.from_rows(mat), 1)
+    return IntersectionData(generators, tuple(map(tuple, mat)), 1)
 
 
 def chern_numbers_dim4(pair: CharacteristicPair) -> tuple[int, int]:

@@ -2,8 +2,8 @@
 
 Everything here works with arbitrary-precision Python ints and
 fractions.Fraction; no floating point is used anywhere.  Matrices are
-immutable and all operations are pure functions, so values can be shared
-freely between threads.
+sequences of integer rows and all operations are pure functions, so
+values can be shared freely between threads.
 
 Two elimination routines do all the work.  Determinants and unimodular
 inverses share one fraction-free Gauss-Jordan routine (Bareiss 1968),
@@ -14,7 +14,6 @@ operations divide with remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -48,45 +47,6 @@ def primitive_part(vec) -> tuple[int, ...]:
     if g == 0:
         raise ValueError("zero vector has no primitive part")
     return tuple(v // g for v in vec)
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense integer matrix stored row-major as nested tuples."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
-            raise DimensionError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise DimensionError("ragged rows")
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        entries = tuple(tuple(int(x) for x in row) for row in rows)
-        ncols = len(entries[0]) if entries else 0
-        return cls(len(entries), ncols, entries)
-
-    @classmethod
-    def from_columns(cls, cols, rows: int | None = None) -> "IntMatrix":
-        cols = [tuple(int(x) for x in c) for c in cols]
-        if rows is None:
-            if not cols:
-                raise DimensionError("cannot infer row count of empty matrix")
-            rows = len(cols[0])
-        entries = tuple(tuple(c[i] for c in cols) for i in range(rows))
-        return cls(rows, len(cols), entries)
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
 
 
 def _eliminate(rows: list[list[int]], width: int) -> tuple[int, int]:
@@ -126,12 +86,12 @@ def _integer_row(values) -> list[int]:
     return [x.numerator * (mult // x.denominator) for x in values]
 
 
-def det_exact(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free elimination."""
-    if not m.is_square:
+def det_exact(rows) -> int:
+    """Exact determinant of a square matrix given by its integer rows."""
+    if any(len(row) != len(rows) for row in rows):
         raise DimensionError("determinant of a non-square matrix")
-    rank, det = _eliminate([list(row) for row in m.entries], m.cols)
-    return det if rank == m.rows else 0
+    rank, det = _eliminate([list(row) for row in rows], len(rows))
+    return det if rank == len(rows) else 0
 
 
 def _row_hnf(rows: list[list[int]]) -> list[list[int]]:
@@ -165,11 +125,15 @@ def _row_hnf(rows: list[list[int]]) -> list[list[int]]:
     return rows[:r]
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], int]:
-    """Nonzero elementary divisors d1 | d2 | ... and the rank of ``m``."""
+def smith_normal_form(rows) -> tuple[tuple[int, ...], int]:
+    """Nonzero elementary divisors d1 | d2 | ... and the rank of the matrix
+    with the given integer rows."""
+    rows = [list(row) for row in rows]
+    if len({len(row) for row in rows}) > 1:
+        raise DimensionError("ragged rows")
     # m and m^T have one Smith form; start from the one with more rows
-    d = _row_hnf([list(row) for row in
-                  (m.entries if m.rows >= m.cols else zip(*m.entries))])
+    d = _row_hnf(rows if not rows or len(rows) >= len(rows[0]) else
+                 [list(col) for col in zip(*rows)])
     # Alternate row and column Hermite forms (Kannan and Bachem 1979).  Each
     # pass takes the previous first row as its first column, so the (1,1)
     # entry, their positive gcd, never grows.  Once it stops falling it
@@ -186,16 +150,15 @@ def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], int]:
     return tuple(divisors), len(divisors)
 
 
-def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact integer inverse of a matrix with determinant +-1."""
-    if not m.is_square:
+def unimodular_inverse(rows) -> tuple[tuple[int, ...], ...]:
+    """Rows of the exact integer inverse of a matrix with determinant +-1."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise DimensionError("inverse of a non-square matrix")
-    n = m.rows
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     rank, det = _eliminate(rows, n)
     if rank < n or det not in (1, -1):
         raise NotUnimodularError(f"determinant is {det if rank == n else 0}, expected +-1")
     # each row is now p * (row of m^-1) with p = +-1 on the diagonal
-    return IntMatrix(n, n, tuple(tuple(x * row[i] for x in row[n:])
-                                 for i, row in enumerate(rows)))
+    return tuple(tuple(x * row[i] for x in row[n:]) for i, row in enumerate(rows))
 

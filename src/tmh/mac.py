@@ -19,7 +19,7 @@ from math import prod
 
 from .charpair import CharacteristicPair, vertex_determinants
 from .errors import DimensionError, DomainError, NotValidatedError
-from .exactlin import IntMatrix, RatVector, _eliminate, _row_hnf, rat_vector, smith_normal_form
+from .exactlin import RatVector, _eliminate, _row_hnf, rat_vector, smith_normal_form
 from .polytope import PolytopeWithHoles, _Dictionary
 
 
@@ -55,22 +55,21 @@ class EmbeddingChart:
 
     body: PolytopeWithHoles
     collar_widths: tuple[Fraction, ...]
-    hole_constants: dict[int, Fraction]  # global hole-facet id -> padding constant
+    hole_constants: tuple[Fraction, ...]  # padding constant per hole facet, in global order
 
     @classmethod
     def for_body(cls, body: PolytopeWithHoles) -> "EmbeddingChart":
         widths = _certified_collar_widths(body)
-        constants = {}
+        constants = []
         outer_vertices = [v.point for v in body.outer.vertices]
-        for k, hole in enumerate(body.holes, start=1):
-            for local, h in enumerate(hole.halfspaces):
-                gid = body.facet_gid(k, local)
+        for hole, w in zip(body.holes, widths):
+            for h in hole.halfspaces:
                 # large enough to keep the padded functional positive away
                 # from the hole boundary
                 deficit = max(h.offset - sum(n * x for n, x in zip(h.normal, p))
                               for p in outer_vertices)
-                constants[gid] = widths[k - 1] * _l1(h.normal) + max(Fraction(0), deficit) + 1
-        return cls(body, widths, constants)
+                constants.append(w * _l1(h.normal) + max(Fraction(0), deficit) + 1)
+        return cls(body, widths, tuple(constants))
 
     def _lift(self, point):
         """The point, its facet values h(x) per component, each read once,
@@ -98,12 +97,10 @@ class EmbeddingChart:
             raise DomainError(f"point {tuple(map(str, point))} is not in the body")
         total_hole = sum(p_hole)
         out = [v + total_hole for v in values[0]]
-        for k, vals in enumerate(values[1:], start=1):
-            a_k = 1 - p_hole[k - 1]
-            others = total_hole - p_hole[k - 1]
-            for local, v in enumerate(vals):
-                padded = v + self.hole_constants[self.body.facet_gid(k, local)] * a_k
-                out.append(padded + a_k + others)
+        constants = iter(self.hole_constants)
+        for vals, p_k in zip(values[1:], p_hole):
+            a_k, others = 1 - p_k, total_hole - p_k
+            out.extend(v + next(constants) * a_k + a_k + others for v in vals)
         return tuple(out)
 
 
@@ -122,8 +119,8 @@ def embedding_coordinates(pair: CharacteristicPair, point) -> RatVector:
 
 @dataclass(frozen=True)
 class KernelData:
-    lambda_matrix: IntMatrix      # n x m
-    kernel_basis: IntMatrix       # m x (m - n)
+    lambda_matrix: tuple[tuple[int, ...], ...]  # the n rows of Lambda
+    kernel_basis: tuple[tuple[int, ...], ...]   # m - n vectors of length m
     torus_rank: int
 
 
@@ -135,17 +132,18 @@ def kernel_data(pair: CharacteristicPair) -> KernelData:
     if not pair.validated:
         raise NotValidatedError("kernel data needs a validated pair")
     lam = pair.lambda_matrix()
+    n, m = pair.body.dim, pair.body.facet_count
     at = sorted(max((gv.facets for gv in pair.body.global_vertices()),
                     key=lambda facets: sorted(facets, reverse=True)))
-    off = [j for j in range(lam.cols) if j not in at]
-    rows = [[row[j] for j in at + off] for row in lam.entries]
-    _eliminate(rows, lam.rows)  # row k: p = +-1 at column k, then p * (L_v^-1 lambda_off)_k
-    basis = [[int(i == j) for i in range(lam.cols)] for j in off]
-    for t, vec in enumerate(basis, start=lam.rows):
+    off = [j for j in range(m) if j not in at]
+    rows = [[row[j] for j in at + off] for row in lam]
+    _eliminate(rows, n)  # row k: p = +-1 at column k, then p * (L_v^-1 lambda_off)_k
+    basis = [[int(i == j) for i in range(m)] for j in off]
+    for t, vec in enumerate(basis, start=n):
         for k, i in enumerate(at):
             vec[i] = -rows[k][k] * rows[k][t]
-    kernel = _row_hnf(basis)
-    return KernelData(lam, IntMatrix.from_columns(kernel, rows=lam.cols), len(kernel))
+    kernel = tuple(map(tuple, _row_hnf(basis)))
+    return KernelData(lam, kernel, len(kernel))
 
 
 def freeness_check(pair: CharacteristicPair) -> bool:
@@ -159,7 +157,7 @@ def freeness_check(pair: CharacteristicPair) -> bool:
     vector lies in a proper sublattice the action can be free although the
     pair is not characteristic.
     """
-    divisors, rank = smith_normal_form(pair.lambda_matrix())
+    divisors, rank = smith_normal_form(pair.lam.values())  # Lambda^T has the Smith form of Lambda
     if rank != pair.body.dim:
         return False  # rank-deficient characteristic map
     index = prod(divisors)

@@ -1,34 +1,32 @@
-"""IntMatrix helpers that only the tests need: identity, product,
-transpose, horizontal stacking and matrix-vector product."""
+"""Helpers on integer matrices given as tuples of row tuples that only the
+tests need: identity, product, transpose, horizontal stacking and
+matrix-vector product."""
 
 from tmh.errors import DimensionError
-from tmh.exactlin import IntMatrix
 
 
-def identity(n: int) -> IntMatrix:
-    return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+def identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def transpose(m: IntMatrix) -> IntMatrix:
-    return IntMatrix(m.cols, m.rows, tuple(m.col(j) for j in range(m.cols)))
+def transpose(m) -> tuple[tuple[int, ...], ...]:
+    return tuple(zip(*m))
 
 
-def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.rows != b.rows:
+def hstack(a, b) -> tuple[tuple[int, ...], ...]:
+    if len(a) != len(b):
         raise DimensionError("hstack needs equal row counts")
-    return IntMatrix(a.rows, a.cols + b.cols,
-                     tuple(ra + rb for ra, rb in zip(a.entries, b.entries)))
+    return tuple(tuple(ra) + tuple(rb) for ra, rb in zip(a, b))
 
 
-def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.rows:
+def matmul(a, b) -> tuple[tuple[int, ...], ...]:
+    if any(len(row) != len(b) for row in a):
         raise DimensionError("inner dimensions do not match")
-    return IntMatrix(a.rows, b.cols, tuple(
-        tuple(sum(x * b.entries[k][j] for k, x in enumerate(row)) for j in range(b.cols))
-        for row in a.entries))
+    cols = transpose(b)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
 
 
-def mul_vector(m: IntMatrix, vec) -> tuple[int, ...]:
-    if len(vec) != m.cols:
+def mul_vector(m, vec) -> tuple[int, ...]:
+    if any(len(row) != len(vec) for row in m):
         raise DimensionError("vector length mismatch")
-    return tuple(sum(x * v for x, v in zip(row, vec)) for row in m.entries)
+    return tuple(sum(x * v for x, v in zip(row, vec)) for row in m)

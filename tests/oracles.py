@@ -64,7 +64,6 @@ from tmh.errors import (
     UnboundedError,
 )
 from tmh.exactlin import (
-    IntMatrix,
     RatVector,
     _eliminate,
     _integer_row,
@@ -81,7 +80,7 @@ from tmh.polytope import (
     Vertex,
 )
 
-from matrices import hstack
+from matrices import hstack, transpose
 from instances import (
     random_multi_hole_2d,
     random_one_hole_2d,
@@ -95,16 +94,17 @@ from instances import (
 # Smith form and kernel lattice by pivoting
 
 
-def _snf_diagonalize(mat: IntMatrix, track_cols: bool):
-    """Bring a copy of ``mat`` to Smith form; optionally track column ops.
+def _snf_diagonalize(mat, cols: int, track_cols: bool):
+    """Bring a copy of the rows ``mat`` (``cols`` columns) to Smith form;
+    optionally track column ops.
 
-    Returns (diagonal entries incl. zeros, V) where V is the unimodular
-    column-operation matrix with mat . V congruent to the Smith form up to
-    untracked row operations.  Row operations never change the kernel, so V
-    is all that kernel extraction needs.
+    Returns (diagonal entries incl. zeros, V) where V is the rows of the
+    unimodular column-operation matrix with mat . V congruent to the Smith
+    form up to untracked row operations.  Row operations never change the
+    kernel, so V is all that kernel extraction needs.
     """
-    rows, cols = mat.rows, mat.cols
-    d = [list(row) for row in mat.entries]
+    rows = len(mat)
+    d = [list(row) for row in mat]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if track_cols else None
 
     def swap_rows(i, j):
@@ -186,44 +186,41 @@ def _snf_diagonalize(mat: IntMatrix, track_cols: bool):
         t += 1
 
     diag = [d[i][i] for i in range(limit)]
-    vmat = IntMatrix.from_rows(v) if track_cols else None
-    return diag, vmat
+    return diag, v
 
 
-def smith_by_pivoting(m: IntMatrix) -> tuple[tuple[int, ...], int]:
-    """Nonzero elementary divisors d1 | d2 | ... and the rank of ``m``."""
-    diag, _ = _snf_diagonalize(m, track_cols=False)
+def smith_by_pivoting(m) -> tuple[tuple[int, ...], int]:
+    """Nonzero elementary divisors d1 | d2 | ... and the rank of the matrix
+    with rows ``m``."""
+    diag, _ = _snf_diagonalize(m, len(m[0]) if m else 0, track_cols=False)
     divisors = tuple(x for x in diag if x != 0)
     return divisors, len(divisors)
 
 
-def kernel_by_hermite(m: IntMatrix) -> IntMatrix:
-    """Basis of the saturated integer kernel lattice, as matrix columns.
+def kernel_by_hermite(m, cols: int) -> tuple[tuple[int, ...], ...]:
+    """Basis of the saturated integer kernel lattice of the matrix with
+    rows ``m`` and ``cols`` columns.
 
-    The result has cols(m) - rank(m) columns, each annihilated by ``m``.
-    They are the rows of the Hermite form of [m^T | I] that vanish on the
-    m^T block, cut to their I part: those rows span {x : m x = 0} and are
-    its Hermite basis, so the output is deterministic.
+    The result has cols - rank(m) vectors of length cols, each annihilated
+    by ``m``.  They are the rows of the Hermite form of [m^T | I] that
+    vanish on the m^T block, cut to their I part: those rows span
+    {x : m x = 0} and are its Hermite basis, so the output is deterministic.
     """
-    rows = [[row[j] for row in m.entries] + [int(i == j) for i in range(m.cols)]
-            for j in range(m.cols)]
-    kernel = [row[m.rows:] for row in _row_hnf(rows) if not any(row[:m.rows])]
-    return IntMatrix.from_columns(kernel, rows=m.cols)
+    rows = [[row[j] for row in m] + [int(i == j) for i in range(cols)] for j in range(cols)]
+    return tuple(tuple(row[len(m):]) for row in _row_hnf(rows) if not any(row[:len(m)]))
 
 
-def kernel_by_pivoting(m: IntMatrix) -> IntMatrix:
-    """Basis of the saturated integer kernel lattice, as matrix columns.
+def kernel_by_pivoting(m, cols: int) -> tuple[tuple[int, ...], ...]:
+    """Basis of the saturated integer kernel lattice of the matrix with
+    rows ``m`` and ``cols`` columns.
 
-    The result has cols(m) - rank(m) columns, each annihilated by ``m``.
-    Columns are Hermite-reduced so the output is deterministic.
+    The result has cols - rank(m) vectors of length cols, each annihilated
+    by ``m``.  They are Hermite-reduced so the output is deterministic.
     """
-    diag, v = _snf_diagonalize(m, track_cols=True)
+    diag, v = _snf_diagonalize(m, cols, track_cols=True)
     rank = sum(1 for x in diag if x != 0)
-    kernel_cols = [v.col(j) for j in range(rank, m.cols)]
-    if not kernel_cols:
-        return IntMatrix(m.cols, 0, tuple(() for _ in range(m.cols)))
-    reduced = _row_hnf([list(c) for c in kernel_cols])
-    return IntMatrix.from_columns([tuple(r) for r in reduced], rows=m.cols)
+    kernel_cols = [[row[j] for row in v] for j in range(rank, cols)]
+    return tuple(map(tuple, _row_hnf(kernel_cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +246,7 @@ def validate_by_faces(pair: CharacteristicPair) -> ValidationReport:
                 if key in seen:
                     continue
                 seen.add(key)
-                m = IntMatrix.from_columns([pair.lam[f] for f in subset], rows=n)
-                divisors, rank = smith_by_pivoting(m)
+                divisors, rank = smith_by_pivoting(transpose([pair.lam[f] for f in subset]))
                 if rank != k or any(d != 1 for d in divisors):
                     return ValidationReport(
                         False, "summand", subset,
@@ -263,15 +259,14 @@ def freeness_by_kernel(pair: CharacteristicPair) -> bool:
     """The kernel lattice must complement the coordinate sublattice of the
     facets through each vertex: [kernel basis | coordinate columns] is
     unimodular."""
-    lam = pair.lambda_matrix()
-    basis = kernel_by_pivoting(lam)
     m = pair.body.facet_count
-    if basis.cols + pair.body.dim != m:
+    basis = kernel_by_pivoting(pair.lambda_matrix(), m)
+    if len(basis) + pair.body.dim != m:
         return False  # rank-deficient characteristic map
     for gv in pair.body.global_vertices():
         coord_cols = [tuple(1 if i == f else 0 for i in range(m))
                       for f in sorted(gv.facets)]
-        stacked = hstack(basis, IntMatrix.from_columns(coord_cols, rows=m))
+        stacked = hstack(transpose(basis), transpose(coord_cols))
         if det_exact(stacked) not in (1, -1):
             return False
     return True
@@ -529,7 +524,7 @@ def det_sign_columns(columns) -> int:
     which cannot change the sign.
     """
     scaled = [_integer_row(col) for col in columns]
-    d = det_exact(IntMatrix.from_columns(scaled))
+    d = det_exact(transpose(scaled))
     return (d > 0) - (d < 0)
 
 
@@ -545,7 +540,7 @@ def frame_order_by_edges(body: PolytopeWithHoles, vid: int) -> tuple[int, ...]:
 
 def sign_by_edges(pair: CharacteristicPair, vid: int) -> int:
     """sigma(v) = det L_v with the columns in edge-route frame order."""
-    return det_exact(pair.facet_matrix(frame_order_by_edges(pair.body, vid)))
+    return det_exact(transpose([pair.lam[f] for f in frame_order_by_edges(pair.body, vid)]))
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +602,7 @@ def quasitoric_form_by_blocks(pair: CharacteristicPair) -> IntersectionData:
     q, _, fcycle = dim4._component_pairing(pair, 0)
     l = len(fcycle)
     kept = list(range(l - 2))
-    matrix = IntMatrix.from_rows([[q[i][j] for j in kept] for i in kept])
+    matrix = tuple(tuple(q[i][j] for j in kept) for i in kept)
     generators = tuple(("facet", pair.body.facet_gid(0, fcycle[i])) for i in kept)
     return IntersectionData(generators, matrix, None)
 
@@ -677,14 +672,14 @@ def one_hole_form_by_blocks(pair: CharacteristicPair) -> IntersectionData:
     generators = tuple(("facet", body.facet_gid(0, fcyc0[i])) for i in range(l0 - 2))
     generators += (("circle", "(0,1)"), ("circle", "(1,0)"))
     generators += tuple(("facet", body.facet_gid(1, f)) for f in fcyc1)
-    return IntersectionData(generators, IntMatrix.from_rows(mat), 1)
+    return IntersectionData(generators, tuple(map(tuple, mat)), 1)
 
 
-def signature_of_matrix(m: IntMatrix) -> int:
-    """Signature of a symmetric integer matrix by exact congruence
-    diagonalization over the rationals."""
-    n = m.rows
-    a = [[Fraction(x) for x in row] for row in m.entries]
+def signature_of_matrix(m) -> int:
+    """Signature of a symmetric integer matrix, given by its rows, by exact
+    congruence diagonalization over the rationals."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
     pos = neg = 0
     for k in range(n):
         if a[k][k] == 0:

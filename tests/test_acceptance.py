@@ -17,10 +17,11 @@ from tmh.dim4 import (
     intersection_form,
     structure_flags,
 )
-from tmh.exactlin import det_exact, smith_normal_form, IntMatrix
+from tmh.exactlin import det_exact, smith_normal_form
 from tmh.genus import chi_y, is_generic
 from tmh.mac import embedding_chart, freeness_check, kernel_data
 
+from matrices import transpose
 from oracles import candidates, freeness_by_kernel, signature_of_matrix, validate_by_faces
 from instances import (
     cp1xcp1_square,
@@ -147,7 +148,7 @@ def test_criterion_06_cohomology_ring_golden():
     for k in (0, 1, 2):
         pair = validated(hirzebruch_cp2_fibersum(k))
         data = intersection_form(pair)
-        e = data.matrix.entries
+        e = data.matrix
         x = lambda i, j: e[i - 1][j - 1]
         assert x(1, 1) == 0 and x(3, 3) == 0 and x(4, 4) == 0
         assert x(2, 2) == -k
@@ -188,8 +189,7 @@ def test_criterion_08_validator_agreement():
             assert full.kind in ("primitivity", "summand")
             assert full.facets
             # the reported face must genuinely fail the summand test
-            mat = IntMatrix.from_columns(
-                [candidate.lam[f] for f in full.facets], rows=candidate.body.dim)
+            mat = transpose([candidate.lam[f] for f in full.facets])
             divisors, rank = smith_normal_form(mat)
             assert rank != len(full.facets) or any(d != 1 for d in divisors)
     assert checked >= 300 and 0 < rejected < checked
@@ -221,7 +221,7 @@ def test_criterion_09_moment_angle_data():
 
     # CP^2 kernel is spanned by (1, 1, 1)
     cp2 = validated(cp2_triangle())
-    col = kernel_data(cp2).kernel_basis.col(0)
+    col = kernel_data(cp2).kernel_basis[0]
     assert col in ((1, 1, 1), (-1, -1, -1))
 
     # embedding coordinate i vanishes exactly on facet i at sampled points
@@ -262,7 +262,7 @@ def test_criterion_10_classic_sanity_values():
     ppoly = chi_y(product)
     assert ppoly.signature == 0
     form = intersection_form(product)
-    assert form.matrix.entries == ((0, 1), (1, 0))
+    assert form.matrix == ((0, 1), (1, 0))
     announce(10, "CP^2 gives chi_y = 1 - y + y^2, todd 1, signature 1, top "
                  "Chern 3, c1^2 = 9; CP^1 x CP^1 gives signature 0 and the "
                  "hyperbolic form")

@@ -19,11 +19,14 @@ from tmh.charpair import (
     validate,
     vertex_frame,
 )
+from tmh.dim4 import intersection_form
 from tmh.errors import NotValidatedError
-from tmh.exactlin import IntMatrix
+from tmh.genus import chi_y
+from tmh.mac import embedding_chart, kernel_data
 from tmh.polytope import build_with_holes, polygon_from_vertices
 
 from golden_corpus import SPECS
+from matrices import transpose
 from oracles import (
     candidates,
     det_sign_columns,
@@ -36,6 +39,7 @@ from instances import (
     cp2_triangle,
     pair_from_components,
     pentagon_y,
+    random_one_hole_2d,
     random_quasitoric_2d,
     random_quasitoric_3d,
     square_in_square,
@@ -88,13 +92,13 @@ class TestVertexFrame:
         frame = vertex_frame(pair, vertex_at(pair, (0, 0)))
         # positive order puts {x=0} (facet 1) before {y=0} (facet 0)
         assert frame.facet_order == (1, 0)
-        assert frame.lambda_v == IntMatrix.from_columns([(1, 0), (0, 1)])
+        assert frame.lambda_v == transpose([(1, 0), (0, 1)])
         assert frame.sign == 1
 
     def test_cp2_vertex_10(self):
         pair = validated(cp2_triangle())
         frame = vertex_frame(pair, vertex_at(pair, (1, 0)))
-        assert frame.lambda_v == IntMatrix.from_columns([(0, 1), (-1, -1)])
+        assert frame.lambda_v == transpose([(0, 1), (-1, -1)])
         assert frame.sign == 1
 
     def test_cp2_vertex_01(self):
@@ -229,6 +233,25 @@ class TestImmutablePair:
         with pytest.raises(dataclasses.FrozenInstanceError):
             pair.validated = False
         assert pair.validated
+
+    @pytest.mark.parametrize("build", [cp2_triangle, square_in_square,
+                                       lambda: random_one_hole_2d(random.Random(19))],
+                             ids=["cp2", "square_in_square", "one_hole_seed19"])
+    def test_value_types_are_equal_and_hash_equal(self, build):
+        def values(pair):
+            return (vertex_frame(pair, 0), kernel_data(pair), intersection_form(pair),
+                    embedding_chart(pair), chi_y(pair))
+
+        first, second = validated(build()), validated(build())
+        assert first == second and first is not second
+        for a, b in zip(values(first), values(second)):
+            assert a is not b
+            assert a == b
+            assert hash(a) == hash(b)
+        chart = embedding_chart(first)
+        if chart.hole_constants:
+            with pytest.raises(TypeError):
+                chart.hole_constants[0] = 0
 
     def test_signs_stay_unimodular_under_optimisation(self):
         # asserts are stripped under -O, so the child prints the signs and

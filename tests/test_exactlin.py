@@ -4,9 +4,9 @@ from math import gcd
 
 import pytest
 
+import tmh
 from tmh.errors import DimensionError, NotUnimodularError
 from tmh.exactlin import (
-    IntMatrix,
     det_exact,
     is_primitive,
     primitive_part,
@@ -14,13 +14,13 @@ from tmh.exactlin import (
     unimodular_inverse,
 )
 
-from matrices import identity, matmul, mul_vector
+from matrices import identity, matmul, mul_vector, transpose
 from oracles import kernel_by_hermite, kernel_by_pivoting, smith_by_pivoting
 
 
-def det_by_permutations(m: IntMatrix) -> int:
+def det_by_permutations(m) -> int:
     """Brute-force Leibniz expansion, the oracle for det_exact."""
-    n = m.rows
+    n = len(m)
     total = 0
     for perm in itertools.permutations(range(n)):
         sign = 1
@@ -30,16 +30,16 @@ def det_by_permutations(m: IntMatrix) -> int:
         sign = -1 if inv % 2 else 1
         prod = 1
         for i in range(n):
-            prod *= m.entries[i][perm[i]]
+            prod *= m[i][perm[i]]
         total += sign * prod
     return total
 
 
-def random_matrix(rng, rows, cols, lo=-6, hi=6) -> IntMatrix:
-    return IntMatrix.from_rows([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+def random_matrix(rng, rows, cols, lo=-6, hi=6) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(rng.randint(lo, hi) for _ in range(cols)) for _ in range(rows))
 
 
-def random_unimodular(rng, n, steps=12) -> IntMatrix:
+def random_unimodular(rng, n, steps=12) -> tuple[tuple[int, ...], ...]:
     """Product of random elementary row operations applied to the identity."""
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(steps):
@@ -48,7 +48,7 @@ def random_unimodular(rng, n, steps=12) -> IntMatrix:
         m[i] = [a + q * b for a, b in zip(m[i], m[j])]
         if rng.random() < 0.3:
             m[i] = [-a for a in m[i]]
-    return IntMatrix.from_rows(m)
+    return tuple(map(tuple, m))
 
 
 class TestDeterminant:
@@ -56,14 +56,14 @@ class TestDeterminant:
         assert det_exact(identity(2)) == 1
 
     def test_hand_cofactor(self):
-        assert det_exact(IntMatrix.from_rows([[0, -1], [1, -1]])) == 1
+        assert det_exact([[0, -1], [1, -1]]) == 1
 
     def test_dependent_rows(self):
-        assert det_exact(IntMatrix.from_rows([[1, 1], [2, 2]])) == 0
+        assert det_exact([[1, 1], [2, 2]]) == 0
 
     def test_non_square_raises(self):
         with pytest.raises(DimensionError):
-            det_exact(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+            det_exact([[1, 2, 3], [4, 5, 6]])
 
     def test_against_permutation_expansion(self):
         rng = random.Random(7)
@@ -74,7 +74,7 @@ class TestDeterminant:
 
     def test_large_entries_stay_exact(self):
         big = 10**30
-        m = IntMatrix.from_rows([[big, 1], [1, big]])
+        m = [[big, 1], [1, big]]
         assert det_exact(m) == big * big - 1
 
 
@@ -83,13 +83,17 @@ class TestSmithNormalForm:
         assert smith_normal_form(identity(2)) == ((1, 1), 2)
 
     def test_single_column(self):
-        assert smith_normal_form(IntMatrix.from_rows([[2], [0]])) == ((2,), 1)
+        assert smith_normal_form([[2], [0]]) == ((2,), 1)
 
     def test_two_by_three(self):
-        assert smith_normal_form(IntMatrix.from_rows([[1, 0, -1], [0, 1, -1]])) == ((1, 1), 2)
+        assert smith_normal_form([[1, 0, -1], [0, 1, -1]]) == ((1, 1), 2)
 
     def test_zero_matrix(self):
-        assert smith_normal_form(IntMatrix.from_rows([[0, 0], [0, 0]])) == ((), 0)
+        assert smith_normal_form([[0, 0], [0, 0]]) == ((), 0)
+
+    def test_ragged_rows_raise(self):
+        with pytest.raises(DimensionError):
+            smith_normal_form([[1, 2, 3], [4, 5]])
 
     def test_divisibility_chain(self):
         rng = random.Random(11)
@@ -112,9 +116,9 @@ class TestSmithNormalForm:
 
     def test_known_divisor_two(self):
         # diag(2, 6) has divisors 2, 6 already in chain form
-        assert smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 6]])) == ((2, 6), 2)
+        assert smith_normal_form([[2, 0], [0, 6]]) == ((2, 6), 2)
         # diag(4, 6) must rearrange to 2 | 12
-        assert smith_normal_form(IntMatrix.from_rows([[4, 0], [0, 6]])) == ((2, 12), 2)
+        assert smith_normal_form([[4, 0], [0, 6]]) == ((2, 12), 2)
 
 
 class TestKernelLatticeBasis:
@@ -122,40 +126,39 @@ class TestKernelLatticeBasis:
     kernel of a valid pair is checked against it in tests/test_mac.py."""
 
     def test_rank_one_kernel(self):
-        m = IntMatrix.from_rows([[1, 0, -1], [0, 1, -1]])
-        k = kernel_by_hermite(m)
-        assert (k.rows, k.cols) == (3, 1)
-        assert k.col(0) in ((1, 1, 1), (-1, -1, -1))
+        m = ((1, 0, -1), (0, 1, -1))
+        k = kernel_by_hermite(m, 3)
+        assert len(k) == 1 and all(len(vec) == 3 for vec in k)
+        assert k[0] in ((1, 1, 1), (-1, -1, -1))
 
     def test_identity_has_empty_kernel(self):
-        k = kernel_by_hermite(identity(3))
-        assert (k.rows, k.cols) == (3, 0)
+        assert kernel_by_hermite(identity(3), 3) == ()
 
     def test_two_dimensional_kernel(self):
-        m = IntMatrix.from_rows([[1, 0, 0, 1], [0, 1, 0, 1]])
-        k = kernel_by_hermite(m)
-        assert k.cols == 2
-        for j in range(k.cols):
-            assert mul_vector(m, k.col(j)) == (0, 0)
+        m = ((1, 0, 0, 1), (0, 1, 0, 1))
+        k = kernel_by_hermite(m, 4)
+        assert len(k) == 2
+        for vec in k:
+            assert mul_vector(m, vec) == (0, 0)
 
     def test_kernel_annihilated_and_saturated(self):
         rng = random.Random(17)
         for _ in range(40):
             rows, cols = rng.randint(1, 3), rng.randint(2, 5)
             m = random_matrix(rng, rows, cols)
-            k = kernel_by_hermite(m)
+            k = kernel_by_hermite(m, cols)
             _, rank = smith_normal_form(m)
-            assert k.cols == cols - rank
-            for j in range(k.cols):
-                assert mul_vector(m, k.col(j)) == tuple([0] * rows)
-            if k.cols:
+            assert len(k) == cols - rank
+            for vec in k:
+                assert mul_vector(m, vec) == tuple([0] * rows)
+            if k:
                 divisors, krank = smith_normal_form(k)
-                assert krank == k.cols
+                assert krank == len(k)
                 assert all(d == 1 for d in divisors)
 
     def test_deterministic(self):
-        m = IntMatrix.from_rows([[2, 4, 6], [1, 2, 3]])
-        assert kernel_by_hermite(m) == kernel_by_hermite(m)
+        m = ((2, 4, 6), (1, 2, 3))
+        assert kernel_by_hermite(m, 3) == kernel_by_hermite(m, 3)
 
 
 class TestPivotingAgreement:
@@ -164,9 +167,9 @@ class TestPivotingAgreement:
     pivoting oracles (tests/oracles.py)."""
 
     @staticmethod
-    def assert_agree(m):
+    def assert_agree(m, cols):
         assert smith_normal_form(m) == smith_by_pivoting(m)
-        assert kernel_by_hermite(m) == kernel_by_pivoting(m)
+        assert kernel_by_hermite(m, cols) == kernel_by_pivoting(m, cols)
 
     def test_random_matrices(self):
         rng = random.Random(29)
@@ -178,7 +181,7 @@ class TestPivotingAgreement:
                 # a multiple of another row lowers the rank
                 a, b = rng.sample(range(rows), 2)
                 entries[a] = [rng.randint(-3, 3) * x for x in entries[b]]
-            self.assert_agree(IntMatrix.from_rows(entries))
+            self.assert_agree(entries, cols)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_lambda_shaped(self, n):
@@ -189,12 +192,12 @@ class TestPivotingAgreement:
                 vec = tuple(rng.randint(-3, 3) for _ in range(n))
                 if is_primitive(vec):
                     cols.append(vec)
-            self.assert_agree(IntMatrix.from_columns(cols))
+            self.assert_agree(transpose(cols), m)
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (3, 0)])
     def test_empty(self, shape):
         rows, cols = shape
-        self.assert_agree(IntMatrix(rows, cols, ((0,) * cols,) * rows))
+        self.assert_agree(((0,) * cols,) * rows, cols)
 
 
 class TestUnimodularInverse:
@@ -202,12 +205,15 @@ class TestUnimodularInverse:
         assert unimodular_inverse(identity(3)) == identity(3)
 
     def test_hand_example(self):
-        m = IntMatrix.from_rows([[0, -1], [1, -1]])
-        assert unimodular_inverse(m) == IntMatrix.from_rows([[-1, 1], [-1, 0]])
+        assert unimodular_inverse([[0, -1], [1, -1]]) == ((-1, 1), (-1, 0))
+
+    def test_non_square_raises(self):
+        with pytest.raises(DimensionError):
+            unimodular_inverse([[1, 0, 0], [0, 1, 0]])
 
     def test_not_unimodular(self):
         with pytest.raises(NotUnimodularError):
-            unimodular_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))
+            unimodular_inverse([[2, 0], [0, 1]])
 
     def test_product_is_identity(self):
         rng = random.Random(23)
@@ -230,3 +236,11 @@ class TestPrimitivity:
         assert primitive_part((4, -6)) == (2, -3)
         g = gcd(4, 6)
         assert g == 2
+
+
+class TestPublicApi:
+    def test_every_exported_name_resolves(self):
+        for name in tmh.__all__:
+            assert getattr(tmh, name) is not None, name
+        assert "IntMatrix" not in tmh.__all__
+        assert not hasattr(tmh, "IntMatrix")

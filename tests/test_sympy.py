@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from tmh.exactlin import IntMatrix, det_exact, smith_normal_form
+from tmh.exactlin import det_exact, smith_normal_form
 
 from oracles import signature_of_matrix
 
@@ -25,7 +25,7 @@ def test_smith_divisors_are_the_invariant_factors():
         rows = random_rows(rng, rng.randint(1, 4), rng.randint(1, 5), (2, 9, 10**12)[i % 3])
         expected = tuple(int(d) for d in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
                          if d != 0)
-        assert smith_normal_form(IntMatrix.from_rows(rows)) == (expected, len(expected))
+        assert smith_normal_form(rows) == (expected, len(expected))
 
 
 def test_det_matches_sympy():
@@ -33,7 +33,7 @@ def test_det_matches_sympy():
     for i in range(150):
         n = rng.randint(1, 5)
         rows = random_rows(rng, n, n, (2, 9, 10**12)[i % 3])
-        assert det_exact(IntMatrix.from_rows(rows)) == sympy.Matrix(rows).det()
+        assert det_exact(rows) == sympy.Matrix(rows).det()
 
 
 def test_signature_counts_eigenvalue_signs():
@@ -50,4 +50,4 @@ def test_signature_counts_eigenvalue_signs():
         assert len(eigenvalues) == n
         pos = sum(1 for x in eigenvalues if x.is_positive)
         neg = sum(1 for x in eigenvalues if x.is_negative)
-        assert signature_of_matrix(IntMatrix.from_rows(rows)) == pos - neg
+        assert signature_of_matrix(rows) == pos - neg
