@@ -52,6 +52,9 @@ class CharacteristicPair:
                 raise KeyError(f"facet {fid}: vector length {len(vec)} != {n}")
         object.__setattr__(self, "lam", MappingProxyType(lam))
 
+    def __hash__(self):  # lam is a mappingproxy, which does not hash
+        return hash((self.body, tuple(sorted(self.lam.items()))))
+
     @property
     def validated(self) -> bool:
         """Whether validate() has been run on this pair and accepted it."""

@@ -415,8 +415,9 @@ def compose_fibersum(base: SpecDocument, pieces, scale=None) -> dict:
 
     name = base.name + "".join(f"+{p.name}" for p in pieces)
     # place_holes never sees the base's own holes, so this is what rejects
-    # a piece that hits one
-    build_with_holes(base.body.outer, list(base.body.holes) + list(new_holes))
+    # a piece that hits one; without them, place_holes checked this body
+    if base.body.holes:
+        build_with_holes(base.body.outer, list(base.body.holes) + list(new_holes))
     return {
         "dimension": base.dimension,
         "metadata": {"name": name, "description": "fiber sum composition"},

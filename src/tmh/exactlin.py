@@ -80,8 +80,7 @@ def _eliminate(rows: list[list[int]], width: int) -> tuple[int, int]:
 
 
 def _integer_row(values) -> list[int]:
-    """Rational values times the lcm of their denominators, as integers."""
-    values = [Fraction(x) for x in values]
+    """Int or Fraction values times the lcm of their denominators, as integers."""
     mult = lcm(*(x.denominator for x in values))
     return [x.numerator * (mult // x.denominator) for x in values]
 

@@ -8,7 +8,8 @@ affinely across a collar around the hole, then one nonnegative coordinate
 per facet measures a weighted distance to that facet.  Collar widths stay
 below the threshold where a hole's collar first meets the outer boundary
 or another hole, which one exact linear program per obstacle gives
-(tmh.polytope), so that distinct facets never share a zero locus.
+(tmh.polytope), so that distinct facets never share a zero locus.  Facet
+values and the ratio tests of those programs run in integers.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ def _certified_collar_widths(body: PolytopeWithHoles) -> tuple[Fraction, ...]:
                   for j, other in enumerate(body.holes) if j != k]
         threshold = min(_Dictionary(body.dim + 1, gauge + rows).least(body.dim)
                         for rows in outside + others)
-        guess = min(h.value(v.point) / _l1(h.normal)
-                    for h in body.outer.halfspaces for v in hole.vertices) / 2
+        guess = min(value / _l1(h.normal) for v in hole.vertices
+                    for value, h in zip(body.outer.values(v.point), body.outer.halfspaces)) / 2
         # 2^j > guess / threshold iff 2^j > floor(guess / threshold)
         widths.append(guess / 2 ** (guess // threshold).bit_length())
     return tuple(widths)
@@ -61,14 +62,11 @@ class EmbeddingChart:
     def for_body(cls, body: PolytopeWithHoles) -> "EmbeddingChart":
         widths = _certified_collar_widths(body)
         constants = []
-        outer_vertices = [v.point for v in body.outer.vertices]
         for hole, w in zip(body.holes, widths):
-            for h in hole.halfspaces:
-                # large enough to keep the padded functional positive away
-                # from the hole boundary
-                deficit = max(h.offset - sum(n * x for n, x in zip(h.normal, p))
-                              for p in outer_vertices)
-                constants.append(w * _l1(h.normal) + max(Fraction(0), deficit) + 1)
+            # keep the padded functional positive away from the hole boundary
+            lows = map(min, zip(*(hole.values(v.point) for v in body.outer.vertices)))
+            constants += [w * _l1(h.normal) + max(Fraction(0), -low) + 1
+                          for h, low in zip(hole.halfspaces, lows)]
         return cls(body, widths, tuple(constants))
 
     def _lift(self, point):
@@ -77,7 +75,7 @@ class EmbeddingChart:
         point = rat_vector(point)
         if len(point) != self.body.dim:
             raise DimensionError(f"point needs {self.body.dim} coordinates, got {len(point)}")
-        values = [[h.value(point) for h in c.halfspaces] for c in self.body.components]
+        values = [c.values(point) for c in self.body.components]
         p_hole = []
         for vals, hole, w in zip(values[1:], self.body.holes, self.collar_widths):
             # weighted depth of the point outside the hole; 0 exactly on the hole

@@ -6,8 +6,8 @@ normals and rational offsets.  One small simplex on integer dictionaries
 feasibility, boundedness and whether two holes meet, one linear program
 each; the vertices and edges come from a walk that pivots from the first
 feasible vertex along every edge.  Polygons given by a vertex cycle are
-read off the cycle directly.  Hole containment is checked in integers;
-every containment and disjointness decision below is exact.
+read off the cycle directly.  Facet values, ratio tests and containment
+run in integers; every containment and disjointness decision is exact.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     ContainmentError,
@@ -43,8 +44,8 @@ class HalfSpace:
             raise DimensionError("half-space normal must be nonzero")
 
     def value(self, point) -> Fraction:
-        """normal . point - offset; nonnegative inside the half-space."""
-        return sum(n * Fraction(x) for n, x in zip(self.normal, point)) - self.offset
+        """normal . point - offset for int or Fraction coordinates; >= 0 inside."""
+        return sum(map(mul, self.normal, point)) - self.offset
 
 
 @dataclass(frozen=True)
@@ -76,12 +77,18 @@ class SimplePolytope:
     def vertex_count(self) -> int:
         return len(self.vertices)
 
+    def values(self, point) -> tuple[Fraction, ...]:
+        """h.value(point) per facet h, in integers on the point's row X / d."""
+        *x, d = _integer_row([*point, 1])
+        return tuple(Fraction(sum(map(mul, h.normal, x)) * h.offset.denominator
+                              - h.offset.numerator * d, d * h.offset.denominator)
+                     for h in self.halfspaces)
+
     def contains(self, point, strict: bool = False) -> bool:
+        point = rat_vector(point)
         if len(point) != self.dim:
             raise DimensionError(f"point needs {self.dim} coordinates, got {len(point)}")
-        if strict:
-            return all(h.value(point) > 0 for h in self.halfspaces)
-        return all(h.value(point) >= 0 for h in self.halfspaces)
+        return all(v > 0 if strict else v >= 0 for v in self.values(point))
 
     def centroid(self) -> RatVector:
         n = len(self.vertices)
@@ -145,11 +152,17 @@ class _Dictionary:
         self.basis[r], self.cols[k] = self.cols[k], self.basis[r]
 
     def blocking(self, k) -> list[int]:
-        """The rows whose slack first reaches 0 as cols[k] grows."""
-        steps = {i: Fraction(row[-1], -row[k]) for i, row in enumerate(self.rows)
-                 if row[k] < 0 and self.basis[i] >= 0}
-        least = min(steps.values(), default=None)
-        return [i for i, step in steps.items() if step == least]
+        """The rows whose slack first reaches 0 as cols[k] grows, ascending:
+        least rhs_i / -a_ik, by cross-multiplying, as every -a_ik > 0."""
+        out, num, den = [], 0, 0
+        for i, row in enumerate(self.rows):
+            if row[k] < 0 and self.basis[i] >= 0:
+                cross = row[-1] * den + num * row[k]  # sign of step_i - num / den
+                if cross < 0 or not out:
+                    out, num, den = [i], row[-1], -row[k]
+                elif cross == 0:
+                    out.append(i)
+        return out
 
     def phase_one(self) -> bool:
         """Pivot to a basis with no negative slack; False if the system is
@@ -376,6 +389,7 @@ class PolytopeWithHoles:
 
     def contains(self, point) -> bool:
         """Membership in P = outer minus the open hole interiors."""
+        point = rat_vector(point)
         if not self.outer.contains(point):
             return False
         return not any(h.contains(point, strict=True) for h in self.holes)

@@ -24,6 +24,12 @@ rest ``fm_screen``, the emptiness and recession-cone checks that
 system per outer facet and per other hole.  The library decides the same
 questions with an exact simplex (tmh.polytope, tmh.mac).
 
+``value_by_fractions`` sums normal . point - offset one Fraction per
+coordinate, and ``blocking_by_fractions`` runs the ratio test of a simplex
+dictionary on Fraction steps.  The library lifts a point to one integer
+row X / d before it takes its facet values, and compares the steps of the
+ratio test by cross-multiplying integers (tmh.polytope).
+
 ``build_by_enumeration`` solves every n-subset of the rows and keeps the
 solutions that satisfy all of them; its basic points are the vertices.
 The library walks from one vertex to the next by pivoting instead, and
@@ -281,6 +287,20 @@ def freeness_by_kernel(pair: CharacteristicPair) -> bool:
 FM_ROW_CAP = 20_000
 
 
+def value_by_fractions(h: HalfSpace, point) -> Fraction:
+    """normal . point - offset, each coordinate coerced to a Fraction."""
+    return sum(n * Fraction(x) for n, x in zip(h.normal, point)) - h.offset
+
+
+def blocking_by_fractions(tab, k) -> list[int]:
+    """The rows of a simplex dictionary whose slack first reaches 0 as
+    cols[k] grows: the least Fraction steps rhs_i / -a_ik, ascending."""
+    steps = {i: Fraction(row[-1], -row[k]) for i, row in enumerate(tab.rows)
+             if row[k] < 0 and tab.basis[i] >= 0}
+    least = min(steps.values(), default=None)
+    return [i for i, step in steps.items() if step == least]
+
+
 def fm_feasible(rows) -> bool:
     """Decide feasibility of a system of rows (coeffs, rhs): coeffs.x >= rhs.
 
@@ -350,7 +370,7 @@ def collar_widths_by_fm(body: PolytopeWithHoles) -> tuple[Fraction, ...]:
     outer = body.outer
     widths = []
     for k, hole in enumerate(body.holes):
-        guess = min(h.value(v.point) / _l1(h.normal)
+        guess = min(value_by_fractions(h, v.point) / _l1(h.normal)
                     for h in outer.halfspaces for v in hole.vertices) / 2
         width = guess
         for _ in range(64):

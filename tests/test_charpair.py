@@ -244,6 +244,10 @@ class TestImmutablePair:
 
         first, second = validated(build()), validated(build())
         assert first == second and first is not second
+        assert hash(first) == hash(second) and {first: 1}[second] == 1
+        other = CharacteristicPair(first.body, {f: tuple(-c for c in v)
+                                                for f, v in first.lam.items()})
+        assert other != first and len({first, second, other}) == 2
         for a, b in zip(values(first), values(second)):
             assert a is not b
             assert a == b

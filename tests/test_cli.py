@@ -8,7 +8,7 @@ import pytest
 from tmh import polytope
 from tmh.charpair import validate
 from tmh.cli import (_intersection_section, _parse_rational, build_report, compose_fibersum,
-                     parse_spec, render_json, run)
+                     parse_spec, parse_spec_dict, render_json, run)
 from tmh.errors import InternalError
 from tmh.genus import chi_y
 
@@ -540,6 +540,29 @@ class TestFiberSum:
             capsys, ["fibersum", str(base), str(piece), "-o", str(out_path)],
             2, "holes 1 and 2 intersect")
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("base_hole", [False, True])
+    def test_disjointness_is_decided_once_per_pair(self, monkeypatch, base_hole):
+        # place_holes decides the two pieces' one pair; only a base with a
+        # hole of its own needs the body rebuilt, with its three pairs
+        spec = square_in_square_spec_dict()
+        spec["outer"]["vertices"] = [[0, 0], [12, 0], [12, 12], [0, 12]]
+        if not base_hole:
+            del spec["holes"]
+            spec["characteristic"] = {k: v for k, v in spec["characteristic"].items()
+                                      if not k.startswith("h1.")}
+        base, piece = parse_spec_dict(spec), parse_spec_dict(cp2_spec_dict())
+        calls, feasible = [], polytope.feasible
+
+        def counted(dim, rows):
+            calls.append(len(rows))
+            return feasible(dim, rows)
+
+        monkeypatch.setattr(polytope, "feasible", counted)
+        composed = compose_fibersum(base, [piece, piece])
+        # one LP of 3 + 3 rows per pair of triangles, 4 + 3 with the square
+        assert sorted(calls) == ([6, 6, 7, 7] if base_hole else [6])
+        assert len(composed["holes"]) == 2 + base_hole
 
     def test_rejects_holed_piece(self, pentagon_file, tmp_path):
         holed = tmp_path / "holed.json"

@@ -15,10 +15,12 @@ from tmh.errors import (
     RedundantFacetError,
     UnboundedError,
 )
+from tmh.mac import _certified_collar_widths
 from tmh.polytope import (
     GlobalVertex,
     HalfSpace,
     PolytopeWithHoles,
+    _Dictionary,
     build_polytope,
     build_with_holes,
     feasible,
@@ -26,7 +28,15 @@ from tmh.polytope import (
     polygon_from_vertices,
 )
 
-from oracles import build_by_enumeration, edge_directions_at_vertex, fm_feasible, fm_screen
+from instances import random_multi_hole_2d, random_one_hole_2d, random_one_hole_3d
+from oracles import (
+    blocking_by_fractions,
+    build_by_enumeration,
+    edge_directions_at_vertex,
+    fm_feasible,
+    fm_screen,
+    value_by_fractions,
+)
 
 F = Fraction
 
@@ -704,3 +714,82 @@ class TestEnumerationAgreement:
             classes.setdefault(kind, set()).add(want)
         assert classes == {kind: {NotSimpleError}
                            for kind in ("flat", "through-vertex", "touching")}
+
+
+# ---------------------------------------------------------------------------
+# facet values and the ratio test in integers, against Fraction sums and steps
+
+
+def _values_bodies(seed):
+    """Seeded simple polytopes with non-integer offsets: lattice polygons
+    scaled and shifted by rationals, skewed prisms, and placed holes in 2D
+    and in 3D."""
+    rng = random.Random(seed)
+    for sides in range(3, 13):
+        scale = F(rng.randint(1, 40), rng.choice((3, 7, 9, 11)))
+        shift = (F(rng.randint(-30, 30), 7), F(rng.randint(-30, 30), 5))
+        yield polygon_from_vertices(_lattice_cycle(rng, sides, 3)).transformed(scale, shift)
+    yield from (build_polytope(dim, rows) for kind, dim, rows in _simple_bodies(seed)
+                if kind == "prism")
+    outer = polygon_from_vertices(_lattice_cycle(rng, 9, 4))
+    yield from place_holes(outer, [polygon_from_vertices(_lattice_cycle(rng, k, 2))
+                                   for k in (3, 5, 4)]).holes
+    yield from random_one_hole_3d(rng).body.components
+
+
+def _sample_points(rng, poly):
+    """The vertices, the centroid and points around it, with negative and
+    non-dyadic rational coordinates and some integer ones."""
+    c = poly.centroid()
+    coords = (F(1, 3), F(-7, 5), F(-2, 9), 0, -3, 4)
+    points = [v.point for v in poly.vertices] + [c]
+    for _ in range(12):
+        points.append(tuple(x + rng.choice(coords) for x in c))
+        points.append(tuple(rng.choice(coords) for _ in c))
+        points.append(tuple(F(rng.randint(-99, 99), rng.choice((3, 5, 7, 13))) for _ in c))
+    return points
+
+
+class TestIntegerArithmetic:
+    def test_values_match_fraction_sums(self):
+        rng = random.Random(71)
+        inside = outside = fractional = 0
+        for poly in _values_bodies(71):
+            fractional += any(h.offset.denominator > 1 for h in poly.halfspaces)
+            for point in _sample_points(rng, poly):
+                want = tuple(value_by_fractions(h, point) for h in poly.halfspaces)
+                assert poly.values(point) == want, point
+                assert tuple(h.value(point) for h in poly.halfspaces) == want
+                assert poly.contains(point) == (min(want) >= 0)
+                assert poly.contains(point, strict=True) == (min(want) > 0)
+                assert poly.contains([str(x) for x in point]) == (min(want) >= 0)
+                inside += min(want) > 0
+                outside += min(want) < 0
+        assert min(inside, outside) >= 100 and fractional >= 15
+
+    def test_blocking_matches_fraction_steps(self, monkeypatch):
+        rng = random.Random(73)
+        pairs = [random_one_hole_2d(rng) for _ in range(4)]
+        pairs += [random_multi_hole_2d(rng, holes=h) for h in (3, 6, 8)]
+        pairs.append(random_one_hole_3d(rng))
+        seen = []
+        blocking = _Dictionary.blocking
+
+        def checked(tab, k):
+            rows = blocking(tab, k)
+            assert rows == blocking_by_fractions(tab, k), (tab.rows, tab.basis, k)
+            seen.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(_Dictionary, "blocking", checked)
+        for kind, dim, rows in _simple_bodies(73):
+            build_polytope(dim, rows)
+        for kind, dim, rows in _not_simple_systems(73):
+            with pytest.raises(NotSimpleError):
+                build_polytope(dim, rows)
+        built = len(seen)
+        for pair in pairs:
+            _certified_collar_widths(pair.body)
+        # ties come from the bodies that are not simple
+        assert built >= 1000 and len(seen) - built >= 50
+        assert sum(n > 1 for n in seen[:built]) >= 10
