@@ -26,34 +26,35 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import NotValidatedError
 from .exactlin import det_exact, is_primitive, smith_normal_form, unimodular_inverse
 from .polytope import PolytopeWithHoles
+from .value import Value
 
 
-@dataclass(frozen=True)
-class CharacteristicPair:
-    body: PolytopeWithHoles
-    lam: Mapping[int, tuple[int, ...]]  # global facet id -> integer vector, read-only
-    # the validation report, det L_v and the vertex frames; they depend on body and lam only
-    _cache: dict = field(default_factory=lambda: {"report": None, "dets": None, "frames": {}},
-                         init=False, repr=False, compare=False)
+class CharacteristicPair(Value):
+    __slots__ = ("body", "lam", "_cache")
 
-    def __post_init__(self):
-        n = self.body.dim
-        if set(self.lam) != set(range(self.body.facet_count)):
+    def __init__(self, body: PolytopeWithHoles, lam: Mapping[int, tuple[int, ...]]):
+        n = body.dim
+        if set(lam) != set(range(body.facet_count)):
             raise KeyError("characteristic map must cover every facet exactly once")
-        lam = {fid: tuple(int(c) for c in vec) for fid, vec in self.lam.items()}
+        lam = {fid: tuple(int(c) for c in vec) for fid, vec in lam.items()}
         for fid, vec in lam.items():
             if len(vec) != n:
                 raise KeyError(f"facet {fid}: vector length {len(vec)} != {n}")
-        object.__setattr__(self, "lam", MappingProxyType(lam))
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "lam", MappingProxyType(lam))  # facet id -> vector, read-only
+        # the validation report, det L_v and the vertex frames; they depend on body and lam only
+        object.__setattr__(self, "_cache", {"report": None, "dets": None, "frames": {}})
 
-    def __hash__(self):  # lam is a mappingproxy, which does not hash
+    def __hash__(self):  # lam is a mappingproxy, which does not hash or pickle
         return hash((self.body, tuple(sorted(self.lam.items()))))
+
+    def __reduce__(self):
+        return CharacteristicPair, (self.body, dict(self.lam))
 
     @property
     def validated(self) -> bool:
@@ -67,21 +68,28 @@ class CharacteristicPair:
         return tuple(zip(*(self.lam[f] for f in range(self.body.facet_count))))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    kind: str | None = None          # "primitivity" | "summand"
-    facets: tuple[int, ...] = ()
-    message: str = "valid"
+class ValidationReport(Value):
+    __slots__ = ("ok", "kind", "facets", "message")
+
+    def __init__(self, ok: bool, kind: str | None = None, facets: tuple[int, ...] = (),
+                 message: str = "valid"):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "kind", kind)  # "primitivity" | "summand"
+        object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "message", message)
 
 
-@dataclass(frozen=True)
-class VertexFrame:
-    vertex: int
-    facet_order: tuple[int, ...]     # global facet ids i_1 ... i_n
-    lambda_v: tuple[tuple[int, ...], ...]  # rows of L_v = [lambda_{i_1} ... lambda_{i_n}]
-    sign: int
-    mu: tuple[tuple[int, ...], ...]  # rows of L_v^-1, one covector per facet
+class VertexFrame(Value):
+    __slots__ = ("vertex", "facet_order", "lambda_v", "sign", "mu")
+
+    def __init__(self, vertex: int, facet_order: tuple[int, ...],
+                 lambda_v: tuple[tuple[int, ...], ...], sign: int,
+                 mu: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "facet_order", facet_order)  # global facet ids i_1 ... i_n
+        object.__setattr__(self, "lambda_v", lambda_v)  # rows of L_v = [lambda_i_1 ... lambda_i_n]
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "mu", mu)  # rows of L_v^-1, one covector per facet
 
 
 def vertex_determinants(pair: CharacteristicPair) -> dict[int, int]:

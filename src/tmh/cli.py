@@ -21,8 +21,8 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import dim4, genus, mac
 from .charpair import CharacteristicPair, all_signs, is_positive_omniorientation, validate
@@ -37,6 +37,7 @@ from .polytope import (
     place_holes,
     polygon_from_vertices,
 )
+from .value import Value
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -136,15 +137,28 @@ def _parse_component(obj, dim: int, where: str, default_prefix: str):
     raise SpecParseError(f"{where}: needs either \"halfspaces\" or \"vertices\"")
 
 
-@dataclass
-class SpecDocument:
-    name: str
-    description: str
-    dimension: int
-    body: object                    # PolytopeWithHoles
-    facet_labels: tuple[str, ...]   # global facet order
-    lam_by_label: dict[str, tuple[int, ...]]
-    nu: tuple[int, ...] | None
+class SpecDocument(Value):
+    __slots__ = ("name", "description", "dimension", "body", "facet_labels", "lam_by_label",
+                 "nu")
+
+    def __init__(self, name: str, description: str, dimension: int, body,
+                 facet_labels: tuple[str, ...], lam_by_label: dict[str, tuple[int, ...]],
+                 nu: tuple[int, ...] | None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "body", body)  # PolytopeWithHoles
+        object.__setattr__(self, "facet_labels", facet_labels)  # global facet order
+        # label -> integer vector, read-only
+        object.__setattr__(self, "lam_by_label", MappingProxyType(dict(lam_by_label)))
+        object.__setattr__(self, "nu", nu)
+
+    # lam_by_label, the sixth field, is a mappingproxy, which does not hash or pickle
+    def __hash__(self):
+        return hash((*self._values(self)[:5], tuple(sorted(self.lam_by_label.items())), self.nu))
+
+    def __reduce__(self):
+        return SpecDocument, (*self._values(self)[:5], dict(self.lam_by_label), self.nu)
 
     def to_pair(self) -> CharacteristicPair:
         lam = {i: self.lam_by_label[label]

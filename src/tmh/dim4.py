@@ -16,23 +16,24 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .charpair import CharacteristicPair, all_signs, is_positive_omniorientation
 from .errors import DimensionError, InternalError, ScopeError
 from .genus import chi_y
+from .value import Value
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
-    betti: tuple[int, int, int, int, int]
-    cell_counts: tuple[int, int, int, int, int]
-    m: int    # total vertex count (= facet count in dimension 2)
-    s: int    # hole count
+class HomologyProfile(Value):
+    __slots__ = ("betti", "cell_counts", "m", "s")
+
+    def __init__(self, betti: tuple[int, int, int, int, int],
+                 cell_counts: tuple[int, int, int, int, int], m: int, s: int):
+        object.__setattr__(self, "betti", betti)
+        object.__setattr__(self, "cell_counts", cell_counts)
+        object.__setattr__(self, "m", m)  # total vertex count (= facet count in dimension 2)
+        object.__setattr__(self, "s", s)  # hole count
 
 
-@dataclass(frozen=True)
-class IntersectionData:
+class IntersectionData(Value):
     """Basis of H_2 with its intersection matrix.
 
     Generators are ("facet", global facet id) for characteristic spheres
@@ -40,19 +41,29 @@ class IntersectionData:
     connecting segment of the one-hole case.
     """
 
-    generators: tuple[tuple[str, object], ...]
-    matrix: tuple[tuple[int, ...], ...]  # rows
-    one_three_pairing: int | None = None
+    __slots__ = ("generators", "matrix", "one_three_pairing")
+
+    def __init__(self, generators: tuple[tuple[str, object], ...],
+                 matrix: tuple[tuple[int, ...], ...], one_three_pairing: int | None = None):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "matrix", matrix)  # rows
+        object.__setattr__(self, "one_three_pairing", one_three_pairing)
 
 
-@dataclass(frozen=True)
-class StructureFlags:
-    invariant_almost_complex: bool
-    invariant_symplectic_excluded: bool   # True: excluded; False: unobstructed here
-    kahler_excluded: bool
-    complex_excluded_by_bmy: bool
-    c1_squared: int | None
-    c2: int | None
+class StructureFlags(Value):
+    __slots__ = ("invariant_almost_complex", "invariant_symplectic_excluded",
+                 "kahler_excluded", "complex_excluded_by_bmy", "c1_squared", "c2")
+
+    def __init__(self, invariant_almost_complex: bool, invariant_symplectic_excluded: bool,
+                 kahler_excluded: bool, complex_excluded_by_bmy: bool,
+                 c1_squared: int | None, c2: int | None):
+        object.__setattr__(self, "invariant_almost_complex", invariant_almost_complex)
+        # True: excluded; False: unobstructed here
+        object.__setattr__(self, "invariant_symplectic_excluded", invariant_symplectic_excluded)
+        object.__setattr__(self, "kahler_excluded", kahler_excluded)
+        object.__setattr__(self, "complex_excluded_by_bmy", complex_excluded_by_bmy)
+        object.__setattr__(self, "c1_squared", c1_squared)
+        object.__setattr__(self, "c2", c2)
 
 
 def _require_dim2(pair: CharacteristicPair):

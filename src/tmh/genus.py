@@ -12,19 +12,21 @@ nonzero integer with every edge covector.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .charpair import CharacteristicPair, all_signs, vertex_frame
 from .errors import DimensionError, GenericityError
 from .exactlin import is_primitive
+from .value import Value
 
 
-@dataclass(frozen=True)
-class ChiYPolynomial:
+class ChiYPolynomial(Value):
     """chi_y = sum c_j y^j with integer coefficients c_0 ... c_n."""
 
-    coefficients: tuple[int, ...]
-    nu: tuple[int, ...]
+    __slots__ = ("coefficients", "nu")
+
+    def __init__(self, coefficients: tuple[int, ...], nu: tuple[int, ...]):
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "nu", nu)
 
     def evaluate(self, y: int) -> int:
         return sum(c * y**j for j, c in enumerate(self.coefficients))

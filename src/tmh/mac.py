@@ -14,7 +14,6 @@ values and the ratio tests of those programs run in integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
@@ -22,6 +21,7 @@ from .charpair import CharacteristicPair, vertex_determinants
 from .errors import DimensionError, DomainError, NotValidatedError
 from .exactlin import RatVector, _eliminate, _row_hnf, rat_vector, smith_normal_form
 from .polytope import PolytopeWithHoles, _Dictionary
+from .value import Value
 
 
 def _l1(normal) -> int:
@@ -50,13 +50,17 @@ def _certified_collar_widths(body: PolytopeWithHoles) -> tuple[Fraction, ...]:
     return tuple(widths)
 
 
-@dataclass(frozen=True)
-class EmbeddingChart:
+class EmbeddingChart(Value):
     """Evaluator for the facet coordinate functions d_1 ... d_m."""
 
-    body: PolytopeWithHoles
-    collar_widths: tuple[Fraction, ...]
-    hole_constants: tuple[Fraction, ...]  # padding constant per hole facet, in global order
+    __slots__ = ("body", "collar_widths", "hole_constants")
+
+    def __init__(self, body: PolytopeWithHoles, collar_widths: tuple[Fraction, ...],
+                 hole_constants: tuple[Fraction, ...]):
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "collar_widths", collar_widths)
+        # padding constant per hole facet, in global order
+        object.__setattr__(self, "hole_constants", hole_constants)
 
     @classmethod
     def for_body(cls, body: PolytopeWithHoles) -> "EmbeddingChart":
@@ -97,8 +101,9 @@ class EmbeddingChart:
         out = [v + total_hole for v in values[0]]
         constants = iter(self.hole_constants)
         for vals, p_k in zip(values[1:], p_hole):
-            a_k, others = 1 - p_k, total_hole - p_k
-            out.extend(v + next(constants) * a_k + a_k + others for v in vals)
+            a_k = 1 - p_k
+            shift = a_k + total_hole - p_k  # a_k plus the other holes' coordinates
+            out.extend(v + next(constants) * a_k + shift for v in vals)
         return tuple(out)
 
 
@@ -115,11 +120,14 @@ def embedding_coordinates(pair: CharacteristicPair, point) -> RatVector:
 # kernel lattice of the characteristic map
 
 
-@dataclass(frozen=True)
-class KernelData:
-    lambda_matrix: tuple[tuple[int, ...], ...]  # the n rows of Lambda
-    kernel_basis: tuple[tuple[int, ...], ...]   # m - n vectors of length m
-    torus_rank: int
+class KernelData(Value):
+    __slots__ = ("lambda_matrix", "kernel_basis", "torus_rank")
+
+    def __init__(self, lambda_matrix: tuple[tuple[int, ...], ...],
+                 kernel_basis: tuple[tuple[int, ...], ...], torus_rank: int):
+        object.__setattr__(self, "lambda_matrix", lambda_matrix)  # the n rows of Lambda
+        object.__setattr__(self, "kernel_basis", kernel_basis)  # m - n vectors of length m
+        object.__setattr__(self, "torus_rank", torus_rank)
 
 
 def kernel_data(pair: CharacteristicPair) -> KernelData:

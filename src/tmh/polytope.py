@@ -15,7 +15,6 @@ from __future__ import annotations
 import copy
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
@@ -30,44 +29,52 @@ from .errors import (
     UnboundedError,
 )
 from .exactlin import RatVector, _integer_row, primitive_part, rat_vector
+from .value import Value
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(Value):
     """The closed half-space normal . x >= offset."""
 
-    normal: tuple[int, ...]
-    offset: Fraction
+    __slots__ = ("normal", "offset")
 
-    def __post_init__(self):
-        if all(c == 0 for c in self.normal):
+    def __init__(self, normal: tuple[int, ...], offset: Fraction):
+        if all(c == 0 for c in normal):
             raise DimensionError("half-space normal must be nonzero")
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "offset", offset)
 
     def value(self, point) -> Fraction:
         """normal . point - offset for int or Fraction coordinates; >= 0 inside."""
         return sum(map(mul, self.normal, point)) - self.offset
 
 
-@dataclass(frozen=True)
-class Vertex:
-    point: RatVector
-    facets: frozenset[int]
+class Vertex(Value):
+    __slots__ = ("point", "facets")
+
+    def __init__(self, point: RatVector, facets: frozenset[int]):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "facets", facets)
 
 
-@dataclass(frozen=True)
-class Edge:
-    endpoints: tuple[int, int]      # vertex indices, ascending
-    facets: frozenset[int]          # the n-1 facets containing the edge
+class Edge(Value):
+    __slots__ = ("endpoints", "facets")
+
+    def __init__(self, endpoints: tuple[int, int], facets: frozenset[int]):
+        object.__setattr__(self, "endpoints", endpoints)  # vertex indices, ascending
+        object.__setattr__(self, "facets", facets)  # the n-1 facets containing the edge
 
 
-@dataclass(frozen=True)
-class SimplePolytope:
+class SimplePolytope(Value):
     """A bounded full-dimensional simple polytope with exact combinatorics."""
 
-    dim: int
-    halfspaces: tuple[HalfSpace, ...]
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
+    __slots__ = ("dim", "halfspaces", "vertices", "edges")
+
+    def __init__(self, dim: int, halfspaces: tuple[HalfSpace, ...],
+                 vertices: tuple[Vertex, ...], edges: tuple[Edge, ...]):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "halfspaces", halfspaces)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def facet_count(self) -> int:
@@ -131,7 +138,9 @@ class _Dictionary:
     that cannot enter spans a lineality direction and stays 0."""
 
     def __init__(self, dim, rows):
-        self.rows = [_integer_row([*c, -b]) for c, b in rows]
+        self.rows = [_integer_row([*c, b]) for c, b in rows]
+        for row in self.rows:  # negate rhs as an integer, not as a Fraction
+            row[-1] = -row[-1]
         self.basis, self.p = list(range(len(self.rows))), 1
         self.cols = [-1 - j for j in range(dim)]
         for j in range(dim):
@@ -289,13 +298,16 @@ def polygon_from_vertices(points) -> SimplePolytope:
 # polytopes with holes
 
 
-@dataclass(frozen=True)
-class GlobalVertex:
-    gid: int
-    component: int        # 0 = outer, k >= 1 = hole k
-    local_id: int
-    point: RatVector
-    facets: frozenset[int]  # global facet ids
+class GlobalVertex(Value):
+    __slots__ = ("gid", "component", "local_id", "point", "facets")
+
+    def __init__(self, gid: int, component: int, local_id: int, point: RatVector,
+                 facets: frozenset[int]):
+        object.__setattr__(self, "gid", gid)
+        object.__setattr__(self, "component", component)  # 0 = outer, k >= 1 = hole k
+        object.__setattr__(self, "local_id", local_id)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "facets", facets)  # global facet ids
 
 
 def _locate(offsets, gid, what) -> tuple[int, int]:
@@ -312,18 +324,15 @@ def _gid(offsets, component, local, what) -> int:
     return offsets[component] + local
 
 
-@dataclass(frozen=True)
-class PolytopeWithHoles:
+class PolytopeWithHoles(Value):
     """Outer simple polytope minus the open interiors of hole polytopes,
-    which must lie strictly inside it and be pairwise disjoint."""
+    which must lie strictly inside it and be pairwise disjoint.  The facet
+    and vertex offsets follow from the components."""
 
-    components: tuple[SimplePolytope, ...]
-    facet_offsets: tuple[int, ...] = field(init=False)
-    vertex_offsets: tuple[int, ...] = field(init=False)
-    _vertex_table: tuple[GlobalVertex, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("components", "facet_offsets", "vertex_offsets", "_vertex_table")
 
-    def __post_init__(self):
-        outer, holes = self.components[0], self.components[1:]
+    def __init__(self, components: tuple[SimplePolytope, ...]):
+        outer, holes = components[0], components[1:]
         # h.value(x) > 0 in integers: row . (X, d) > 0 with x = X / d, d > 0
         outer_rows = [_integer_row([*h.normal, -h.offset]) for h in outer.halfspaces]
         for k, hole in enumerate(holes, start=1):
@@ -339,13 +348,17 @@ class PolytopeWithHoles:
             rows = [(h.normal, h.offset) for h in holes[a].halfspaces + holes[b].halfspaces]
             if feasible(outer.dim, rows):
                 raise DisjointnessError(f"holes {a + 1} and {b + 1} intersect")
-        fo = (0, *itertools.accumulate(c.facet_count for c in self.components))
-        vo = (0, *itertools.accumulate(c.vertex_count for c in self.components))
+        fo = (0, *itertools.accumulate(c.facet_count for c in components))
+        vo = (0, *itertools.accumulate(c.vertex_count for c in components))
+        object.__setattr__(self, "components", components)
         object.__setattr__(self, "facet_offsets", fo)
         object.__setattr__(self, "vertex_offsets", vo)
         object.__setattr__(self, "_vertex_table", tuple(
             GlobalVertex(vo[ci] + li, ci, li, v.point, frozenset(fo[ci] + f for f in v.facets))
-            for ci, comp in enumerate(self.components) for li, v in enumerate(comp.vertices)))
+            for ci, comp in enumerate(components) for li, v in enumerate(comp.vertices)))
+
+    def __reduce__(self):
+        return PolytopeWithHoles, (self.components,)
 
     @property
     def outer(self) -> SimplePolytope:
