@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from types import MappingProxyType
 
 from .errors import NotValidatedError
-from .exactlin import det_exact, is_primitive, smith_normal_form, unimodular_inverse
+from .exactlin import det_exact, int_vector, is_primitive, smith_normal_form, unimodular_inverse
 from .polytope import PolytopeWithHoles
 from .value import Value
 
@@ -37,24 +36,20 @@ from .value import Value
 class CharacteristicPair(Value):
     __slots__ = ("body", "lam", "_cache")
 
-    def __init__(self, body: PolytopeWithHoles, lam: Mapping[int, tuple[int, ...]]):
-        n = body.dim
-        if set(lam) != set(range(body.facet_count)):
+    def __init__(self, body: PolytopeWithHoles, lam):
+        # lam[f] is facet f's vector: lam is a mapping keyed 0 ... m-1 or a sequence of m
+        n, m = body.dim, body.facet_count
+        keys = lam.keys() if isinstance(lam, Mapping) else range(len(lam))
+        if set(keys) != set(range(m)):
             raise KeyError("characteristic map must cover every facet exactly once")
-        lam = {fid: tuple(int(c) for c in vec) for fid, vec in lam.items()}
-        for fid, vec in lam.items():
+        lam = tuple(int_vector(lam[f]) for f in range(m))
+        for fid, vec in enumerate(lam):
             if len(vec) != n:
                 raise KeyError(f"facet {fid}: vector length {len(vec)} != {n}")
         object.__setattr__(self, "body", body)
-        object.__setattr__(self, "lam", MappingProxyType(lam))  # facet id -> vector, read-only
+        object.__setattr__(self, "lam", lam)  # facet vectors in global facet order
         # the validation report, det L_v and the vertex frames; they depend on body and lam only
         object.__setattr__(self, "_cache", {"report": None, "dets": None, "frames": {}})
-
-    def __hash__(self):  # lam is a mappingproxy, which does not hash or pickle
-        return hash((self.body, tuple(sorted(self.lam.items()))))
-
-    def __reduce__(self):
-        return CharacteristicPair, (self.body, dict(self.lam))
 
     @property
     def validated(self) -> bool:
@@ -65,7 +60,7 @@ class CharacteristicPair(Value):
     def lambda_matrix(self) -> tuple[tuple[int, ...], ...]:
         """The n rows of Lambda, whose columns are lambda_1 ... lambda_m in
         global facet order."""
-        return tuple(zip(*(self.lam[f] for f in range(self.body.facet_count))))
+        return tuple(zip(*self.lam))
 
 
 class ValidationReport(Value):

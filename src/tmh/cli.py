@@ -22,7 +22,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from types import MappingProxyType
 
 from . import dim4, genus, mac
 from .charpair import CharacteristicPair, all_signs, is_positive_omniorientation, validate
@@ -138,32 +137,19 @@ def _parse_component(obj, dim: int, where: str, default_prefix: str):
 
 
 class SpecDocument(Value):
-    __slots__ = ("name", "description", "dimension", "body", "facet_labels", "lam_by_label",
-                 "nu")
+    __slots__ = ("name", "description", "body", "facet_labels", "lam", "nu")
 
-    def __init__(self, name: str, description: str, dimension: int, body,
-                 facet_labels: tuple[str, ...], lam_by_label: dict[str, tuple[int, ...]],
-                 nu: tuple[int, ...] | None):
+    def __init__(self, name: str, description: str, body, facet_labels: tuple[str, ...],
+                 lam: tuple[tuple[int, ...], ...], nu: tuple[int, ...] | None):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "description", description)
-        object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "body", body)  # PolytopeWithHoles
         object.__setattr__(self, "facet_labels", facet_labels)  # global facet order
-        # label -> integer vector, read-only
-        object.__setattr__(self, "lam_by_label", MappingProxyType(dict(lam_by_label)))
+        object.__setattr__(self, "lam", lam)  # one integer vector per label, in the same order
         object.__setattr__(self, "nu", nu)
 
-    # lam_by_label, the sixth field, is a mappingproxy, which does not hash or pickle
-    def __hash__(self):
-        return hash((*self._values(self)[:5], tuple(sorted(self.lam_by_label.items())), self.nu))
-
-    def __reduce__(self):
-        return SpecDocument, (*self._values(self)[:5], dict(self.lam_by_label), self.nu)
-
     def to_pair(self) -> CharacteristicPair:
-        lam = {i: self.lam_by_label[label]
-               for i, label in enumerate(self.facet_labels)}
-        return CharacteristicPair(self.body, lam)
+        return CharacteristicPair(self.body, self.lam)
 
 
 def parse_spec_dict(doc, source: str = "<spec>") -> SpecDocument:
@@ -208,14 +194,15 @@ def parse_spec_dict(doc, source: str = "<spec>") -> SpecDocument:
         raise SpecParseError(
             f"characteristic: labels do not match facets "
             f"(missing {missing}, unknown {extra})")
-    lam_by_label = {
-        label: _parse_int_vector(vec, dim, f"characteristic[{label!r}]")
-        for label, vec in char.items()}
+    # parsed in document order, so the first bad vector named is the first written
+    by_label = {label: _parse_int_vector(vec, dim, f"characteristic[{label!r}]")
+                for label, vec in char.items()}
 
     nu = doc.get("nu")
     if nu is not None:
         nu = _parse_int_vector(nu, dim, "nu")
-    return SpecDocument(name, description, dim, body, tuple(labels), lam_by_label, nu)
+    return SpecDocument(name, description, body, tuple(labels),
+                        tuple(by_label[label] for label in labels), nu)
 
 
 def parse_spec(path: str) -> SpecDocument:
@@ -297,7 +284,7 @@ def build_report(doc: SpecDocument) -> dict:
     result = validate(pair)
     report = {
         "name": doc.name,
-        "dimension": doc.dimension,
+        "dimension": pair.body.dim,
         "facet_count": pair.body.facet_count,
         "hole_count": pair.body.hole_count,
         "vertex_count": pair.body.vertex_count,
@@ -324,7 +311,7 @@ def build_report(doc: SpecDocument) -> dict:
     report["positive_omniorientation"] = is_positive_omniorientation(pair)
     report["chi_y"] = _chi_y_section(pair, doc.nu)
 
-    if doc.dimension == 2:
+    if pair.body.dim == 2:
         c1sq, c2 = dim4.chern_numbers_dim4(pair)
         report["dim4"] = {
             **_homology_section(pair),
@@ -403,7 +390,7 @@ def compose_fibersum(base: SpecDocument, pieces, scale=None) -> dict:
         if piece.body.hole_count != 0:
             raise ScopeError(f"piece {i + 1} has holes; fiber-sum pieces "
                              "must be quasitoric")
-        if piece.dimension != base.dimension:
+        if piece.body.dim != base.body.dim:
             raise ScopeError(f"piece {i + 1} dimension mismatch")
     placed = place_holes(base.body.outer,
                          [p.body.outer for p in pieces], scale=scale)
@@ -417,15 +404,14 @@ def compose_fibersum(base: SpecDocument, pieces, scale=None) -> dict:
         lo = base.body.facet_offsets[k + 1]
         hole_labels = labels[lo:lo + hole.facet_count]
         holes_json.append({"halfspaces": _halfspace_json(hole, hole_labels)})
-    char = {label: list(base.lam_by_label[label]) for label in base.facet_labels}
+    char = {label: list(vec) for label, vec in zip(labels, base.lam)}
     for i, (piece, hole) in enumerate(zip(pieces, new_holes), start=1):
         prefix = f"p{i}."
         hole_labels = [prefix + lbl for lbl in piece.facet_labels]
         if set(hole_labels) & set(char):
             raise SpecParseError(f"piece {i} label prefix collides")
         holes_json.append({"halfspaces": _halfspace_json(hole, hole_labels)})
-        for lbl, new_lbl in zip(piece.facet_labels, hole_labels):
-            char[new_lbl] = list(piece.lam_by_label[lbl])
+        char.update((label, list(vec)) for label, vec in zip(hole_labels, piece.lam))
 
     name = base.name + "".join(f"+{p.name}" for p in pieces)
     # place_holes never sees the base's own holes, so this is what rejects
@@ -433,7 +419,7 @@ def compose_fibersum(base: SpecDocument, pieces, scale=None) -> dict:
     if base.body.holes:
         build_with_holes(base.body.outer, list(base.body.holes) + list(new_holes))
     return {
-        "dimension": base.dimension,
+        "dimension": base.body.dim,
         "metadata": {"name": name, "description": "fiber sum composition"},
         "outer": {"halfspaces": _halfspace_json(base.body.outer,
                                                 labels[:outer_count])},
@@ -520,15 +506,16 @@ def _command(args, out) -> int:
         print(render(report), end="", file=out)
         return EXIT_OK if report["validation"]["ok"] else EXIT_INVALID
 
-    if args.command in ("homology", "ring") and doc.dimension != 2:
-        raise ScopeError(f"{args.command} needs dimension 2, got {doc.dimension}")
+    dim = doc.body.dim
+    if args.command in ("homology", "ring") and dim != 2:
+        raise ScopeError(f"{args.command} needs dimension 2, got {dim}")
     nu, point = doc.nu, None
     if args.command == "invariants" and args.nu is not None:
-        nu = _option_vector(args.nu, doc.dimension, "--nu")
+        nu = _option_vector(args.nu, dim, "--nu")
         if any(c.denominator != 1 for c in nu):
             raise SpecParseError(f"--nu: expected integers, got {args.nu}")
     if args.command == "mac" and args.point is not None:
-        point = _option_vector(args.point, doc.dimension, "--point")
+        point = _option_vector(args.point, dim, "--point")
     pair = doc.to_pair()
     result = validate(pair)
     facets = [doc.facet_labels[f] for f in result.facets]

@@ -29,21 +29,25 @@ def rat_vector(values) -> RatVector:
     return tuple(Fraction(v) for v in values)
 
 
-def vector_gcd(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g
+def int_vector(values) -> tuple[int, ...]:
+    """The entries as a tuple of ints; ValueError if any is not an integer,
+    so 3/2 or -1.7 is refused rather than truncated."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        bad = next(v for v, i in zip(values, ints) if v != i)
+        raise ValueError(f"entry {bad} is not an integer")
+    return ints
 
 
 def is_primitive(vec) -> bool:
     """True for a nonzero integer vector whose entries have gcd 1."""
-    return vector_gcd(vec) == 1
+    return gcd(*vec) == 1
 
 
 def primitive_part(vec) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (sign kept)."""
-    g = vector_gcd(vec)
+    g = gcd(*vec)
     if g == 0:
         raise ValueError("zero vector has no primitive part")
     return tuple(v // g for v in vec)

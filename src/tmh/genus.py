@@ -15,7 +15,7 @@ import itertools
 
 from .charpair import CharacteristicPair, all_signs, vertex_frame
 from .errors import DimensionError, GenericityError
-from .exactlin import is_primitive
+from .exactlin import int_vector, is_primitive
 from .value import Value
 
 
@@ -54,7 +54,7 @@ def _all_edge_vectors(pair: CharacteristicPair):
 
 def _direction(pair: CharacteristicPair, nu) -> tuple[int, ...]:
     """nu as an integer tuple of the body's dimension."""
-    nu = tuple(int(c) for c in nu)
+    nu = int_vector(nu)
     if len(nu) != pair.body.dim:
         raise DimensionError(f"direction {nu} needs {pair.body.dim} entries")
     return nu

@@ -62,17 +62,6 @@ class EmbeddingChart(Value):
         # padding constant per hole facet, in global order
         object.__setattr__(self, "hole_constants", hole_constants)
 
-    @classmethod
-    def for_body(cls, body: PolytopeWithHoles) -> "EmbeddingChart":
-        widths = _certified_collar_widths(body)
-        constants = []
-        for hole, w in zip(body.holes, widths):
-            # keep the padded functional positive away from the hole boundary
-            lows = map(min, zip(*(hole.values(v.point) for v in body.outer.vertices)))
-            constants += [w * _l1(h.normal) + max(Fraction(0), -low) + 1
-                          for h, low in zip(hole.halfspaces, lows)]
-        return cls(body, widths, tuple(constants))
-
     def _lift(self, point):
         """The point, its facet values h(x) per component, each read once,
         and its hole coordinates max(0, 1 - depth / width)."""
@@ -108,7 +97,15 @@ class EmbeddingChart(Value):
 
 
 def embedding_chart(pair: CharacteristicPair) -> EmbeddingChart:
-    return EmbeddingChart.for_body(pair.body)
+    body = pair.body
+    widths = _certified_collar_widths(body)
+    constants = []
+    for hole, w in zip(body.holes, widths):
+        # keep the padded functional positive away from the hole boundary
+        lows = map(min, zip(*(hole.values(v.point) for v in body.outer.vertices)))
+        constants += [w * _l1(h.normal) + max(Fraction(0), -low) + 1
+                      for h, low in zip(hole.halfspaces, lows)]
+    return EmbeddingChart(body, widths, tuple(constants))
 
 
 def embedding_coordinates(pair: CharacteristicPair, point) -> RatVector:
@@ -163,7 +160,7 @@ def freeness_check(pair: CharacteristicPair) -> bool:
     vector lies in a proper sublattice the action can be free although the
     pair is not characteristic.
     """
-    divisors, rank = smith_normal_form(pair.lam.values())  # Lambda^T has the Smith form of Lambda
+    divisors, rank = smith_normal_form(pair.lam)  # Lambda^T has the Smith form of Lambda
     if rank != pair.body.dim:
         return False  # rank-deficient characteristic map
     index = prod(divisors)

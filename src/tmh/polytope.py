@@ -28,7 +28,7 @@ from .errors import (
     RedundantFacetError,
     UnboundedError,
 )
-from .exactlin import RatVector, _integer_row, primitive_part, rat_vector
+from .exactlin import RatVector, _integer_row, int_vector, primitive_part, rat_vector
 from .value import Value
 
 
@@ -223,7 +223,7 @@ def build_polytope(dim: int, halfspaces) -> SimplePolytope:
     if dim < 2:
         raise DimensionError("dimension must be at least 2")
     hs = tuple(h if isinstance(h, HalfSpace)
-               else HalfSpace(tuple(int(c) for c in h[0]), Fraction(h[1]))
+               else HalfSpace(int_vector(h[0]), Fraction(h[1]))
                for h in halfspaces)
     for h in hs:
         if len(h.normal) != dim:

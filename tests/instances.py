@@ -208,15 +208,7 @@ def fibersum_pairs(base, pieces, scale=None):
     for p in pieces:
         assert p.body.hole_count == 0
     body = place_holes(base.body.outer, [p.body.outer for p in pieces], scale=scale)
-    lambdas = [[base.lam[f] for f in range(base.body.facet_count)]]
-    for p in pieces:
-        lambdas.append([p.lam[f] for f in range(p.body.facet_count)])
-    lam = {}
-    fid = 0
-    for vectors in lambdas:
-        for v in vectors:
-            lam[fid] = v
-            fid += 1
+    lam = base.lam + tuple(v for p in pieces for v in p.lam)
     return validated(CharacteristicPair(body, lam))
 
 

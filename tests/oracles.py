@@ -746,7 +746,7 @@ CORRUPTIONS = (None, "random", "neighbours", "sublattice")
 
 
 def _corrupt(rng, pair, how):
-    lam = dict(pair.lam)
+    lam = list(pair.lam)
     n = pair.body.dim
     if how == "random":
         # any nonzero vector: non-primitive, parallel or low-index columns
@@ -757,12 +757,12 @@ def _corrupt(rng, pair, how):
         # lambda_f <- lambda_g + 2 lambda_h, with f and g meeting at a vertex
         gv = rng.choice(pair.body.global_vertices())
         f, g = rng.sample(sorted(gv.facets), 2)
-        h = rng.choice([x for x in lam if x != f])
+        h = rng.choice([x for x in range(len(lam)) if x != f])
         lam[f] = tuple(a + 2 * b for a, b in zip(lam[g], lam[h]))
     elif how == "sublattice":
         # every vector into the index-2 sublattice: the kernel torus can
         # still act freely although the pair is not characteristic
-        lam = {fid: v[:-1] + (2 * v[-1],) for fid, v in lam.items()}
+        lam = [v[:-1] + (2 * v[-1],) for v in lam]
     return CharacteristicPair(pair.body, lam)
 
 

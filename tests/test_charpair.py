@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -74,7 +75,7 @@ class TestValidate:
 
     def test_validation_covers_hole_facets(self):
         pair = square_in_square()
-        bad = dict(pair.lam)
+        bad = list(pair.lam)
         bad[5] = bad[4]  # two adjacent hole facets share a vector
         report = validate(CharacteristicPair(pair.body, bad))
         assert not report.ok and report.kind == "summand"
@@ -153,7 +154,7 @@ class TestSigns:
             pair = random_quasitoric_2d(rng)
             before = all_signs(pair)
             fid = rng.randrange(pair.body.facet_count)
-            flipped = dict(pair.lam)
+            flipped = list(pair.lam)
             flipped[fid] = tuple(-c for c in flipped[fid])
             pair2 = validated(CharacteristicPair(pair.body, flipped))
             after = all_signs(pair2)
@@ -168,7 +169,7 @@ class TestSigns:
         total = sum(all_signs(pair).values())
         moved = pair.body.outer.transformed(Fraction(3, 2), (Fraction(7), Fraction(-2)))
         moved_pair = validated(
-            CharacteristicPair(build_with_holes(moved, []), dict(pair.lam)))
+            CharacteristicPair(build_with_holes(moved, []), pair.lam))
         assert sum(all_signs(moved_pair).values()) == total
 
     def test_sign_sum_invariant_under_relabeling(self):
@@ -198,7 +199,7 @@ class TestPositiveOmniorientation:
 
     def test_negated_facet_breaks_it(self):
         pair = validated(cp2_triangle())
-        lam = dict(pair.lam)
+        lam = list(pair.lam)
         lam[1] = (-1, 0)
         pair2 = validated(CharacteristicPair(pair.body, lam))
         assert not is_positive_omniorientation(pair2)
@@ -224,12 +225,12 @@ class TestImmutablePair:
         pair = validated(pentagon_y())
         with pytest.raises(TypeError):
             pair.lam[0] = (1, 2)
-        assert dict(pair.lam)[0] == (1, 0)
+        assert pair.lam[0] == (1, 0)
 
     def test_fields_cannot_be_rebound(self):
         pair = validated(pentagon_y())
         with pytest.raises(dataclasses.FrozenInstanceError):
-            pair.lam = {fid: (1, 2) for fid in pair.lam}
+            pair.lam = tuple((1, 2) for _ in pair.lam)
         with pytest.raises(dataclasses.FrozenInstanceError):
             pair.validated = False
         assert pair.validated
@@ -245,8 +246,7 @@ class TestImmutablePair:
         first, second = validated(build()), validated(build())
         assert first == second and first is not second
         assert hash(first) == hash(second) and {first: 1}[second] == 1
-        other = CharacteristicPair(first.body, {f: tuple(-c for c in v)
-                                                for f, v in first.lam.items()})
+        other = CharacteristicPair(first.body, [tuple(-c for c in v) for v in first.lam])
         assert other != first and len({first, second, other}) == 2
         for a, b in zip(values(first), values(second)):
             assert a is not b
@@ -277,6 +277,46 @@ class TestImmutablePair:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert set(ast.literal_eval(proc.stdout)) <= {1, -1}
+
+
+CP2_LAMBDA = [(0, 1), (1, 0), (-1, -1)]
+COVER = "characteristic map must cover every facet exactly once"
+
+
+class TestLambdaInput:
+    def test_dict_list_and_tuple_give_one_pair(self):
+        body = cp2_triangle().body
+        pairs = [CharacteristicPair(body, dict(enumerate(CP2_LAMBDA))),
+                 CharacteristicPair(body, {2: (-1, -1), 0: (0, 1), 1: (1, 0)}),
+                 CharacteristicPair(body, CP2_LAMBDA),
+                 CharacteristicPair(body, tuple(CP2_LAMBDA))]
+        for pair in pairs:
+            assert type(pair.lam) is tuple and pair.lam == tuple(CP2_LAMBDA)
+            assert pair == pairs[0] and hash(pair) == hash(pairs[0])
+            again = pickle.loads(pickle.dumps(pair))
+            assert again == pairs[0] and hash(again) == hash(pairs[0])
+            assert validate(pair).ok
+
+    @pytest.mark.parametrize("lam", [
+        {0: (0, 1), 1: (1, 0)},
+        {0: (0, 1), 1: (1, 0), 2: (-1, -1), 3: (1, 1)},
+        {0: (0, 1), 1: (1, 0), -1: (-1, -1)},
+        CP2_LAMBDA[:2],
+        CP2_LAMBDA + [(1, 1)],
+    ], ids=["dict-missing", "dict-extra", "dict-wrong-key", "list-short", "list-long"])
+    def test_missing_or_extra_facet(self, lam):
+        with pytest.raises(KeyError, match=COVER):
+            CharacteristicPair(cp2_triangle().body, lam)
+
+    def test_non_integer_entries_are_refused(self):
+        body = cp2_triangle().body
+        with pytest.raises(ValueError, match="3/2 is not an integer"):
+            CharacteristicPair(body, {0: (0, 1), 1: (Fraction(3, 2), 0), 2: (-1.7, -1)})
+        with pytest.raises(ValueError, match="-1.7 is not an integer"):
+            CharacteristicPair(body, [(0, 1), (1, 0), (-1.7, -1)])
+        pair = CharacteristicPair(body, [(0, Fraction(1)), (1, 0), (Fraction(-2, 2), -1)])
+        assert pair.lam == tuple(CP2_LAMBDA)
+        assert {type(c) for vec in pair.lam for c in vec} == {int}
 
 
 class TestFramesOnce:

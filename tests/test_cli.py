@@ -81,9 +81,28 @@ def run_cli(argv):
 class TestParseSpec:
     def test_pentagon(self, pentagon_file):
         doc = parse_spec(pentagon_file)
-        assert doc.dimension == 2
+        assert doc.body.dim == 2
         assert len(doc.facet_labels) == 5
-        assert doc.lam_by_label["e3"] == (1, -2)
+        assert doc.lam[doc.facet_labels.index("e3")] == (1, -2)
+
+    def test_lam_follows_facet_labels_not_the_characteristic_order(self):
+        spec = pentagon_spec_dict()
+        spec["characteristic"] = dict(reversed(spec["characteristic"].items()))
+        assert list(spec["characteristic"])[0] == "e5"
+        doc = parse_spec_dict(spec)
+        assert doc.facet_labels == ("e1", "e2", "e3", "e4", "e5")
+        assert type(doc.lam) is tuple and doc.lam == tuple(PENTAGON_LAMBDA)
+        assert doc.to_pair() == parse_spec_dict(pentagon_spec_dict()).to_pair()
+
+    def test_first_bad_vector_is_named_in_document_order(self):
+        from tmh.errors import SpecParseError
+
+        spec = pentagon_spec_dict()
+        char = spec["characteristic"]
+        char["e2"], char["e4"] = [1], [0]
+        spec["characteristic"] = {k: char[k] for k in ("e4", "e1", "e2", "e3", "e5")}
+        with pytest.raises(SpecParseError, match=r"characteristic\['e4'\]"):
+            parse_spec_dict(spec)
 
     def test_float_rejected(self, tmp_path):
         from tmh.errors import SpecParseError

@@ -281,8 +281,7 @@ class TestClosedFormAgreement:
                 assert (dim4._component_pairing(pair, comp, local)
                         == pairing_by_relations(pair, comp, local))
         labels = tuple(f"f{i}" for i in range(body.facet_count))
-        doc = SpecDocument("agreement", "", 2, body, labels,
-                           {label: pair.lam[i] for i, label in enumerate(labels)}, None)
+        doc = SpecDocument("agreement", "", body, labels, pair.lam, None)
         section = build_report(doc)["dim4"]["intersection"]
         r = len(section["matrix"])
         sig = signature_of_matrix(section["matrix"])

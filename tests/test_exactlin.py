@@ -231,11 +231,15 @@ class TestPrimitivity:
         assert is_primitive((-1, -1))
         assert not is_primitive((2, 0))
         assert not is_primitive((0, 0))
+        assert not is_primitive((0,)) and not is_primitive(())
 
     def test_primitive_part(self):
         assert primitive_part((4, -6)) == (2, -3)
         g = gcd(4, 6)
         assert g == 2
+        for vec in ((0, 0), ()):
+            with pytest.raises(ValueError, match="zero vector"):
+                primitive_part(vec)
 
 
 class TestPublicApi:

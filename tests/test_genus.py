@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -115,6 +116,20 @@ class TestVertexIndex:
         with pytest.raises(GenericityError) as err:
             vertex_index(pair, vertex_at(pair, (0, 0)), (1, 0))
         assert err.value.edge_vector is not None
+
+    def test_non_integer_direction_is_refused(self):
+        pair = validated(cp2_triangle())
+        for nu in ((1, Fraction(5, 2)), (1.5, 2)):
+            with pytest.raises(ValueError, match="is not an integer"):
+                vertex_index(pair, 0, nu)
+            with pytest.raises(ValueError, match="is not an integer"):
+                is_generic(pair, nu)
+            with pytest.raises(ValueError, match="is not an integer"):
+                chi_y(pair, nu)
+        # --nu passes integral Fractions
+        poly = chi_y(pair, (Fraction(1), Fraction(4, 2)))
+        assert poly == chi_y(pair, (1, 2)) and {type(c) for c in poly.nu} == {int}
+        assert is_generic(pair, (Fraction(1), Fraction(2)))
 
     def test_wrong_length_direction(self):
         pair = validated(cp2_triangle())

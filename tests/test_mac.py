@@ -259,7 +259,7 @@ class TestFreeness:
 
     def test_non_unimodular_vertex_fails(self):
         pair = cp1xcp1_square()
-        lam = dict(pair.lam)
+        lam = list(pair.lam)
         lam[1] = (1, 2)  # dets with both neighbors become 2
         bad = CharacteristicPair(pair.body, lam)
         assert not validate(bad).ok
@@ -270,7 +270,7 @@ class TestFreeness:
         # still acts freely although validation fails; agreement with
         # validate() therefore presumes the vectors span Z^n
         pair = cp1xcp1_square()
-        lam = dict(pair.lam)
+        lam = list(pair.lam)
         lam[1] = (1, 2)
         lam[3] = (1, -2)
         bad = CharacteristicPair(pair.body, lam)

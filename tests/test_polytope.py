@@ -68,6 +68,16 @@ class TestBuildPolytope:
         p = coordinate_triangle()
         assert {v.point for v in p.vertices} == {(0, 0), (1, 0), (0, 1)}
 
+    def test_non_integer_normal_is_refused(self):
+        rows = [((0, 1), 0), ((1, 0), 0), ((-1, -1), -1)]
+        with pytest.raises(ValueError, match="1.9 is not an integer"):
+            build_polytope(2, [((0, 1.9), 0)] + rows[1:])
+        with pytest.raises(ValueError, match="1/2 is not an integer"):
+            build_polytope(2, rows[:2] + [((-1, Fraction(-1, 2)), -1)])
+        integral = build_polytope(2, [((0, Fraction(2, 2)), 0)] + rows[1:])
+        assert integral == coordinate_triangle()
+        assert type(integral.halfspaces[0].normal[1]) is int
+
     def test_redundant_facet(self):
         with pytest.raises(RedundantFacetError):
             build_polytope(2, [

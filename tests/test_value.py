@@ -46,9 +46,7 @@ def one_of_each(pair):
         "ChiYPolynomial": chi_y(pair),
         "EmbeddingChart": embedding_chart(pair),
         "KernelData": kernel_data(pair),
-        "SpecDocument": SpecDocument("doc", "", body.dim, body, labels,
-                                     {label: pair.lam[i] for i, label in enumerate(labels)},
-                                     None),
+        "SpecDocument": SpecDocument("doc", "", body, labels, pair.lam, None),
     }
 
 
