@@ -3,11 +3,11 @@
 Polytopes are given by half-spaces ``normal . x >= offset`` with integer
 normals and rational offsets.  One small simplex on integer dictionaries
 (least-index pivot rules, exact division by the previous pivot) decides
-feasibility, boundedness and whether two holes meet, one linear program
-each; the vertices and edges come from a walk that pivots from the first
-feasible vertex along every edge.  Polygons given by a vertex cycle are
-read off the cycle directly.  Facet values, ratio tests and containment
-run in integers; every containment and disjointness decision is exact.
+emptiness and boundedness; its walk from the first feasible vertex along
+every edge finds the vertices and edges.  Polygons are read off their
+vertex cycle over one common denominator.  A facet of one hole negative at
+every vertex of another separates them; only a pair with no such facet
+takes an LP.  Every test runs in integers, and every decision is exact.
 """
 
 from __future__ import annotations
@@ -204,10 +204,10 @@ def feasible(dim, rows) -> bool:
     return _Dictionary(dim, rows).phase_one()
 
 
-def _assemble(dim, halfspaces, points, edge_ends) -> SimplePolytope:
-    """The polytope with vertices {facets: point}, sorted by point, and
-    edges {facets: the endpoints' facet sets}, sorted by facet set."""
-    order = sorted(points, key=points.__getitem__)
+def _assemble(dim, halfspaces, points, edge_ends, key=None) -> SimplePolytope:
+    """The polytope with vertices {facets: point}, sorted by point or a key in
+    that order, and edges {facets: the endpoints' facet sets}, by facet set."""
+    order = sorted(points, key=key or points.__getitem__)
     index = {facets: vid for vid, facets in enumerate(order)}
     edges = sorted(edge_ends.items(), key=lambda kv: sorted(kv[0]))
     return SimplePolytope(dim, tuple(halfspaces),
@@ -280,18 +280,21 @@ def polygon_from_vertices(points) -> SimplePolytope:
     if any(len(p) != 2 for p in pts):
         raise DimensionError("polygon vertices must be 2-dimensional")
     k = len(pts)
-    steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(pts, pts[1:] + pts[:1])]
+    *flat, d = _integer_row([*itertools.chain.from_iterable(pts), 1])
+    xs = list(zip(flat[::2], flat[1::2]))  # point i is xs[i] / d, d > 0
+    steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(xs, xs[1:] + xs[:1])]
     turns = list(zip(steps, steps[1:] + steps[:1]))
     # left turns alone admit a cycle that winds w > 1 times; its steps then
     # pass +x, from (dy, dx) < (0, 0) to the rest, w times
     if (not all(t[0] * u[1] - t[1] * u[0] > 0 for t, u in turns)
             or sum((t[1], t[0]) < (0, 0) <= (u[1], u[0]) for t, u in turns) != 1):
         raise NotSimpleError("vertex cycle is not strictly convex counter-clockwise")
-    normals = [primitive_part(_integer_row((-t[1], t[0]))) for t in steps]  # inward
-    hs = [HalfSpace(n, n[0] * a[0] + n[1] * a[1]) for n, a in zip(normals, pts)]
+    normals = [primitive_part((-t[1], t[0])) for t in steps]  # inward
+    hs = [HalfSpace(n, Fraction(n[0] * a[0] + n[1] * a[1], d)) for n, a in zip(normals, xs)]
     corners = [frozenset({(i - 1) % k, i}) for i in range(k)]  # point i's facets
     return _assemble(2, hs, dict(zip(corners, pts)),
-                     {frozenset({i}): (corners[i], corners[(i + 1) % k]) for i in range(k)})
+                     {frozenset({i}): (corners[i], corners[(i + 1) % k]) for i in range(k)},
+                     dict(zip(corners, xs)).__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +327,14 @@ def _gid(offsets, component, local, what) -> int:
     return offsets[component] + local
 
 
+def _disjoint(dim, rows, points, a, b) -> bool:
+    """Whether closed components a and b (facet rows rows[c], vertex rows points[c])
+    are disjoint: a facet row of one negative at every vertex row of the other, or one LP."""
+    separated = any(all(sum(map(mul, row, x)) < 0 for x in points[j])
+                    for i, j in ((a, b), (b, a)) for row in rows[i])
+    return separated or not feasible(dim, [(r[:-1], -r[-1]) for r in rows[a] + rows[b]])
+
+
 class PolytopeWithHoles(Value):
     """Outer simple polytope minus the open interiors of hole polytopes,
     which must lie strictly inside it and be pairwise disjoint.  The facet
@@ -334,20 +345,19 @@ class PolytopeWithHoles(Value):
     def __init__(self, components: tuple[SimplePolytope, ...]):
         outer, holes = components[0], components[1:]
         # h.value(x) > 0 in integers: row . (X, d) > 0 with x = X / d, d > 0
-        outer_rows = [_integer_row([*h.normal, -h.offset]) for h in outer.halfspaces]
+        rows = [[_integer_row([*h.normal, -h.offset]) for h in c.halfspaces] for c in components]
+        points = [[], *([_integer_row([*v.point, 1]) for v in c.vertices] for c in holes)]
         for k, hole in enumerate(holes, start=1):
             if hole.dim != outer.dim:
                 raise DimensionError(f"hole {k} has dimension {hole.dim} != {outer.dim}")
-            for v in hole.vertices:
-                point = _integer_row([*v.point, 1])
-                if not all(sum(a * x for a, x in zip(row, point)) > 0 for row in outer_rows):
+            for v, point in zip(hole.vertices, points[k]):
+                if not all(sum(map(mul, row, point)) > 0 for row in rows[0]):
                     raise ContainmentError(
                         f"hole {k} vertex {tuple(map(str, v.point))} is not in the "
                         "strict interior of the outer polytope")
-        for a, b in itertools.combinations(range(len(holes)), 2):
-            rows = [(h.normal, h.offset) for h in holes[a].halfspaces + holes[b].halfspaces]
-            if feasible(outer.dim, rows):
-                raise DisjointnessError(f"holes {a + 1} and {b + 1} intersect")
+        for a, b in itertools.combinations(range(1, len(components)), 2):
+            if not _disjoint(outer.dim, rows, points, a, b):
+                raise DisjointnessError(f"holes {a} and {b} intersect")
         fo = (0, *itertools.accumulate(c.facet_count for c in components))
         vo = (0, *itertools.accumulate(c.vertex_count for c in components))
         object.__setattr__(self, "components", components)
@@ -432,8 +442,8 @@ def place_holes(outer: SimplePolytope, pieces, scale: Fraction | None = None) ->
     centroid = outer.centroid()
     # l1-normalized facet clearance at the centroid: the l-infinity ball of
     # this radius around the centroid is contained in the outer body.
-    rho = min((h.value(centroid)) / sum(abs(c) for c in h.normal)
-              for h in outer.halfspaces)
+    rho = min(v / sum(map(abs, h.normal))
+              for v, h in zip(outer.values(centroid), outer.halfspaces))
     if rho <= 0:
         raise PlacementError("outer centroid is not interior")
 

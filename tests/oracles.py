@@ -33,7 +33,10 @@ ratio test by cross-multiplying integers (tmh.polytope).
 ``build_by_enumeration`` solves every n-subset of the rows and keeps the
 solutions that satisfy all of them; its basic points are the vertices.
 The library walks from one vertex to the next by pivoting instead, and
-reads polygons off their vertex cycle.
+reads polygons off their vertex cycle.  ``polygon_by_fractions`` reads a
+polygon off its cycle in Fraction arithmetic, sorting the vertices by
+their Fraction points; the library lifts the cycle once to integer points
+over one common denominator.
 
 ``edge_directions_at_vertex`` walks the edge table for the direction of
 the edge leaving each facet at a vertex, and ``frame_order_by_edges``
@@ -76,6 +79,8 @@ from tmh.exactlin import (
     _row_hnf,
     det_exact,
     is_primitive,
+    primitive_part,
+    rat_vector,
 )
 from tmh.mac import _l1
 from tmh.polytope import (
@@ -84,6 +89,7 @@ from tmh.polytope import (
     PolytopeWithHoles,
     SimplePolytope,
     Vertex,
+    _assemble,
 )
 
 from matrices import hstack, transpose
@@ -451,6 +457,28 @@ def _pins(dim, normals):
             pins.append((unit, 0))
             rank += 1
     return pins
+
+
+def polygon_by_fractions(points) -> SimplePolytope:
+    """Build a 2D polytope from a counter-clockwise strictly convex cycle,
+    every step in Fraction arithmetic; facet i is the edge from point i to
+    point i + 1."""
+    pts = [rat_vector(p) for p in points]
+    if len(pts) < 3:
+        raise DimensionError("a polygon needs at least three vertices")
+    if any(len(p) != 2 for p in pts):
+        raise DimensionError("polygon vertices must be 2-dimensional")
+    k = len(pts)
+    steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(pts, pts[1:] + pts[:1])]
+    turns = list(zip(steps, steps[1:] + steps[:1]))
+    if (not all(t[0] * u[1] - t[1] * u[0] > 0 for t, u in turns)
+            or sum((t[1], t[0]) < (0, 0) <= (u[1], u[0]) for t, u in turns) != 1):
+        raise NotSimpleError("vertex cycle is not strictly convex counter-clockwise")
+    normals = [primitive_part(_integer_row((-t[1], t[0]))) for t in steps]  # inward
+    hs = [HalfSpace(n, n[0] * a[0] + n[1] * a[1]) for n, a in zip(normals, pts)]
+    corners = [frozenset({(i - 1) % k, i}) for i in range(k)]  # point i's facets
+    return _assemble(2, hs, dict(zip(corners, pts)),
+                     {frozenset({i}): (corners[i], corners[(i + 1) % k]) for i in range(k)})
 
 
 def build_by_enumeration(dim: int, halfspaces) -> SimplePolytope:

@@ -571,16 +571,24 @@ class TestFiberSum:
             spec["characteristic"] = {k: v for k, v in spec["characteristic"].items()
                                       if not k.startswith("h1.")}
         base, piece = parse_spec_dict(spec), parse_spec_dict(cp2_spec_dict())
-        calls, feasible = [], polytope.feasible
+        pairs, lps, disjoint, feasible = [], [], polytope._disjoint, polytope.feasible
 
-        def counted(dim, rows):
-            calls.append(len(rows))
+        def counted_pair(dim, rows, points, a, b):
+            pairs.append((len(rows[a]), len(rows[b])))
+            return disjoint(dim, rows, points, a, b)
+
+        def counted_lp(dim, rows):
+            lps.append(len(rows))
             return feasible(dim, rows)
 
-        monkeypatch.setattr(polytope, "feasible", counted)
+        monkeypatch.setattr(polytope, "_disjoint", counted_pair)
+        monkeypatch.setattr(polytope, "feasible", counted_lp)
         composed = compose_fibersum(base, [piece, piece])
-        # one LP of 3 + 3 rows per pair of triangles, 4 + 3 with the square
-        assert sorted(calls) == ([6, 6, 7, 7] if base_hole else [6])
+        # one decision per pair: two triangles, and each with the square; the
+        # pieces sit apart, so a facet separates every pair and no LP runs
+        assert pairs == ([(3, 3), (4, 3), (4, 3), (3, 3)] if base_hole
+                         else [(3, 3)])
+        assert lps == []
         assert len(composed["holes"]) == 2 + base_hole
 
     def test_rejects_holed_piece(self, pentagon_file, tmp_path):

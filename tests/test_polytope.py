@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from tmh import polytope
 from tmh.errors import (
     ContainmentError,
     DimensionError,
@@ -35,6 +36,7 @@ from oracles import (
     edge_directions_at_vertex,
     fm_feasible,
     fm_screen,
+    polygon_by_fractions,
     value_by_fractions,
 )
 
@@ -803,3 +805,299 @@ class TestIntegerArithmetic:
         # ties come from the bodies that are not simple
         assert built >= 1000 and len(seen) - built >= 50
         assert sum(n > 1 for n in seen[:built]) >= 10
+
+
+# ---------------------------------------------------------------------------
+# polygons over one common denominator, against the Fraction route
+
+
+_DENOMINATED = (F(1, 3), F(-7, 5), F(-2, 9), F(5, 7), F(-11, 4), 2, -1)
+
+
+def _affine(rng, cycle):
+    """The cycle under a rational map with positive determinant, then a
+    rational shift, so coordinates get mixed denominators."""
+    while True:
+        a, b, c, d = (rng.choice(_DENOMINATED) for _ in range(4))
+        if a * d - b * c > 0:
+            break
+    shift = (rng.choice(_DENOMINATED), rng.choice(_DENOMINATED))
+    return [(a * x + b * y + shift[0], c * x + d * y + shift[1]) for x, y in cycle]
+
+
+def _polygon_cycles(seed):
+    """Seeded (kind, cycle) counter-clockwise strictly convex cycles: lattice
+    cycles, the same under rational maps with mixed denominators, lattice
+    cycles scaled and shifted by rationals, and mapped cycles that start at
+    another vertex."""
+    rng = random.Random(seed)
+    for sides in range(3, 19):
+        cycle = _lattice_cycle(rng, sides, 2 + sides // 5)
+        yield "integer", cycle
+        yield "mixed", _affine(rng, cycle)
+        scale = F(rng.randint(1, 40), rng.choice((3, 7, 9, 11)))
+        shift = (F(rng.randint(-30, 30), 7), F(rng.randint(-30, 30), 5))
+        yield "scaled", [(scale * x + shift[0], scale * y + shift[1]) for x, y in cycle]
+        start = rng.randrange(sides)
+        yield "rotated", _affine(rng, cycle[start:] + cycle[:start])
+
+
+def _bad_cycles(seed):
+    """Seeded (kind, cycle) inputs that both routes must refuse."""
+    rng = random.Random(seed)
+    yield "short", [(0, 0), (1, 0)]
+    yield "3d", [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+    yield "pentagram", [(0, 10), (-6, -8), (10, 3), (-10, 3), (6, -8)]
+    for sides in range(3, 13):
+        cycle = _affine(rng, _lattice_cycle(rng, sides, 3))
+        yield "clockwise", cycle[::-1]
+        i = rng.randrange(sides)
+        a, b = cycle[i], cycle[(i + 1) % sides]
+        yield "collinear", [*cycle[:i + 1], (F(a[0] + b[0], 2), F(a[1] + b[1], 2)),
+                            *cycle[i + 1:]]
+        yield "twice", cycle + cycle
+        if sides >= 5:
+            yield "star", cycle[::2] + cycle[1::2] if sides % 2 else cycle[::2] * 2
+
+
+def _raised(build, cycle):
+    try:
+        build(cycle)
+    except (DimensionError, NotSimpleError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestPolygonByFractions:
+    def test_same_polytope_as_the_fraction_route(self):
+        kinds = {}
+        for kind, cycle in _polygon_cycles(83):
+            got, want = polygon_from_vertices(cycle), polygon_by_fractions(cycle)
+            assert got == want, cycle
+            assert [h.offset for h in got.halfspaces] == [h.offset for h in want.halfspaces]
+            assert all(type(h.offset) is F for h in got.halfspaces)
+            assert [v.point for v in got.vertices] == [v.point for v in want.vertices]
+            kinds[kind] = kinds.get(kind, 0) + 1
+            if kind == "mixed":
+                dens = {x.denominator for p in cycle for x in p}
+                kinds["mixed-dens"] = kinds.get("mixed-dens", 0) + (len(dens) > 2)
+        assert kinds["integer"] == kinds["mixed"] == kinds["scaled"] == kinds["rotated"] == 16
+        assert kinds["mixed-dens"] >= 12
+
+    def test_same_error_as_the_fraction_route(self):
+        kinds = {}
+        for kind, cycle in _bad_cycles(89):
+            raised = _raised(polygon_from_vertices, cycle)
+            assert raised is not None, (kind, cycle)
+            assert raised == _raised(polygon_by_fractions, cycle), (kind, cycle)
+            kinds.setdefault(kind, set()).add(raised)
+        assert kinds["short"] == {(DimensionError, "a polygon needs at least three vertices")}
+        assert kinds["3d"] == {(DimensionError, "polygon vertices must be 2-dimensional")}
+        bad_cycle = {(NotSimpleError, "vertex cycle is not strictly convex counter-clockwise")}
+        for kind in ("pentagram", "clockwise", "collinear", "twice", "star"):
+            assert kinds[kind] == bad_cycle, kind
+
+
+# ---------------------------------------------------------------------------
+# hole disjointness: a separating facet in integers, else one LP
+
+
+def _hull(points):
+    """The counter-clockwise strictly convex hull cycle of lattice points
+    (Andrew's monotone chain); fewer than 3 points when they are collinear."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return pts
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and ((out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                                     - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(pts) + chain(pts[::-1])
+
+
+def _tetrahedron(points):
+    """The 3D simplex on four affinely independent lattice points."""
+    rows = []
+    for i, far in enumerate(points):
+        p, q, r = (x for j, x in enumerate(points) if j != i)
+        u, v = [b - a for a, b in zip(p, q)], [b - a for a, b in zip(p, r)]
+        n = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+        if sum(a * (b - c) for a, b, c in zip(n, far, p)) < 0:
+            n = tuple(-a for a in n)
+        n = tuple(a // gcd(*n) for a in n)
+        rows.append((n, sum(a * b for a, b in zip(n, p))))
+    return build_polytope(3, rows)
+
+
+# Two tetrahedra one unit apart whose nearest features are skew edges: the
+# top edge of the first runs along x at z = 0, the bottom edge of the second
+# along y at z = 1.  Only the plane z = 1/2 separates them, and it is a facet
+# of neither.
+SKEW_TETRAHEDRA = ([(-1, 0, 0), (1, 0, 0), (0, -1, -2), (0, 1, -2)],
+                   [(0, -1, 1), (0, 1, 1), (-1, 0, 3), (1, 0, 3)])
+
+
+def _outer_around(a, b):
+    """A box with both bodies strictly inside."""
+    (lo_a, hi_a), (lo_b, hi_b) = a.bounding_box(), b.bounding_box()
+    lo = [min(x, y) - 1 for x, y in zip(lo_a, lo_b)]
+    hi = [max(x, y) + 1 for x, y in zip(hi_a, hi_b)]
+    return build_polytope(a.dim, _box_rows(lo, hi))
+
+
+def _some_facet_separates(a, b):
+    """Whether a facet of one body is negative at every vertex of the other,
+    by Fraction values."""
+    return any(all(value_by_fractions(h, v.point) < 0 for v in q.vertices)
+               for p, q in ((a, b), (b, a)) for h in p.halfspaces)
+
+
+def _box_at(lo, size):
+    return build_polytope(len(lo), _box_rows(lo, [x + s for x, s in zip(lo, size)]))
+
+
+def _hole_pairs(seed):
+    """Seeded (kind, hole, hole) pairs: boxes apart, touching at a vertex,
+    sharing an edge or a face, overlapping and nested, in 2D and 3D; apex to
+    apex triangles; lattice polygons and simplices at random offsets; and
+    the skew tetrahedra.  Each pair is scaled and shifted by rationals."""
+    rng = random.Random(seed)
+    one = F(1)
+    for dim in (2, 3):
+        for _ in range(6):
+            size = [rng.randint(1, 3) * one for _ in range(dim)]
+            axis, gap = rng.randrange(dim), F(rng.randint(1, 5), rng.randint(1, 4))
+            zero, on_axis = [0 * one] * dim, [x * (d == axis) for d, x in enumerate(size)]
+            first = _box_at(zero, size)
+            yield "apart", first, _box_at([x + gap * (d == axis) for d, x in enumerate(on_axis)],
+                                          size)
+            yield "corner", first, _box_at(size, size)
+            yield "shared", first, _box_at(on_axis, size)
+            yield "overlap", first, _box_at([x / 2 for x in size], size)
+            yield "nested", _box_at(zero, [3 * x for x in size]), _box_at(size, size)
+    for _ in range(6):
+        gap = F(rng.randint(1, 6), rng.randint(1, 5))
+        w = rng.randint(2, 6)
+        down = polygon_from_vertices([(0, 0), (w, 2), (-w, 2)])
+        up = polygon_from_vertices([(0, -gap), (-w, -2 - gap), (w, -2 - gap)])
+        yield "apex", down, up
+    for _ in range(30):
+        a = polygon_from_vertices(_lattice_cycle(rng, rng.randint(3, 7), 2))
+        b = polygon_from_vertices(_lattice_cycle(rng, rng.randint(3, 7), 2))
+        shift = (F(rng.randint(-12, 12), rng.randint(1, 4)),
+                 F(rng.randint(-12, 12), rng.randint(1, 4)))
+        yield "polygons", a, b.transformed(one, shift)
+    for _ in range(30):
+        while True:
+            pts = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(4)]
+            u, v, w = ([b - a for a, b in zip(pts[0], p)] for p in pts[1:])
+            if (u[0] * (v[1] * w[2] - v[2] * w[1]) - u[1] * (v[0] * w[2] - v[2] * w[0])
+                    + u[2] * (v[0] * w[1] - v[1] * w[0])):
+                break
+        shift = tuple(F(rng.randint(-5, 5), rng.randint(2, 3)) for _ in range(3))
+        yield "simplices", _tetrahedron(pts), _tetrahedron(pts[::-1]).transformed(one, shift)
+    for i in range(6):
+        # the skew pair in other integer coordinates, x = U y with det U = 1
+        u = _unimodular(rng, 3) if i else [[int(r == c) for c in range(3)] for r in range(3)]
+        a, b = ([tuple(sum(u[r][c] * p[c] for c in range(3)) for r in range(3)) for p in pts]
+                for pts in SKEW_TETRAHEDRA)
+        yield "skew", _tetrahedron(a), _tetrahedron(b)
+
+
+def _routes(monkeypatch):
+    """With every LP counted, a function that builds a body around a pair
+    of holes and returns (accepted, LPs run)."""
+    lps, feasible_ = [], polytope.feasible
+
+    def counted(dim, rows):
+        lps.append(len(rows))
+        return feasible_(dim, rows)
+
+    def run(a, b):
+        outer = _outer_around(a, b)
+        before = len(lps)
+        try:
+            build_with_holes(outer, [a, b])
+        except DisjointnessError as exc:
+            assert str(exc) == "holes 1 and 2 intersect"
+            return False, len(lps) - before
+        return True, len(lps) - before
+
+    monkeypatch.setattr(polytope, "feasible", counted)
+    return run
+
+
+class TestHoleDisjointness:
+    def test_accepts_exactly_the_pairs_fourier_motzkin_finds_disjoint(self, monkeypatch):
+        run = _routes(monkeypatch)
+        routes = {}
+        for kind, a, b in _hole_pairs(97):
+            scale = F(random.Random(kind).randint(1, 9), 7)
+            shift = tuple(F(k - 3, 5) for k in range(a.dim))
+            a, b = a.transformed(scale, shift), b.transformed(scale, shift)
+            disjoint = not fm_feasible(_rows(a) + _rows(b))
+            accepted, lps = run(a, b)
+            assert accepted == disjoint, kind
+            # a pair with no separating facet always reaches the LP
+            assert lps == (0 if _some_facet_separates(a, b) else 1), kind
+            # in the plane every edge of P - Q is an edge of P or of Q, so two
+            # disjoint polygons always have a separating edge: no LP accepts
+            assert not (a.dim == 2 and lps and accepted), kind
+            route = "facet" if not lps else "lp-accept" if accepted else "lp-reject"
+            routes.setdefault(kind, {}).setdefault(route, 0)
+            routes[kind][route] += 1
+        assert routes == {
+            "apart": {"facet": 12},
+            "corner": {"lp-reject": 12},
+            "shared": {"lp-reject": 12},
+            "overlap": {"lp-reject": 12},
+            "nested": {"lp-reject": 12},
+            "apex": {"facet": 6},
+            "polygons": {"facet": 23, "lp-reject": 7},
+            "simplices": {"facet": 22, "lp-reject": 6, "lp-accept": 2},
+            "skew": {"lp-accept": 6},
+        }
+
+    def test_skew_tetrahedra_take_the_lp_and_are_accepted(self, monkeypatch):
+        a, b = (_tetrahedron(pts) for pts in SKEW_TETRAHEDRA)
+        assert not _some_facet_separates(a, b)
+        assert not fm_feasible(_rows(a) + _rows(b))
+        assert _routes(monkeypatch)(a, b) == (True, 1)
+        # one unit lower, the two edges cross at the origin
+        touching = b.transformed(F(1), (0, 0, -1))
+        assert _routes(monkeypatch)(a, touching) == (False, 1)
+
+    def test_certificate_soundness_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        point = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+        rational = st.builds(F, st.integers(-16, 16), st.integers(1, 3))
+        verdicts = []
+
+        @hypothesis.settings(derandomize=True, max_examples=200, deadline=None,
+                             database=None)
+        @hypothesis.given(st.lists(point, min_size=3, max_size=7),
+                          st.lists(point, min_size=3, max_size=7),
+                          st.tuples(rational, rational), st.tuples(rational, rational))
+        def check(points_a, points_b, shift_a, shift_b):
+            cycle_a, cycle_b = _hull(points_a), _hull(points_b)
+            hypothesis.assume(len(cycle_a) >= 3 and len(cycle_b) >= 3)
+            a = polygon_from_vertices(cycle_a).transformed(F(1), shift_a)
+            b = polygon_from_vertices(cycle_b).transformed(F(1), shift_b)
+            disjoint = not fm_feasible(_rows(a) + _rows(b))
+            try:
+                build_with_holes(_outer_around(a, b), [a, b])
+            except DisjointnessError:
+                assert not disjoint
+            else:
+                assert disjoint
+            verdicts.append(disjoint)
+
+        check()
+        assert min(verdicts.count(True), verdicts.count(False)) >= 30, verdicts.count(True)
