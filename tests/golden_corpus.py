@@ -5,15 +5,24 @@ file per recorded command output; ``tests/golden/MANIFEST.json`` lists
 each command with its exit code.  The corpus covers the named instances,
 seeded random 2D (one and several holes) and 3D pairs, the Y + Y fiber
 sum, and invalid specs of every failure shape (a non-primitive vector, a
-failing 2-face in 2D, a failing 2-face and 3-face in 3D).  Any change to
-these bytes must be stated in CHANGES.md.  To record the corpus again:
+failing 2-face in 2D, a failing 2-face and 3-face in 3D).  Large outputs
+(2D m = 64 and 128, the 64+31 and 128+128 one-hole fiber sums, an octagon
+with 8 holes, 3D prisms of 50 and 98 facets) are pinned by a ``sha256`` in
+their manifest entry in place of a golden file.  Any change to these bytes
+must be stated in CHANGES.md.  To record the corpus again:
 
     PYTHONPATH=src python tests/golden_corpus.py
+
+To replay it without pytest, on any interpreter:
+
+    PYTHONPATH=src:tests python -c 'import sys, golden_corpus; sys.exit(bool(golden_corpus.check()))'
 """
 
+import hashlib
 import io
 import json
 import random
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +34,33 @@ SPECS = GOLDEN / "specs"
 
 def manifest():
     return json.loads((GOLDEN / "MANIFEST.json").read_text())
+
+
+def entry_id(entry):
+    """The golden file name, or for a digest entry the name it would have."""
+    return entry.get("golden") or _entry(entry["command"], entry["specs"],
+                                         entry["args"])["golden"] + ".sha256"
+
+
+def compared(entry, data):
+    """(got, expected): the bytes and the golden file's, or their sha256 and the pinned one."""
+    if "sha256" in entry:
+        return hashlib.sha256(data).hexdigest(), entry["sha256"]
+    return data, (GOLDEN / entry["golden"]).read_bytes()
+
+
+def check():
+    """Replay every manifest entry; the ids of those whose exit code or bytes differ."""
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for entry in manifest():
+            code, data = output(entry, SPECS, Path(tmp))
+            got, expected = compared(entry, data)
+            if code != entry["exit"] or got != expected:
+                failures.append(entry_id(entry))
+    for name in failures:
+        print(f"golden mismatch: {name}")
+    return failures
 
 
 def _run(argv):
@@ -152,6 +188,29 @@ def _corpus():
     return specs
 
 
+def _large_corpus():
+    """(spec name, spec dict) pairs of the cases pinned by digest, deterministic."""
+    from instances import (
+        fibersum_pairs,
+        random_many_sided_quasitoric_2d,
+        random_prism_3d,
+        random_quasitoric_2d,
+    )
+
+    rng = random.Random(20261)
+
+    def polygon(m):
+        return random_many_sided_quasitoric_2d(rng, m, bound=8)
+
+    pairs = [(f"polygon_{m}", polygon(m)) for m in (64, 128)]
+    pairs += [(f"fibersum_{a}_{b}", fibersum_pairs(polygon(a), [polygon(b)]))
+              for a, b in ((64, 31), (128, 128))]
+    pairs.append(("octagon_8_holes", fibersum_pairs(
+        polygon(8), [random_quasitoric_2d(rng) for _ in range(8)])))
+    pairs += [(f"prism_{m + 2}", random_prism_3d(rng, m)) for m in (48, 96)]
+    return [(name, _halfspace_spec(name.replace("_", "-"), pair)) for name, pair in pairs]
+
+
 def _point_in(spec_path):
     """A rational point of the body: an interior point near an outer vertex
     when one is free of holes, else that outer vertex."""
@@ -216,6 +275,29 @@ def record():
     scratch.rmdir()
     (GOLDEN / "MANIFEST.json").write_text(json.dumps(entries, indent=1) + "\n")
     print(f"recorded {len(entries)} outputs of {len(names) + 1} specs under {GOLDEN}")
+    record_digests()
+
+
+def record_digests():
+    """Write the large specs and pin each output by its sha256 in the manifest:
+    ``report --format json`` of every case, and ``text``, ``ring`` and
+    ``mac --point`` of all but 128+128, whose report alone takes seconds."""
+    entries = [e for e in manifest() if "sha256" not in e]
+    pinned, large = [], _large_corpus()
+    for name, spec in large:
+        path = SPECS / f"{name}.json"
+        path.write_text(json.dumps(spec, sort_keys=True, indent=2) + "\n")
+        pinned.append(_entry("report", [name], ["--format", "json"]))
+        if name != "fibersum_128_128":
+            pinned += [_entry("report", [name], ["--format", "text"]), _entry("ring", [name]),
+                       _entry("mac", [name], [f"--point={_point_in(path)}"])]
+    with tempfile.TemporaryDirectory() as tmp:
+        for e in pinned:
+            del e["golden"]
+            e["exit"], data = output(e, SPECS, Path(tmp))
+            e["sha256"] = hashlib.sha256(data).hexdigest()
+    (GOLDEN / "MANIFEST.json").write_text(json.dumps(entries + pinned, indent=1) + "\n")
+    print(f"pinned {len(pinned)} outputs of {len(large)} large specs by sha256")
 
 
 if __name__ == "__main__":

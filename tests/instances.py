@@ -281,3 +281,16 @@ def random_one_hole_3d(rng):
     outer_pair = random_quasitoric_3d(rng)
     hole_pair = random_quasitoric_3d(rng)
     return fibersum_pairs(outer_pair, [hole_pair])
+
+
+def random_prism_3d(rng, sides, bound=8):
+    """Quasitoric pair over a unit-height prism on a random lattice polygon,
+    with sides + 2 facets: (lambda_i, 0) on the side over each polygon facet,
+    (0, 0, 1) on the bottom and (a, b, -1) on the top, so every vertex
+    determinant is +-det[lambda_i, lambda_(i+1)] = +-1."""
+    base = random_many_sided_quasitoric_2d(rng, sides, bound)
+    rows = [((*h.normal, 0), h.offset) for h in base.body.outer.halfspaces]
+    rows += [((0, 0, 1), 0), ((0, 0, -1), -1)]
+    lam = [(*v, 0) for v in base.lam]
+    lam += [(0, 0, 1), (rng.randint(-2, 2), rng.randint(-2, 2), -1)]
+    return validated(pair_from_components(build_polytope(3, rows), [], [lam]))
