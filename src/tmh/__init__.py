@@ -14,7 +14,6 @@ from .dim4 import (
     IntersectionData,
     StructureFlags,
     chern_numbers_dim4,
-    cw_cell_counts,
     homology_groups,
     intersection_form,
     structure_flags,
@@ -24,7 +23,6 @@ from .genus import (
     ChiYPolynomial,
     chi_y,
     find_generic_nu,
-    is_generic,
     vertex_index,
 )
 from .mac import (
@@ -66,7 +64,6 @@ __all__ = [
     "build_with_holes",
     "chern_numbers_dim4",
     "chi_y",
-    "cw_cell_counts",
     "det_exact",
     "embedding_chart",
     "embedding_coordinates",
@@ -74,7 +71,6 @@ __all__ = [
     "freeness_check",
     "homology_groups",
     "intersection_form",
-    "is_generic",
     "is_positive_omniorientation",
     "kernel_data",
     "place_holes",

@@ -64,14 +64,9 @@ class CharacteristicPair(Value):
 
 
 class ValidationReport(Value):
+    # kind is "primitivity" or "summand"; facets are global ids
     __slots__ = ("ok", "kind", "facets", "message")
-
-    def __init__(self, ok: bool, kind: str | None = None, facets: tuple[int, ...] = (),
-                 message: str = "valid"):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "kind", kind)  # "primitivity" | "summand"
-        object.__setattr__(self, "facets", facets)
-        object.__setattr__(self, "message", message)
+    _defaults = (None, (), "valid")
 
 
 class VertexFrame(Value):

@@ -62,6 +62,9 @@ def _parse_rational(value, where: str) -> Fraction:
         # Fraction also reads exponents, and 1e10000000 takes seconds to expand
         if "e" in value or "E" in value:
             raise SpecParseError(f"{where}: bad rational {value!r}: exponents are not allowed")
+        # Fraction takes "_" digit groups from 3.11 on and non-ASCII digits on all versions
+        if not re.fullmatch(r"\s*[-+]?(\d+/\d+|\d*\.?\d*)\s*", value, re.ASCII):
+            raise SpecParseError(f"{where}: bad rational {value!r}: expected p/q or a decimal")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -137,16 +140,9 @@ def _parse_component(obj, dim: int, where: str, default_prefix: str):
 
 
 class SpecDocument(Value):
+    # body is a PolytopeWithHoles; facet_labels are in global facet order, and
+    # lam holds one integer vector per label, in the same order
     __slots__ = ("name", "description", "body", "facet_labels", "lam", "nu")
-
-    def __init__(self, name: str, description: str, body, facet_labels: tuple[str, ...],
-                 lam: tuple[tuple[int, ...], ...], nu: tuple[int, ...] | None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "body", body)  # PolytopeWithHoles
-        object.__setattr__(self, "facet_labels", facet_labels)  # global facet order
-        object.__setattr__(self, "lam", lam)  # one integer vector per label, in the same order
-        object.__setattr__(self, "nu", nu)
 
     def to_pair(self) -> CharacteristicPair:
         return CharacteristicPair(self.body, self.lam)

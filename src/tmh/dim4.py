@@ -1,5 +1,5 @@
-"""Dimension-4 invariants: CW cell counts, homology, intersection forms,
-Chern numbers and structure obstruction flags.
+"""Dimension-4 invariants: homology with its CW cell counts, intersection
+forms, Chern numbers and structure obstruction flags.
 
 All of this applies to pairs over 2-dimensional bodies.  One routine
 gives the intersection form of a body with at most one hole, on an
@@ -23,14 +23,8 @@ from .value import Value
 
 
 class HomologyProfile(Value):
+    # m is the total vertex count (= facet count in dimension 2), s the hole count
     __slots__ = ("betti", "cell_counts", "m", "s")
-
-    def __init__(self, betti: tuple[int, int, int, int, int],
-                 cell_counts: tuple[int, int, int, int, int], m: int, s: int):
-        object.__setattr__(self, "betti", betti)
-        object.__setattr__(self, "cell_counts", cell_counts)
-        object.__setattr__(self, "m", m)  # total vertex count (= facet count in dimension 2)
-        object.__setattr__(self, "s", s)  # hole count
 
 
 class IntersectionData(Value):
@@ -41,29 +35,14 @@ class IntersectionData(Value):
     connecting segment of the one-hole case.
     """
 
-    __slots__ = ("generators", "matrix", "one_three_pairing")
-
-    def __init__(self, generators: tuple[tuple[str, object], ...],
-                 matrix: tuple[tuple[int, ...], ...], one_three_pairing: int | None = None):
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "matrix", matrix)  # rows
-        object.__setattr__(self, "one_three_pairing", one_three_pairing)
+    __slots__ = ("generators", "matrix", "one_three_pairing")  # matrix as rows
+    _defaults = (None,)
 
 
 class StructureFlags(Value):
+    # each *_excluded is True when excluded, False when unobstructed here
     __slots__ = ("invariant_almost_complex", "invariant_symplectic_excluded",
-                 "kahler_excluded", "complex_excluded_by_bmy", "c1_squared", "c2")
-
-    def __init__(self, invariant_almost_complex: bool, invariant_symplectic_excluded: bool,
-                 kahler_excluded: bool, complex_excluded_by_bmy: bool,
-                 c1_squared: int | None, c2: int | None):
-        object.__setattr__(self, "invariant_almost_complex", invariant_almost_complex)
-        # True: excluded; False: unobstructed here
-        object.__setattr__(self, "invariant_symplectic_excluded", invariant_symplectic_excluded)
-        object.__setattr__(self, "kahler_excluded", kahler_excluded)
-        object.__setattr__(self, "complex_excluded_by_bmy", complex_excluded_by_bmy)
-        object.__setattr__(self, "c1_squared", c1_squared)
-        object.__setattr__(self, "c2", c2)
+                 "kahler_excluded", "complex_excluded_by_bmy")
 
 
 def _require_dim2(pair: CharacteristicPair):
@@ -71,35 +50,22 @@ def _require_dim2(pair: CharacteristicPair):
         raise DimensionError(f"dimension-4 invariants need n = 2, got n = {pair.body.dim}")
 
 
-def cw_cell_counts(pair: CharacteristicPair) -> tuple[int, int, int, int, int]:
-    """CW cell counts (c0..c4) of the manifold over a 2-dimensional body.
-
-    One hole: (l0 - 1 + l1, l0 + l1 - 1, l0 + l1, 1, 1).  The s-hole
-    generalization keeps one connecting arc, one extra pair of 2-cells and
-    one 3-cell per hole, which pins the counts to
-    (m - 1, m + s - 2, m + 2s - 2, s, 1); the alternating sum is m.
-    """
-    _require_dim2(pair)
-    m = pair.body.vertex_count
-    s = pair.body.hole_count
-    return (m - 1, m + s - 2, m + 2 * s - 2, s, 1)
-
-
 def homology_groups(pair: CharacteristicPair) -> HomologyProfile:
-    """Free abelian homology of ranks (1, s, m + 2s - 2, s, 1).
+    """Free abelian homology of ranks (1, s, m + 2s - 2, s, 1), with the CW
+    cell counts (c0..c4) of the manifold over a 2-dimensional body.
 
-    The cellular boundary maps of the CW structure vanish, so there is no
-    torsion and the Betti numbers come straight from the cell counts.
+    One hole gives the cells (l0 - 1 + l1, l0 + l1 - 1, l0 + l1, 1, 1).  The
+    s-hole generalization keeps one connecting arc, one extra pair of
+    2-cells and one 3-cell per hole, which pins the counts to
+    (m - 1, m + s - 2, m + 2s - 2, s, 1); the alternating sum is m.  The
+    cellular boundary maps vanish, so there is no torsion and the Betti
+    numbers come straight from the cell counts.
     """
     _require_dim2(pair)
     m = pair.body.vertex_count
     s = pair.body.hole_count
-    return HomologyProfile(
-        betti=(1, s, m + 2 * s - 2, s, 1),
-        cell_counts=cw_cell_counts(pair),
-        m=m,
-        s=s,
-    )
+    return HomologyProfile((1, s, m + 2 * s - 2, s, 1),
+                           (m - 1, m + s - 2, m + 2 * s - 2, s, 1), m, s)
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +222,8 @@ def structure_flags(pair: CharacteristicPair) -> StructureFlags:
     """
     positive = is_positive_omniorientation(pair)
     s = pair.body.hole_count
+    bmy = False
     if pair.body.dim == 2:
         c1sq, c2 = chern_numbers_dim4(pair)
         bmy = positive and c1sq > 3 * c2
-    else:
-        c1sq = c2 = None
-        bmy = False
-    return StructureFlags(
-        invariant_almost_complex=positive,
-        invariant_symplectic_excluded=s >= 1,
-        kahler_excluded=s == 1,
-        complex_excluded_by_bmy=bmy,
-        c1_squared=c1sq,
-        c2=c2,
-    )
+    return StructureFlags(positive, s >= 1, s == 1, bmy)

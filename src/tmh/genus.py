@@ -24,10 +24,6 @@ class ChiYPolynomial(Value):
 
     __slots__ = ("coefficients", "nu")
 
-    def __init__(self, coefficients: tuple[int, ...], nu: tuple[int, ...]):
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "nu", nu)
-
     def evaluate(self, y: int) -> int:
         return sum(c * y**j for j, c in enumerate(self.coefficients))
 
@@ -47,11 +43,6 @@ class ChiYPolynomial(Value):
         return self.coefficients[0]
 
 
-def _all_edge_vectors(pair: CharacteristicPair):
-    for gv in pair.body.global_vertices():
-        yield from vertex_frame(pair, gv.gid).mu
-
-
 def _direction(pair: CharacteristicPair, nu) -> tuple[int, ...]:
     """nu as an integer tuple of the body's dimension."""
     nu = int_vector(nu)
@@ -60,16 +51,10 @@ def _direction(pair: CharacteristicPair, nu) -> tuple[int, ...]:
     return nu
 
 
-def is_generic(pair: CharacteristicPair, nu) -> bool:
-    nu = _direction(pair, nu)
-    return all(sum(a * b for a, b in zip(m, nu)) != 0
-               for m in _all_edge_vectors(pair))
-
-
 def find_generic_nu(pair: CharacteristicPair) -> tuple[int, ...]:
     """First primitive direction, by increasing max-norm then lexicographic
     order, that pairs nonzero with every edge vector of every vertex."""
-    covectors = list(_all_edge_vectors(pair))
+    covectors = [m for gv in pair.body.global_vertices() for m in vertex_frame(pair, gv.gid).mu]
     n = pair.body.dim
     for bound in itertools.count(1):
         for cand in itertools.product(range(-bound, bound + 1), repeat=n):

@@ -53,39 +53,23 @@ def _certified_collar_widths(body: PolytopeWithHoles) -> tuple[Fraction, ...]:
 class EmbeddingChart(Value):
     """Evaluator for the facet coordinate functions d_1 ... d_m."""
 
+    # hole_constants: the padding constant per hole facet, in global order
     __slots__ = ("body", "collar_widths", "hole_constants")
 
-    def __init__(self, body: PolytopeWithHoles, collar_widths: tuple[Fraction, ...],
-                 hole_constants: tuple[Fraction, ...]):
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "collar_widths", collar_widths)
-        # padding constant per hole facet, in global order
-        object.__setattr__(self, "hole_constants", hole_constants)
-
-    def _lift(self, point):
-        """The point, its facet values h(x) per component, each read once,
-        and its hole coordinates max(0, 1 - depth / width)."""
+    def evaluate(self, point) -> RatVector:
+        """The facet coordinates (d_1(x), ..., d_m(x))."""
         point = rat_vector(point)
         if len(point) != self.body.dim:
             raise DimensionError(f"point needs {self.body.dim} coordinates, got {len(point)}")
-        values = [c.values(point) for c in self.body.components]
-        p_hole = []
+        values = [c.values(point) for c in self.body.components]  # h(x), each read once
+        # outside the outer body, or in the open interior of a hole
+        if min(values[0]) < 0 or any(min(vals) > 0 for vals in values[1:]):
+            raise DomainError(f"point {tuple(map(str, point))} is not in the body")
+        p_hole = []  # the hole coordinates max(0, 1 - depth / width)
         for vals, hole, w in zip(values[1:], self.body.holes, self.collar_widths):
             # weighted depth of the point outside the hole; 0 exactly on the hole
             depth = max(-v / _l1(h.normal) for v, h in zip(vals, hole.halfspaces))
             p_hole.append(max(Fraction(0), 1 - depth / w))
-        return point, values, tuple(p_hole)
-
-    def hole_coordinates(self, point) -> tuple[Fraction, ...]:
-        """The auxiliary coordinates p_{n+1} ... p_{n+s} of the lift."""
-        return self._lift(point)[2]
-
-    def evaluate(self, point) -> RatVector:
-        """The facet coordinates (d_1(x), ..., d_m(x))."""
-        point, values, p_hole = self._lift(point)
-        # outside the outer body, or in the open interior of a hole
-        if min(values[0]) < 0 or any(min(vals) > 0 for vals in values[1:]):
-            raise DomainError(f"point {tuple(map(str, point))} is not in the body")
         total_hole = sum(p_hole)
         out = [v + total_hole for v in values[0]]
         constants = iter(self.hole_constants)
@@ -118,13 +102,8 @@ def embedding_coordinates(pair: CharacteristicPair, point) -> RatVector:
 
 
 class KernelData(Value):
+    # the n rows of Lambda, and m - n kernel vectors of length m
     __slots__ = ("lambda_matrix", "kernel_basis", "torus_rank")
-
-    def __init__(self, lambda_matrix: tuple[tuple[int, ...], ...],
-                 kernel_basis: tuple[tuple[int, ...], ...], torus_rank: int):
-        object.__setattr__(self, "lambda_matrix", lambda_matrix)  # the n rows of Lambda
-        object.__setattr__(self, "kernel_basis", kernel_basis)  # m - n vectors of length m
-        object.__setattr__(self, "torus_rank", torus_rank)
 
 
 def kernel_data(pair: CharacteristicPair) -> KernelData:

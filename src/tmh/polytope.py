@@ -69,13 +69,6 @@ class SimplePolytope(Value):
 
     __slots__ = ("dim", "halfspaces", "vertices", "edges")
 
-    def __init__(self, dim: int, halfspaces: tuple[HalfSpace, ...],
-                 vertices: tuple[Vertex, ...], edges: tuple[Edge, ...]):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "halfspaces", halfspaces)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-
     @property
     def facet_count(self) -> int:
         return len(self.halfspaces)
@@ -396,9 +389,6 @@ class PolytopeWithHoles(Value):
 
     def facet_gid(self, component: int, local: int) -> int:
         return _gid(self.facet_offsets, component, local, "facet")
-
-    def facet_location(self, gid: int) -> tuple[int, int]:
-        return _locate(self.facet_offsets, gid, "facet")
 
     def vertex_gid(self, component: int, local: int) -> int:
         return _gid(self.vertex_offsets, component, local, "vertex")

@@ -1,10 +1,13 @@
 """The base of the frozen value types of tmh.
 
-A subclass lists its slots and sets them in its own ``__init__`` through
-``object.__setattr__``.  Its fields, the slots without a leading
+A subclass lists its slots.  Its fields, the slots without a leading
 underscore (at least two), make up equality, the hash, the repr and the
 constructor arguments that copy and pickle rebuild from; a slot with one,
-such as a cache, is outside all four.
+such as a cache, is outside all four.  The shared constructor takes the
+fields positionally, in slot order; a class-level ``_defaults`` tuple
+fills the trailing fields a caller leaves out.  A type built many times
+per report, or one that checks its input or fills a cache, has its own
+``__init__`` and sets its slots through ``object.__setattr__``.
 """
 
 from operator import attrgetter
@@ -12,10 +15,21 @@ from operator import attrgetter
 
 class Value:
     __slots__ = ()
+    _defaults = ()
 
     def __init_subclass__(cls):
         cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
         cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *values):
+        fields, defaults = self._fields, self._defaults
+        missing = len(fields) - len(values)
+        if not 0 <= missing <= len(defaults):
+            raise TypeError(f"{type(self).__qualname__}() takes {len(fields)} positional "
+                            f"arguments ({len(defaults)} with defaults) but {len(values)} "
+                            "were given")
+        for name, value in zip(fields, values + defaults[len(defaults) - missing:]):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

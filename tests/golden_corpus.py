@@ -13,9 +13,9 @@ must be stated in CHANGES.md.  To record the corpus again:
 
     PYTHONPATH=src python tests/golden_corpus.py
 
-To replay it without pytest, on any interpreter:
+To replay it without pytest, on any interpreter (exit 1 on a mismatch):
 
-    PYTHONPATH=src:tests python -c 'import sys, golden_corpus; sys.exit(bool(golden_corpus.check()))'
+    PYTHONPATH=src:tests python -c 'import golden_corpus as g; raise SystemExit(bool(g.check()))'
 """
 
 import hashlib

@@ -53,6 +53,14 @@ Both pairings walk the library's facet cycle, ``tmh.dim4._cycle``.
 ``quasitoric_form_by_blocks`` and ``one_hole_form_by_blocks`` assemble the
 intersection form of a body without holes and with one hole as two
 separate routines; the library builds both in one (tmh.dim4).
+
+``is_generic``, ``facet_location`` and ``hole_coordinates`` answer
+questions no library caller asks.  ``is_generic`` pairs a direction with
+the rows mu of every vertex frame, ``facet_location`` walks the components'
+facet counts, and ``hole_coordinates`` takes the chart's auxiliary
+coordinates from Fraction facet values and its collar widths; the library
+searches directions (tmh.genus), locates vertices by bisection
+(tmh.polytope) and lifts a point on integer rows (tmh.mac).
 """
 
 import functools
@@ -61,7 +69,7 @@ import random
 from fractions import Fraction
 
 from tmh import dim4
-from tmh.charpair import CharacteristicPair, ValidationReport, all_signs
+from tmh.charpair import CharacteristicPair, ValidationReport, all_signs, vertex_frame
 from tmh.dim4 import IntersectionData, _cycle
 from tmh.errors import (
     DimensionError,
@@ -756,6 +764,36 @@ def signature_of_matrix(m) -> int:
                 for r in a:
                     r[i] -= f * r[k]
     return pos - neg
+
+
+# ---------------------------------------------------------------------------
+# lookups without a library caller
+
+
+def is_generic(pair: CharacteristicPair, nu) -> bool:
+    """Whether nu pairs nonzero with every edge covector of every vertex."""
+    return all(sum(a * b for a, b in zip(mu, nu)) != 0
+               for gv in pair.body.global_vertices() for mu in vertex_frame(pair, gv.gid).mu)
+
+
+def facet_location(body: PolytopeWithHoles, gid: int) -> tuple[int, int]:
+    """(component, local id) of a global facet id."""
+    local = gid
+    for c, comp in enumerate(body.components):
+        if 0 <= local < comp.facet_count:
+            return c, local
+        local -= comp.facet_count
+    raise KeyError(f"facet id {gid} out of range")
+
+
+def hole_coordinates(chart, point) -> tuple[Fraction, ...]:
+    """The auxiliary coordinates p_(n+1) ... p_(n+s) of a point: per hole,
+    max(0, 1 - depth / width), where the depth is the largest violation
+    -h(x) / |normal|_1 of a hole facet h, 0 exactly on the hole boundary."""
+    return tuple(
+        max(Fraction(0), 1 - max(-value_by_fractions(h, point) / sum(map(abs, h.normal))
+                                 for h in hole.halfspaces) / width)
+        for hole, width in zip(chart.body.holes, chart.collar_widths))
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,32 @@ class TestArgumentErrors:
     def test_parse_rational_keeps_integers_fractions_and_decimals(self, text, value):
         assert _parse_rational(text, "x") == value
 
+    @pytest.mark.parametrize("text, value", [
+        ("1_000", None), (" 1/2 ", Fraction(1, 2)), ("١", None), ("0.25", Fraction(1, 4)),
+        ("-7/2", Fraction(-7, 2))])
+    @pytest.mark.parametrize("where", ["outer.halfspaces[0].offset", "--point[0]"])
+    def test_rational_grammar_is_ascii_p_q_or_decimal(self, tmp_path, capsys, where, text, value):
+        # Fraction alone reads "1_000" from Python 3.11 on, and the Arabic-Indic
+        # digit one on every version, so the same spec exited 0 or 1 by version
+        if where == "--point[0]":
+            # the triangle holds (x, 1/4) for every |x| <= 15/4, and d_e2 = 15/4 - x
+            path = self.spec_file(tmp_path, outer={"vertices": [[-4, 0], [4, 0], [0, 4]]},
+                                  characteristic={"e1": [1, 0], "e2": [0, 1], "e3": [-1, -1]})
+            argv = ["mac", path, f"--point={text},1/4"]
+        else:
+            doc = cp2_spec_dict()
+            doc["outer"]["halfspaces"][0]["offset"] = text  # y >= value
+            argv = ["report", self.spec_file(tmp_path, **doc)]
+        if value is None:
+            self.assert_rejected(capsys, argv, 1,
+                                 f"{where}: bad rational {text!r}: expected p/q or a decimal")
+        elif where == "--point[0]":
+            code, out = run_cli(argv)
+            assert code == 0 and f"  e2: {Fraction(15, 4) - value}\n" in out
+        else:
+            assert run_cli(argv)[0] == 0
+            assert parse_spec(argv[1]).body.outer.halfspaces[0].offset == value
+
     def assert_unreadable(self, tmp_path, capsys, pentagon_file, role, text, reason):
         bad = tmp_path / "bad.json"
         bad.write_text(text)

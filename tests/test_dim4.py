@@ -7,7 +7,6 @@ from tmh.charpair import all_signs, validate
 from tmh.cli import SpecDocument, build_report
 from tmh.dim4 import (
     chern_numbers_dim4,
-    cw_cell_counts,
     homology_groups,
     intersection_form,
     structure_flags,
@@ -53,24 +52,24 @@ class TestCellCounts:
         pentagon = validated(pentagon_y())
         square = validated(cp1xcp1_square())
         pair = fibersum_pairs(pentagon, [square])
-        assert cw_cell_counts(pair) == (8, 8, 9, 1, 1)
+        assert homology_groups(pair).cell_counts == (8, 8, 9, 1, 1)
 
     def test_quasitoric_euler(self):
         pair = validated(cp1xcp1_square())
-        counts = cw_cell_counts(pair)
+        counts = homology_groups(pair).cell_counts
         assert sum((-1) ** i * c for i, c in enumerate(counts)) == 4
 
     def test_two_holes_euler(self):
         rng = random.Random(3)
         pair = random_multi_hole_2d(rng, holes=2)
-        counts = cw_cell_counts(pair)
+        counts = homology_groups(pair).cell_counts
         m = pair.body.vertex_count
         assert sum((-1) ** i * c for i, c in enumerate(counts)) == m
 
     def test_dimension_error(self):
         rng = random.Random(4)
         with pytest.raises(DimensionError):
-            cw_cell_counts(random_quasitoric_3d(rng))
+            homology_groups(random_quasitoric_3d(rng))
 
 
 class TestHomology:
@@ -231,10 +230,11 @@ class TestChernNumbers:
 
 class TestStructureFlags:
     def test_pentagon_bmy(self):
-        flags = structure_flags(validated(pentagon_y()))
+        pair = validated(pentagon_y())
+        flags = structure_flags(pair)
         assert flags.invariant_almost_complex
         assert flags.complex_excluded_by_bmy
-        assert flags.c1_squared == 19 and flags.c2 == 5
+        assert chern_numbers_dim4(pair) == (19, 5)
         assert not flags.invariant_symplectic_excluded
         assert not flags.kahler_excluded
 
@@ -260,7 +260,8 @@ class TestStructureFlags:
         rng = random.Random(23)
         pair = random_quasitoric_3d(rng)
         flags = structure_flags(pair)
-        assert flags.c1_squared is None
+        with pytest.raises(DimensionError):
+            chern_numbers_dim4(pair)
         assert not flags.complex_excluded_by_bmy
 
 

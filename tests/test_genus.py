@@ -10,9 +10,10 @@ from tmh.genus import (
     ChiYPolynomial,
     chi_y,
     find_generic_nu,
-    is_generic,
     vertex_index,
 )
+
+from oracles import is_generic
 
 from instances import (
     cp2_triangle,
@@ -123,21 +124,17 @@ class TestVertexIndex:
             with pytest.raises(ValueError, match="is not an integer"):
                 vertex_index(pair, 0, nu)
             with pytest.raises(ValueError, match="is not an integer"):
-                is_generic(pair, nu)
-            with pytest.raises(ValueError, match="is not an integer"):
                 chi_y(pair, nu)
         # --nu passes integral Fractions
         poly = chi_y(pair, (Fraction(1), Fraction(4, 2)))
         assert poly == chi_y(pair, (1, 2)) and {type(c) for c in poly.nu} == {int}
-        assert is_generic(pair, (Fraction(1), Fraction(2)))
+        assert vertex_index(pair, 0, (Fraction(1), Fraction(2))) == vertex_index(pair, 0, (1, 2))
 
     def test_wrong_length_direction(self):
         pair = validated(cp2_triangle())
         for nu in ((1,), (1, 2, 3)):
             with pytest.raises(DimensionError):
                 vertex_index(pair, 0, nu)
-            with pytest.raises(DimensionError):
-                is_generic(pair, nu)
             with pytest.raises(DimensionError):
                 chi_y(pair, nu)
 

@@ -13,8 +13,10 @@ from oracles import (
     candidates,
     collar_widths_by_fm,
     freeness_by_kernel,
+    hole_coordinates,
     kernel_by_hermite,
     kernel_by_pivoting,
+    value_by_fractions,
 )
 from instances import (
     _apply_gl,
@@ -100,14 +102,14 @@ class TestEmbeddingCoordinates:
         pair = validated(square_in_square())
         chart = embedding_chart(pair)
         # on the hole boundary the auxiliary coordinate is exactly 1
-        assert chart.hole_coordinates((1, 1)) == (1,)
+        assert hole_coordinates(chart, (1, 1)) == (1,)
         # far away it is exactly 0
-        assert chart.hole_coordinates((F(1, 10), F(1, 10))) == (0,)
+        assert hole_coordinates(chart, (F(1, 10), F(1, 10))) == (0,)
 
     def test_hole_coordinates_wrong_length(self):
         chart = embedding_chart(validated(square_in_square()))
         with pytest.raises(DimensionError):
-            chart.hole_coordinates((F(1, 2), F(1, 2), 7))
+            chart.evaluate((F(1, 2), F(1, 2), 7))
 
     def test_continuity_across_collar(self):
         pair = validated(square_in_square())
@@ -119,7 +121,10 @@ class TestEmbeddingCoordinates:
         for t in (F(0), w / 3, w / 2, w, 2 * w):
             p = (F(3, 2), base - t)
             expect = max(F(0), 1 - t / w)
-            assert chart.hole_coordinates(p)[0] == expect
+            assert hole_coordinates(chart, p)[0] == expect
+            # every outer coordinate is the facet value plus the hole coordinate
+            outer_value = value_by_fractions(pair.body.outer.halfspaces[0], p)
+            assert chart.evaluate(p)[0] == outer_value + expect
 
 
 class TestCollarWidths:

@@ -34,6 +34,7 @@ from oracles import (
     blocking_by_fractions,
     build_by_enumeration,
     edge_directions_at_vertex,
+    facet_location,
     fm_feasible,
     fm_screen,
     polygon_by_fractions,
@@ -220,12 +221,12 @@ class TestEdgeDirections:
         body = build_with_holes(box(0, 0, 4, 4), [box(1, 1, 2, 2)])
         for gv in body.global_vertices():
             comp = body.components[gv.component]
-            local_facets = {body.facet_location(f)[1] for f in gv.facets}
+            local_facets = {facet_location(body, f)[1] for f in gv.facets}
             for fid, direction in edge_directions_at_vertex(body, gv.gid):
                 assert any(d != 0 for d in direction)
                 probe = tuple(p + F(1, 1000) * d for p, d in zip(gv.point, direction))
                 assert comp.contains(probe)
-                _, local = body.facet_location(fid)
+                _, local = facet_location(body, fid)
                 # the probe stays on the edge's facets (the other facets at
                 # the vertex) and strictly inside everything else
                 for i, h in enumerate(comp.halfspaces):
@@ -282,7 +283,7 @@ class TestGlobalIds:
         body = build_with_holes(box(0, 0, 4, 4), [box(1, 1, 2, 2)])
         for gid in (-1, -3, -8, -9, 8, 9):
             with pytest.raises(KeyError, match="out of range"):
-                body.facet_location(gid)
+                facet_location(body, gid)
             with pytest.raises(KeyError, match="out of range"):
                 body.vertex_location(gid)
 
@@ -303,7 +304,7 @@ class TestGlobalIds:
             box(1, 1, 2, 2), polygon_from_vertices([(4, 4), (6, 4), (5, 6)])])
         for c, comp in enumerate(body.components):
             for local in range(comp.facet_count):
-                assert body.facet_location(body.facet_gid(c, local)) == (c, local)
+                assert facet_location(body, body.facet_gid(c, local)) == (c, local)
             for local in range(comp.vertex_count):
                 assert body.vertex_location(body.vertex_gid(c, local)) == (c, local)
 

@@ -13,9 +13,15 @@ from pathlib import Path
 import pytest
 
 import tmh
-from tmh.charpair import validate, vertex_frame
+from tmh.charpair import ValidationReport, validate, vertex_frame
 from tmh.cli import SpecDocument
-from tmh.dim4 import homology_groups, intersection_form, structure_flags
+from tmh.dim4 import (
+    HomologyProfile,
+    IntersectionData,
+    homology_groups,
+    intersection_form,
+    structure_flags,
+)
 from tmh.genus import chi_y
 from tmh.mac import embedding_chart, kernel_data
 from tmh.polytope import Edge, GlobalVertex, Vertex
@@ -127,3 +133,31 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     bare, cli = modules(""), modules("import tmh.cli; ")
     assert "tmh.cli" in cli and "tmh.value" in cli
     assert not {"dataclasses", "inspect"} & (cli - bare)
+
+
+@pytest.mark.parametrize("cls", [HomologyProfile, ValidationReport, IntersectionData])
+def test_shared_constructor_refuses_too_few_and_too_many_arguments(cls):
+    least = len(cls._fields) - len(cls._defaults)
+    for count in (least - 1, len(cls._fields) + 1):
+        with pytest.raises(TypeError, match=f"^{cls.__name__}\\(\\) takes"):
+            cls(*range(count))
+    for count in range(least, len(cls._fields) + 1):
+        assert cls(*range(count))._fields == cls._fields
+
+
+def test_validation_report_defaults_the_trailing_fields():
+    report = ValidationReport(True)
+    assert (report.ok, report.kind, report.facets, report.message) == (True, None, (), "valid")
+    assert report == ValidationReport(True, None, (), "valid")
+    assert ValidationReport(False, "summand") == ValidationReport(False, "summand", (), "valid")
+    # the shared constructor is positional only
+    with pytest.raises(TypeError):
+        ValidationReport(ok=True)
+
+
+def test_two_argument_intersection_data():
+    data = IntersectionData((("facet", 0),), ((1,),))
+    assert data.one_three_pairing is None
+    assert data == IntersectionData((("facet", 0),), ((1,),), None)
+    assert repr(data) == ("IntersectionData(generators=(('facet', 0),), matrix=((1,),), "
+                          "one_three_pairing=None)")
