@@ -8,7 +8,8 @@ sum, and invalid specs of every failure shape (a non-primitive vector, a
 failing 2-face in 2D, a failing 2-face and 3-face in 3D).  Large outputs
 (2D m = 64 and 128, the 64+31 and 128+128 one-hole fiber sums, an octagon
 with 8 holes, 3D prisms of 50 and 98 facets) are pinned by a ``sha256`` in
-their manifest entry in place of a golden file.  Any change to these bytes
+their manifest entry in place of a golden file: ``report`` (json and text)
+and ``ring`` of each, and ``mac --point`` of all but 128+128.  Any change to these bytes
 must be stated in CHANGES.md.  To record the corpus again:
 
     PYTHONPATH=src python tests/golden_corpus.py
@@ -280,17 +281,18 @@ def record():
 
 def record_digests():
     """Write the large specs and pin each output by its sha256 in the manifest:
-    ``report --format json`` of every case, and ``text``, ``ring`` and
-    ``mac --point`` of all but 128+128, whose report alone takes seconds."""
+    ``report --format json`` and ``text`` and ``ring`` of every case, and
+    ``mac --point`` of all but 128+128, whose embedding chart alone takes
+    seconds."""
     entries = [e for e in manifest() if "sha256" not in e]
     pinned, large = [], _large_corpus()
     for name, spec in large:
         path = SPECS / f"{name}.json"
         path.write_text(json.dumps(spec, sort_keys=True, indent=2) + "\n")
-        pinned.append(_entry("report", [name], ["--format", "json"]))
+        pinned += [_entry("report", [name], ["--format", fmt]) for fmt in ("json", "text")]
+        pinned.append(_entry("ring", [name]))
         if name != "fibersum_128_128":
-            pinned += [_entry("report", [name], ["--format", "text"]), _entry("ring", [name]),
-                       _entry("mac", [name], [f"--point={_point_in(path)}"])]
+            pinned.append(_entry("mac", [name], [f"--point={_point_in(path)}"]))
     with tempfile.TemporaryDirectory() as tmp:
         for e in pinned:
             del e["golden"]
