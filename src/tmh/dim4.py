@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from .charpair import CharacteristicPair, all_signs, is_positive_omniorientation
 from .errors import DimensionError, InternalError, ScopeError
+from .exactlin import _integer_row
 from .genus import chi_y
 from .value import Value
 
@@ -124,17 +125,15 @@ def _component_pairing(pair: CharacteristicPair, comp_index: int,
 
 
 def _closest_vertex_pair(body):
-    """Outer/hole local vertex ids minimizing the squared distance."""
-    outer = body.outer
-    hole = body.holes[0]
-    best = None
-    for vi, v in enumerate(outer.vertices):
-        for ui, u in enumerate(hole.vertices):
-            d2 = sum((a - b) ** 2 for a, b in zip(v.point, u.point))
-            key = (d2, v.point, u.point)
-            if best is None or key < best[0]:
-                best = (key, vi, ui)
-    return best[1], best[2]
+    """Outer/hole local vertex ids minimizing (squared distance, outer point,
+    hole point).  The points are lifted once to integers X / d over one
+    common denominator d > 0, which keeps that order."""
+    outer, hole = body.outer.vertices, body.holes[0].vertices
+    *flat, _ = _integer_row([c for v in (*outer, *hole) for c in v.point] + [1])
+    xs = list(zip(flat[::2], flat[1::2]))
+    return min(((a - c) ** 2 + (b - e) ** 2, (a, b), (c, e), vi, ui)
+               for vi, (a, b) in enumerate(xs[:len(outer)])
+               for ui, (c, e) in enumerate(xs[len(outer):]))[3:]
 
 
 def _decompose(target, lam_first, lam_last):

@@ -1,15 +1,15 @@
-"""Exact integer and rational linear algebra on small dense matrices.
+"""Exact integer and rational linear algebra on small matrices.
 
 Everything here works with arbitrary-precision Python ints and
 fractions.Fraction; no floating point is used anywhere.  Matrices are
 sequences of integer rows and all operations are pure functions, so
 values can be shared freely between threads.
 
-Two elimination routines do all the work.  Determinants and unimodular
-inverses share one fraction-free Gauss-Jordan routine (Bareiss 1968),
-whose divisions are exact.  The Smith normal form and the canonical kernel
-bases of tmh.mac go through the row Hermite normal form, whose integer row
-operations divide with remainder.
+Determinants come from integer elimination on sparse rows, O(r) row updates
+on the banded intersection forms of tmh.dim4.  Unimodular inverses and the
+kernel of tmh.mac share fraction-free Gauss-Jordan elimination (Bareiss
+1968); the Smith form and that kernel's basis go through the row Hermite
+normal form, whose integer row operations divide with remainder.
 """
 
 from __future__ import annotations
@@ -90,11 +90,33 @@ def _integer_row(values) -> list[int]:
 
 
 def det_exact(rows) -> int:
-    """Exact determinant of a square matrix given by its integer rows."""
-    if any(len(row) != len(rows) for row in rows):
+    """Exact determinant of a square integer matrix, by elimination on sparse
+    rows {column: entry}: a row r that meets the pivot row top becomes
+    (p r - f top) / g, g the gcd of its entries, and num / den undoes p / g."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise DimensionError("determinant of a non-square matrix")
-    rank, det = _eliminate([list(row) for row in rows], len(rows))
-    return det if rank == len(rows) else 0
+    rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    num = den = 1
+    for c in range(n):
+        for i in range(c, n):
+            if c in rows[i]:
+                break
+        else:
+            return 0
+        if i != c:
+            rows[c], rows[i], num = rows[i], rows[c], -num
+        top = rows[c]
+        p = top.pop(c)
+        num *= p
+        for i, r in enumerate(rows[c + 1:], c + 1):
+            f = r.pop(c, 0)
+            if f:
+                new = {j: p * r.get(j, 0) - f * top.get(j, 0) for j in r.keys() | top.keys()}
+                g = gcd(*new.values()) or 1  # a vanished row leaves a column without pivot
+                rows[i] = {j: x // g for j, x in new.items() if x}
+                num, den = num * g, den * p
+    return num // den
 
 
 def _row_hnf(rows: list[list[int]]) -> list[list[int]]:

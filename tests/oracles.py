@@ -54,6 +54,14 @@ Both pairings walk the library's facet cycle, ``tmh.dim4._cycle``.
 intersection form of a body without holes and with one hole as two
 separate routines; the library builds both in one (tmh.dim4).
 
+``det_by_bareiss`` takes a determinant by dense fraction-free
+Gauss-Jordan elimination (Bareiss 1968), O(r^3) on growing integers.  The
+library eliminates on sparse integer rows, dividing each new row by the gcd
+of its entries (tmh.exactlin).  ``closest_vertex_pair_by_fractions``
+compares every outer/hole vertex pair by its Fraction squared distance; the
+library lifts all points once to integers over one common denominator
+(tmh.dim4).
+
 ``is_generic``, ``facet_location`` and ``hole_coordinates`` answer
 questions no library caller asks.  ``is_generic`` pairs a direction with
 the rows mu of every vertex frame, ``facet_location`` walks the components'
@@ -729,6 +737,27 @@ def one_hole_form_by_blocks(pair: CharacteristicPair) -> IntersectionData:
     generators += (("circle", "(0,1)"), ("circle", "(1,0)"))
     generators += tuple(("facet", body.facet_gid(1, f)) for f in fcyc1)
     return IntersectionData(generators, tuple(map(tuple, mat)), 1)
+
+
+def det_by_bareiss(rows) -> int:
+    """Exact determinant of a square integer matrix by dense Bareiss elimination."""
+    if any(len(row) != len(rows) for row in rows):
+        raise DimensionError("determinant of a non-square matrix")
+    rank, det = _eliminate([list(row) for row in rows], len(rows))
+    return det if rank == len(rows) else 0
+
+
+def closest_vertex_pair_by_fractions(body) -> tuple[int, int]:
+    """Outer/hole local vertex ids minimizing (squared distance, outer point,
+    hole point), all in Fraction."""
+    best = None
+    for vi, v in enumerate(body.outer.vertices):
+        for ui, u in enumerate(body.holes[0].vertices):
+            d2 = sum((a - b) ** 2 for a, b in zip(v.point, u.point))
+            key = (d2, v.point, u.point)
+            if best is None or key < best[0]:
+                best = (key, vi, ui)
+    return best[1], best[2]
 
 
 def signature_of_matrix(m) -> int:

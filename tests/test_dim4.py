@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from tmh import dim4
 from tmh.charpair import all_signs, validate
-from tmh.cli import SpecDocument, build_report
+from tmh.cli import SpecDocument, build_report, parse_spec
 from tmh.dim4 import (
     chern_numbers_dim4,
     homology_groups,
@@ -14,10 +16,14 @@ from tmh.dim4 import (
 from tmh.errors import DimensionError, InternalError, ScopeError
 from tmh.exactlin import det_exact
 from tmh.genus import chi_y
+from tmh.polytope import build_with_holes, polygon_from_vertices
 
+from golden_corpus import SPECS
 from matrices import identity, transpose
 from oracles import (
     candidates,
+    closest_vertex_pair_by_fractions,
+    det_by_bareiss,
     one_hole_form_by_blocks,
     pairing_by_relations,
     quasitoric_form_by_blocks,
@@ -29,7 +35,10 @@ from instances import (
     fibersum_pairs,
     hirzebruch_cp2_fibersum,
     hirzebruch_square,
+    pair_from_components,
     pentagon_y,
+    random_convex_lattice_polygon,
+    random_cycle_lambda,
     random_many_sided_quasitoric_2d,
     random_multi_hole_2d,
     random_one_hole_2d,
@@ -343,6 +352,83 @@ class TestOneRouteAgreement:
     @pytest.mark.parametrize("k", range(4))
     def test_hirzebruch_cp2_fibersums(self, k):
         self.check(validated(hirzebruch_cp2_fibersum(k)))
+
+
+@pytest.fixture(scope="module")
+def pinned_fibersums():
+    """The 64+31 and 128+128 fiber sums of the digest corpus, with their forms."""
+    pairs = [validated(parse_spec(str(SPECS / f"{name}.json")).to_pair())
+             for name in ("fibersum_64_31", "fibersum_128_128")]
+    return [(pair, intersection_form(pair)) for pair in pairs]
+
+
+class TestDeterminantRoute:
+    """det_exact, by sparse integer elimination, equals dense Bareiss on
+    intersection forms up to rank 256."""
+
+    def test_many_sided_polygons(self):
+        rng = random.Random(1730)
+        for sides in (30, 47, 64, 96, 128):
+            data = intersection_form(random_many_sided_quasitoric_2d(rng, sides, bound=8))
+            assert len(data.matrix) == sides - 2
+            assert det_exact(data.matrix) == det_by_bareiss(data.matrix)
+
+    def test_pinned_fibersums(self, pinned_fibersums):
+        assert [len(data.matrix) for _, data in pinned_fibersums] == [95, 256]
+        for _, data in pinned_fibersums:
+            assert det_exact(data.matrix) == det_by_bareiss(data.matrix)
+
+
+def _image(points, scale, shift):
+    return [tuple(scale * x + t for x, t in zip(p, shift)) for p in points]
+
+
+class TestClosestPairRoute:
+    """The closest outer/hole vertex pair on integer points equals the
+    Fraction route, ties included."""
+
+    def test_pinned_fibersums(self, pinned_fibersums):
+        for pair, _ in pinned_fibersums:
+            body = pair.body
+            assert dim4._closest_vertex_pair(body) == closest_vertex_pair_by_fractions(body)
+
+    def test_seeded_pairs_with_mixed_denominators(self):
+        rng = random.Random(1731)
+        mixed = 0
+
+        def piece():
+            poly = random_convex_lattice_polygon(rng, rng.randint(3, 6))
+            scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            shift = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2)]
+            cycle = [poly.vertices[v].point for v in dim4._cycle(poly)[0]]
+            outer = polygon_from_vertices(_image(cycle, scale, shift))
+            return validated(pair_from_components(
+                outer, [], [random_cycle_lambda(rng, outer.facet_count)]))
+
+        for _ in range(60):
+            body = fibersum_pairs(piece(), [piece()]).body
+            mixed += len({lcm(*(c.denominator for v in comp.vertices for c in v.point))
+                          for comp in body.components}) == 2
+            assert dim4._closest_vertex_pair(body) == closest_vertex_pair_by_fractions(body)
+        assert mixed >= 40
+
+    @pytest.mark.parametrize("scale, shift", [(1, (0, 0)),
+                                              (Fraction(5, 7), (Fraction(1, 3), Fraction(-2, 9)))])
+    @pytest.mark.parametrize("hole, outer_point, hole_point", [
+        # (1, 2) and (2, 1) are both at squared distance 5 from (0, 0)
+        (((2, 1), (6, 6), (1, 2)), (0, 0), (1, 2)),
+        # (2, 1) from (0, 0) and (1, 10) from (0, 12): the outer point decides first
+        (((2, 1), (5, 5), (1, 10)), (0, 0), (2, 1)),
+    ])
+    def test_ties_go_to_the_least_outer_then_hole_point(self, hole, outer_point, hole_point,
+                                                        scale, shift):
+        square = ((0, 0), (12, 0), (12, 12), (0, 12))
+        body = build_with_holes(polygon_from_vertices(_image(square, scale, shift)),
+                                [polygon_from_vertices(_image(hole, scale, shift))])
+        vi, ui = dim4._closest_vertex_pair(body)
+        assert body.outer.vertices[vi].point == _image([outer_point], scale, shift)[0]
+        assert body.holes[0].vertices[ui].point == _image([hole_point], scale, shift)[0]
+        assert (vi, ui) == closest_vertex_pair_by_fractions(body)
 
 
 class TestSignatureOfMatrix:

@@ -15,7 +15,7 @@ from tmh.exactlin import (
 )
 
 from matrices import identity, matmul, mul_vector, transpose
-from oracles import kernel_by_hermite, kernel_by_pivoting, smith_by_pivoting
+from oracles import det_by_bareiss, kernel_by_hermite, kernel_by_pivoting, smith_by_pivoting
 
 
 def det_by_permutations(m) -> int:
@@ -76,6 +76,65 @@ class TestDeterminant:
         big = 10**30
         m = [[big, 1], [1, big]]
         assert det_exact(m) == big * big - 1
+
+
+class TestSparseDeterminant:
+    """det_exact eliminates on sparse rows; dense Bareiss is the oracle."""
+
+    @staticmethod
+    def seeded(rng, n):
+        """A dense, sparse, singular, zero-row or vanishing-row n x n matrix."""
+        shape = rng.choice(("dense", "sparse", "singular", "zero_row", "vanishing"))
+        if shape == "sparse":
+            m = [[rng.choice((0, 0, 0, rng.randint(-5, 5))) for _ in range(n)]
+                 for _ in range(n)]
+        else:
+            m = [list(row) for row in random_matrix(rng, n, n)]
+        if n >= 2 and shape == "zero_row":
+            m[rng.randrange(n)] = [0] * n
+        if n >= 3 and shape in ("singular", "vanishing"):
+            # a combination of two rows above it vanishes once both are pivots
+            i, j = rng.sample(range(n - 1), 2)
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            k = rng.randrange(max(i, j) + 1, n) if shape == "vanishing" else rng.randrange(n)
+            if k not in (i, j):
+                m[k] = [a * x + b * y for x, y in zip(m[i], m[j])]
+        return m
+
+    def test_against_bareiss_up_to_12(self):
+        rng = random.Random(1717)
+        dets = []
+        for _ in range(600):
+            m = self.seeded(rng, rng.randint(1, 12))
+            dets.append(det_exact(m))
+            assert dets[-1] == det_by_bareiss(m)
+        assert sum(d == 0 for d in dets) >= 100
+        assert sum(d != 0 for d in dets) >= 100
+
+    def test_against_permutations_up_to_6(self):
+        rng = random.Random(1718)
+        for _ in range(200):
+            m = self.seeded(rng, rng.randint(1, 6))
+            assert det_exact(m) == det_by_permutations(m)
+
+    def test_row_swaps_give_the_permutation_sign(self):
+        for perm in itertools.permutations(range(4)):
+            m = [[int(j == perm[i]) for j in range(4)] for i in range(4)]
+            assert det_exact(m) == det_by_permutations(m)
+        assert det_exact([[0, 2, 1], [0, 0, 3], [5, 1, 1]]) == 30
+
+    def test_negative_pivots(self):
+        assert det_exact([[-2, 1], [1, -3]]) == 5
+        assert det_exact([[-3, 2, 0], [2, -5, 1], [0, 1, -2]]) == -19
+
+    def test_rows_that_vanish_during_elimination(self):
+        assert det_exact([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 0
+        assert det_exact([[2, 1, 0], [0, 3, 1], [4, 8, 2]]) == 0
+        assert det_exact([[0, 0], [0, 0]]) == 0
+
+    def test_gcd_factor_is_kept(self):
+        # the first two updates divide their rows by 4 and by 12
+        assert det_exact([[2, 4, 6], [4, 2, 8], [6, 6, 0]]) == 168
 
 
 class TestSmithNormalForm:
