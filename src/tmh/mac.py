@@ -7,19 +7,21 @@ auxiliary coordinate that is 1 on the hole boundary and falls off to 0
 affinely across a collar around the hole, then one nonnegative coordinate
 per facet measures a weighted distance to that facet.  Collar widths stay
 below the threshold where a hole's collar first meets the outer boundary
-or another hole, which one exact linear program per obstacle gives
-(tmh.polytope), so that distinct facets never share a zero locus.  Facet
-values and the ratio tests of those programs run in integers.
+or another hole, so that distinct facets never share a zero locus: one exact
+LP (tmh.polytope) per obstacle whose dual bound is below the least threshold
+found, in practice one per hole.  Bounds and ratio tests run in integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import inf, prod
+from operator import itemgetter, mul
 
 from .charpair import CharacteristicPair, vertex_determinants
 from .errors import DimensionError, DomainError, NotValidatedError
-from .exactlin import RatVector, _eliminate, _row_hnf, rat_vector, smith_normal_form
+from .exactlin import (RatVector, _eliminate, _integer_row, _row_hnf, det_exact, rat_vector,
+                       smith_normal_form)
 from .polytope import PolytopeWithHoles, _Dictionary
 from .value import Value
 
@@ -28,23 +30,51 @@ def _l1(normal) -> int:
     return sum(abs(c) for c in normal)
 
 
+def _collar_bounds(body: PolytopeWithHoles):
+    """Yields, per hole, half its least l1-weighted clearance from the outer facets
+    and a lower bound on each obstacle's threshold, outer facets first.  The
+    collar of width t has the vertex v - t Y / e, N_v Y = e l1_v over the
+    normals at v (Cramer's rule).  For v least on an outer facet a.x >= c,
+    a = N_v^T mu, mu >= 0, is dual feasible, so its threshold is at least
+    (a.v - c) e / a.Y (weak duality, Chvatal 1983).  Another hole O is at
+    least max over the hole's facets of (offset - max_O n.u) / l1 away."""
+    rows = [_integer_row([*(c for v in hole.vertices for c in v.point), 1]) for hole in body.holes]
+    lifted = [(list(zip(*[iter(r[:-1])] * body.dim)), r[-1]) for r in rows]  # X / d
+    for k, (hole, (xs, d)) in enumerate(zip(body.holes, lifted)):
+        normals = [[hole.halfspaces[f].normal for f in sorted(v.facets)] for v in hole.vertices]
+        drift = [([det_exact([(*a[:i], _l1(a), *a[i + 1:]) for a in nv]) for i in range(len(nv))],
+                  det_exact(nv)) for nv in normals]
+        clearances, bounds = [], []
+        for h in body.outer.halfspaces:
+            (ax, i), c = min((sum(map(mul, h.normal, x)), i) for i, x in enumerate(xs)), h.offset
+            gap, den = ax * c.denominator - c.numerator * d, d * c.denominator  # a.v - c
+            clearances.append(Fraction(gap, den * _l1(h.normal)))
+            bounds.append(Fraction(gap * drift[i][1], den * sum(map(mul, h.normal, drift[i][0]))))
+        bounds += [max(Fraction(h.offset.numerator * e - h.offset.denominator
+                                * max(sum(map(mul, h.normal, u)) for u in us),
+                                h.offset.denominator * e * _l1(h.normal)) for h in hole.halfspaces)
+                   for j, (us, e) in enumerate(lifted) if j != k]
+        yield min(clearances) / 2, bounds
+
+
 def _certified_collar_widths(body: PolytopeWithHoles) -> tuple[Fraction, ...]:
-    """A positive collar width per hole: half the clearance of the hole
-    from the outer facets, halved just below the threshold where the collar
-    {violation <= width} meets an obstacle (an outer facet's closed
-    complement, or another hole): per obstacle, the least t with
-    violation(x) <= t for some x in it, one linear program in (x, t).  The
-    closed holes are disjoint and interior, so the threshold is positive."""
+    """A positive collar width per hole: half its clearance from the outer
+    facets, halved below the threshold where the collar {violation <= width}
+    meets an obstacle (an outer facet's closed complement, or another hole):
+    the least t with violation(x) <= t at some x in one, an LP in (x, t) per
+    obstacle, run in the order of their bounds until a bound reaches the least
+    t.  It is positive, as the closed holes are disjoint and interior."""
     outside = [[((*(-c for c in h.normal), 0), -h.offset)] for h in body.outer.halfspaces]
+    inside = [[((*h.normal, 0), h.offset) for h in hole.halfspaces] for hole in body.holes]
     widths = []
-    for k, hole in enumerate(body.holes):
+    for k, (hole, (guess, bounds)) in enumerate(zip(body.holes, _collar_bounds(body))):
         gauge = [((*h.normal, _l1(h.normal)), h.offset) for h in hole.halfspaces]
-        others = [[((*h.normal, 0), h.offset) for h in other.halfspaces]
-                  for j, other in enumerate(body.holes) if j != k]
-        threshold = min(_Dictionary(body.dim + 1, gauge + rows).least(body.dim)
-                        for rows in outside + others)
-        guess = min(value / _l1(h.normal) for v in hole.vertices
-                    for value, h in zip(body.outer.values(v.point), body.outer.halfspaces)) / 2
+        threshold = inf
+        for bound, rows in sorted(zip(bounds, outside + inside[:k] + inside[k + 1:]),
+                                  key=itemgetter(0)):
+            if bound >= threshold:
+                break  # every LP left is at least its bound
+            threshold = min(threshold, _Dictionary(body.dim + 1, gauge + rows).least(body.dim))
         # 2^j > guess / threshold iff 2^j > floor(guess / threshold)
         widths.append(guess / 2 ** (guess // threshold).bit_length())
     return tuple(widths)

@@ -19,6 +19,7 @@ To replay it without pytest, on any interpreter (exit 1 on a mismatch):
     PYTHONPATH=src:tests python -c 'import golden_corpus as g; raise SystemExit(bool(g.check()))'
 """
 
+import contextlib
 import hashlib
 import io
 import json
@@ -65,8 +66,11 @@ def check():
 
 
 def _run(argv):
+    """(exit code, stdout); the entry's stderr, such as an expected error
+    line, is captured and dropped, so a passing replay prints nothing."""
     out = io.StringIO()
-    code = run(argv, out=out)
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv, out=out)
     return code, out.getvalue()
 
 

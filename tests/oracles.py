@@ -23,6 +23,11 @@ rest ``fm_screen``, the emptiness and recession-cone checks that
 ``collar_widths_by_fm``, the collar halving loop with one Fourier-Motzkin
 system per outer facet and per other hole.  The library decides the same
 questions with an exact simplex (tmh.polytope, tmh.mac).
+``collar_thresholds_by_lps`` solves the collar LP of every obstacle of
+every hole, and ``collar_widths_by_lps`` halves the first guess below the
+least of them one step at a time; the library skips each LP whose dual
+lower bound already reaches the least threshold found, and takes the
+number of halvings from one integer quotient (tmh.mac).
 
 ``value_by_fractions`` sums normal . point - offset one Fraction per
 coordinate, and ``blocking_by_fractions`` runs the ratio test of a simplex
@@ -106,6 +111,7 @@ from tmh.polytope import (
     SimplePolytope,
     Vertex,
     _assemble,
+    _Dictionary,
 )
 
 from matrices import hstack, transpose
@@ -418,6 +424,37 @@ def collar_widths_by_fm(body: PolytopeWithHoles) -> tuple[Fraction, ...]:
         else:
             raise AssertionError("collar width certification did not converge")
         widths.append(width)
+    return tuple(widths)
+
+
+def collar_thresholds_by_lps(body: PolytopeWithHoles) -> tuple[tuple[Fraction, ...], ...]:
+    """Per hole, the threshold of every obstacle, each outer facet's closed
+    complement and then each other hole: the least t with violation(x) <= t
+    at some x in it, one exact LP per obstacle, none skipped."""
+    outside = [[((*(-c for c in h.normal), 0), -h.offset)] for h in body.outer.halfspaces]
+    thresholds = []
+    for k, hole in enumerate(body.holes):
+        gauge = [((*h.normal, _l1(h.normal)), h.offset) for h in hole.halfspaces]
+        others = [[((*h.normal, 0), h.offset) for h in other.halfspaces]
+                  for j, other in enumerate(body.holes) if j != k]
+        thresholds.append(tuple(_Dictionary(body.dim + 1, gauge + rows).least(body.dim)
+                                for rows in outside + others))
+    return tuple(thresholds)
+
+
+def collar_widths_by_lps(body: PolytopeWithHoles, thresholds=None) -> tuple[Fraction, ...]:
+    """A collar width per hole: the first guess, half the least Fraction
+    clearance of a hole vertex from an outer facet, halved just below the
+    least threshold of collar_thresholds_by_lps (or the thresholds given)."""
+    widths = []
+    for hole, least in zip(body.holes, map(min, thresholds or collar_thresholds_by_lps(body))):
+        guess = min(value_by_fractions(h, v.point) / _l1(h.normal)
+                    for h in body.outer.halfspaces for v in hole.vertices) / 2
+        # the least power of two 2^j with guess / 2^j < least
+        j = 0
+        while guess / 2 ** j >= least:
+            j += 1
+        widths.append(guess / 2 ** j)
     return tuple(widths)
 
 

@@ -5,13 +5,24 @@ import pytest
 
 from tmh.charpair import CharacteristicPair, validate
 from tmh.errors import DimensionError, DomainError, NotValidatedError
-from tmh.mac import embedding_chart, embedding_coordinates, freeness_check, kernel_data
-from tmh.polytope import build_polytope, polygon_from_vertices
+from tmh.cli import parse_spec
+from tmh.mac import (
+    _certified_collar_widths,
+    _collar_bounds,
+    embedding_chart,
+    embedding_coordinates,
+    freeness_check,
+    kernel_data,
+)
+from tmh.polytope import _Dictionary, build_polytope, build_with_holes, polygon_from_vertices
 
+from golden_corpus import SPECS
 from matrices import mul_vector
 from oracles import (
     candidates,
+    collar_thresholds_by_lps,
     collar_widths_by_fm,
+    collar_widths_by_lps,
     freeness_by_kernel,
     hole_coordinates,
     kernel_by_hermite,
@@ -149,6 +160,71 @@ class TestCollarWidths:
                             for h in body.outer.halfspaces for v in hole.vertices) / 2
                 halved += width < guess
         assert halved >= 5
+
+
+def _near_touching(exponent):
+    """Two unit-square holes 10^-exponent apart in a 10 x 10 square."""
+    gap = 2 + F(1, 10**exponent)
+    return build_with_holes(polygon_from_vertices([(0, 0), (10, 0), (10, 10), (0, 10)]), [
+        polygon_from_vertices([(1, 1), (2, 1), (2, 2), (1, 2)]),
+        polygon_from_vertices([(gap, 1), (3, 1), (3, 2), (gap, 2)])])
+
+
+def _pinned(name):
+    return parse_spec(str(SPECS / f"{name}.json")).body
+
+
+def _seeded_bodies():
+    rng = random.Random(1801)
+    bodies = [random_one_hole_2d(rng).body for _ in range(8)]
+    bodies += [random_multi_hole_2d(rng, holes=h).body for h in (2, 3, 5, 8)]
+    bodies += [random_one_hole_3d(rng).body for _ in range(3)]
+    return bodies + [_near_touching(e) for e in (3, 30)]
+
+
+class TestCollarBounds:
+    """Each obstacle's dual lower bound is at most its LP threshold, and
+    skipping the LPs that a bound rules out leaves every width unchanged."""
+
+    @staticmethod
+    def check(body, thresholds):
+        bounds = list(_collar_bounds(body))
+        assert len(bounds) == len(thresholds) == body.hole_count
+        for (_, below), exact in zip(bounds, thresholds):
+            assert len(below) == len(exact) == body.outer.facet_count + body.hole_count - 1
+            assert all(b <= t for b, t in zip(below, exact)), (below, exact)
+        widths = _certified_collar_widths(body)
+        assert widths == collar_widths_by_lps(body, thresholds)
+
+    def test_seeded_bodies(self):
+        # one-hole and 2-8-hole polygons, one-hole 3D bodies, near-touching holes
+        for body in _seeded_bodies():
+            self.check(body, collar_thresholds_by_lps(body))
+
+    @pytest.mark.parametrize("name", ["fibersum_64_31", "fibersum_128_128", "octagon_8_holes"])
+    def test_pinned_bodies(self, name):
+        body = _pinned(name)
+        self.check(body, collar_thresholds_by_lps(body))
+
+    def test_tight_bounds_on_the_near_touching_holes(self):
+        # the other hole's separating facet gives the gap itself
+        for e in (3, 30, 300):
+            bounds = list(_collar_bounds(_near_touching(e)))
+            assert [b[-1] for _, b in bounds] == [F(1, 10**e)] * 2
+
+    @pytest.mark.parametrize("name", ["fibersum_64_31", "fibersum_128_128", "octagon_8_holes"])
+    def test_one_lp_per_hole(self, name, monkeypatch):
+        calls = []
+        least = _Dictionary.least
+
+        def counted(tab, j):
+            calls.append(j)
+            return least(tab, j)
+
+        body = _pinned(name)
+        monkeypatch.setattr(_Dictionary, "least", counted)
+        _certified_collar_widths(body)
+        assert len(calls) == body.hole_count
 
 
 class TestKernelData:

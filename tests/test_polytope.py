@@ -16,7 +16,6 @@ from tmh.errors import (
     RedundantFacetError,
     UnboundedError,
 )
-from tmh.mac import _certified_collar_widths
 from tmh.polytope import (
     GlobalVertex,
     HalfSpace,
@@ -33,6 +32,7 @@ from instances import random_multi_hole_2d, random_one_hole_2d, random_one_hole_
 from oracles import (
     blocking_by_fractions,
     build_by_enumeration,
+    collar_thresholds_by_lps,
     edge_directions_at_vertex,
     facet_location,
     fm_feasible,
@@ -802,7 +802,7 @@ class TestIntegerArithmetic:
                 build_polytope(dim, rows)
         built = len(seen)
         for pair in pairs:
-            _certified_collar_widths(pair.body)
+            collar_thresholds_by_lps(pair.body)  # one LP per (hole, obstacle)
         # ties come from the bodies that are not simple
         assert built >= 1000 and len(seen) - built >= 50
         assert sum(n > 1 for n in seen[:built]) >= 10
