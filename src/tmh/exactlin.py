@@ -6,10 +6,10 @@ sequences of integer rows and all operations are pure functions, so
 values can be shared freely between threads.
 
 Determinants come from integer elimination on sparse rows, O(r) row updates
-on the banded intersection forms of tmh.dim4.  Unimodular inverses and the
-kernel of tmh.mac share fraction-free Gauss-Jordan elimination (Bareiss
-1968); the Smith form and that kernel's basis go through the row Hermite
-normal form, whose integer row operations divide with remainder.
+on the banded intersection forms of tmh.dim4.  The Smith form, unimodular
+inverses and the kernel of tmh.mac with its basis go through the row Hermite
+normal form, whose integer row operations divide with remainder; for a
+unimodular block A the Hermite form of [A | B] is [I | A^-1 B].
 """
 
 from __future__ import annotations
@@ -51,36 +51,6 @@ def primitive_part(vec) -> tuple[int, ...]:
     if g == 0:
         raise ValueError("zero vector has no primitive part")
     return tuple(v // g for v in vec)
-
-
-def _eliminate(rows: list[list[int]], width: int) -> tuple[int, int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968), in place.
-
-    Pivots are taken in the first ``width`` columns, top to bottom, and
-    every division is exact.  Afterwards the first r rows are the pivot
-    rows; each holds the last pivot p at its own pivot column and 0 at the
-    other pivot columns.  When those columns form a nonsingular square A,
-    the row operations amount to multiplying by p A^-1, so any further
-    columns B become p A^-1 B.  Returns r and p times the sign of the row
-    swaps, which is det A in that case.
-    """
-    rank, sign, prev = 0, 1, 1
-    for c in range(width):
-        p = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if p is None:
-            continue
-        if p != rank:
-            rows[rank], rows[p] = rows[p], rows[rank]
-            sign = -sign
-        top = rows[rank]
-        pivot = top[c]
-        for i, row in enumerate(rows):
-            if i != rank:
-                f = row[c]
-                rows[i] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
-        prev = pivot
-        rank += 1
-    return rank, sign * prev
 
 
 def _integer_row(values) -> list[int]:
@@ -176,14 +146,13 @@ def smith_normal_form(rows) -> tuple[tuple[int, ...], int]:
 
 
 def unimodular_inverse(rows) -> tuple[tuple[int, ...], ...]:
-    """Rows of the exact integer inverse of a matrix with determinant +-1."""
+    """Rows of the exact integer inverse of a matrix with determinant +-1:
+    the row Hermite form of [m | I] is [I | m^-1], and its left block is
+    the identity only if m is unimodular."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise DimensionError("inverse of a non-square matrix")
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    rank, det = _eliminate(rows, n)
-    if rank < n or det not in (1, -1):
-        raise NotUnimodularError(f"determinant is {det if rank == n else 0}, expected +-1")
-    # each row is now p * (row of m^-1) with p = +-1 on the diagonal
-    return tuple(tuple(x * row[i] for x in row[n:]) for i, row in enumerate(rows))
-
+    h = _row_hnf([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
+    if any(h[i][i] != 1 for i in range(n)):
+        raise NotUnimodularError(f"determinant is {det_exact(rows)}, expected +-1")
+    return tuple(tuple(row[n:]) for row in h)

@@ -9,7 +9,8 @@ per facet measures a weighted distance to that facet.  Collar widths stay
 below the threshold where a hole's collar first meets the outer boundary
 or another hole, so that distinct facets never share a zero locus: one exact
 LP (tmh.polytope) per obstacle whose dual bound is below the least threshold
-found, in practice one per hole.  Bounds and ratio tests run in integers.
+found, in practice one per hole.  Bounds, ratio tests and the padding
+constants run in integers.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from operator import itemgetter, mul
 
 from .charpair import CharacteristicPair, vertex_determinants
 from .errors import DimensionError, DomainError, NotValidatedError
-from .exactlin import (RatVector, _eliminate, _integer_row, _row_hnf, det_exact, rat_vector,
-                       smith_normal_form)
+from .exactlin import RatVector, _integer_row, _row_hnf, det_exact, rat_vector, smith_normal_form
 from .polytope import PolytopeWithHoles, _Dictionary
 from .value import Value
 
@@ -113,12 +113,15 @@ class EmbeddingChart(Value):
 def embedding_chart(pair: CharacteristicPair) -> EmbeddingChart:
     body = pair.body
     widths = _certified_collar_widths(body)
+    *row, d = _integer_row([*(c for v in body.outer.vertices for c in v.point), 1])
+    xs = list(zip(*[iter(row)] * body.dim))  # the outer vertices as X / d
     constants = []
     for hole, w in zip(body.holes, widths):
         # keep the padded functional positive away from the hole boundary
-        lows = map(min, zip(*(hole.values(v.point) for v in body.outer.vertices)))
-        constants += [w * _l1(h.normal) + max(Fraction(0), -low) + 1
-                      for h, low in zip(hole.halfspaces, lows)]
+        for h in hole.halfspaces:
+            low = Fraction(min(sum(map(mul, h.normal, x)) for x in xs) * h.offset.denominator
+                           - h.offset.numerator * d, d * h.offset.denominator)
+            constants.append(w * _l1(h.normal) + max(Fraction(0), -low) + 1)
     return EmbeddingChart(body, widths, tuple(constants))
 
 
@@ -138,9 +141,10 @@ class KernelData(Value):
 
 def kernel_data(pair: CharacteristicPair) -> KernelData:
     """Lambda and the Hermite basis of its kernel.  L_v is unimodular at a
-    vertex v of a valid pair, so e_j - sum_k (L_v^-1 lambda_j)_k e_(i_k), for
-    the facets j off v and i_1 < ... < i_n at v, span the kernel; on the last
-    facets that basis is nearly echelon, and Hermite forms are unique."""
+    vertex v of a valid pair, so the row Hermite form of [L_v | lambda_off]
+    is [I | L_v^-1 lambda_off], and e_j - sum_k (L_v^-1 lambda_j)_k e_(i_k),
+    for the facets j off v and i_1 < ... < i_n at v, span the kernel; on the
+    last facets that basis is nearly echelon, and Hermite forms are unique."""
     if not pair.validated:
         raise NotValidatedError("kernel data needs a validated pair")
     lam = pair.lambda_matrix()
@@ -148,12 +152,11 @@ def kernel_data(pair: CharacteristicPair) -> KernelData:
     at = sorted(max((gv.facets for gv in pair.body.global_vertices()),
                     key=lambda facets: sorted(facets, reverse=True)))
     off = [j for j in range(m) if j not in at]
-    rows = [[row[j] for j in at + off] for row in lam]
-    _eliminate(rows, n)  # row k: p = +-1 at column k, then p * (L_v^-1 lambda_off)_k
+    rows = _row_hnf([[row[j] for j in at + off] for row in lam])  # [I | L_v^-1 lambda_off]
     basis = [[int(i == j) for i in range(m)] for j in off]
     for t, vec in enumerate(basis, start=n):
         for k, i in enumerate(at):
-            vec[i] = -rows[k][k] * rows[k][t]
+            vec[i] = -rows[k][t]
     kernel = tuple(map(tuple, _row_hnf(basis)))
     return KernelData(lam, kernel, len(kernel))
 

@@ -59,13 +59,15 @@ Both pairings walk the library's facet cycle, ``tmh.dim4._cycle``.
 intersection form of a body without holes and with one hole as two
 separate routines; the library builds both in one (tmh.dim4).
 
-``det_by_bareiss`` takes a determinant by dense fraction-free
-Gauss-Jordan elimination (Bareiss 1968), O(r^3) on growing integers.  The
-library eliminates on sparse integer rows, dividing each new row by the gcd
-of its entries (tmh.exactlin).  ``closest_vertex_pair_by_fractions``
-compares every outer/hole vertex pair by its Fraction squared distance; the
-library lifts all points once to integers over one common denominator
-(tmh.dim4).
+``_eliminate`` is dense fraction-free Gauss-Jordan elimination (Bareiss
+1968), O(r^3) on growing integers.  ``det_by_bareiss`` takes a determinant
+by it, and ``solve_rational`` and ``rational_rank`` solve and rank with it.
+The library eliminates on sparse integer rows for determinants, dividing
+each new row by the gcd of its entries, and takes unimodular inverses and
+the kernel of tmh.mac from row Hermite forms (tmh.exactlin).
+``closest_vertex_pair_by_fractions`` compares every outer/hole vertex pair
+by its Fraction squared distance; the library lifts all points once to
+integers over one common denominator (tmh.dim4).
 
 ``is_generic``, ``facet_location`` and ``hole_coordinates`` answer
 questions no library caller asks.  ``is_generic`` pairs a direction with
@@ -95,7 +97,6 @@ from tmh.errors import (
 )
 from tmh.exactlin import (
     RatVector,
-    _eliminate,
     _integer_row,
     _row_hnf,
     det_exact,
@@ -460,6 +461,36 @@ def collar_widths_by_lps(body: PolytopeWithHoles, thresholds=None) -> tuple[Frac
 
 # ---------------------------------------------------------------------------
 # basic-point enumeration
+
+
+def _eliminate(rows: list[list[int]], width: int) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968), in place.
+
+    Pivots are taken in the first ``width`` columns, top to bottom, and
+    every division is exact.  Afterwards the first r rows are the pivot
+    rows; each holds the last pivot p at its own pivot column and 0 at the
+    other pivot columns.  When those columns form a nonsingular square A,
+    the row operations amount to multiplying by p A^-1, so any further
+    columns B become p A^-1 B.  Returns r and p times the sign of the row
+    swaps, which is det A in that case.
+    """
+    rank, sign, prev = 0, 1, 1
+    for c in range(width):
+        p = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != rank:
+            rows[rank], rows[p] = rows[p], rows[rank]
+            sign = -sign
+        top = rows[rank]
+        pivot = top[c]
+        for i, row in enumerate(rows):
+            if i != rank:
+                f = row[c]
+                rows[i] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pivot
+        rank += 1
+    return rank, sign * prev
 
 
 def solve_rational(a_rows, b) -> RatVector | None:

@@ -271,8 +271,14 @@ class TestUnimodularInverse:
             unimodular_inverse([[1, 0, 0], [0, 1, 0]])
 
     def test_not_unimodular(self):
-        with pytest.raises(NotUnimodularError):
-            unimodular_inverse([[2, 0], [0, 1]])
+        for m, det in [([[2, 0], [0, 1]], 2),
+                       ([[1, 2], [2, 4]], 0),
+                       ([[0, 0], [0, 0]], 0),
+                       ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 2),
+                       ([[1, 2, 0], [0, 1, 3], [0, 2, 3]], -3),
+                       ([[0, 1, 0], [3, 0, 0], [0, 0, 1]], -3)]:
+            with pytest.raises(NotUnimodularError, match=rf"^determinant is {det}, expected \+-1$"):
+                unimodular_inverse(m)
 
     def test_product_is_identity(self):
         rng = random.Random(23)

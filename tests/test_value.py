@@ -1,6 +1,8 @@
 """The frozen value types: equality, hashing, immutability, copy and pickle,
-and an import of the CLI that leaves ``dataclasses`` and ``inspect`` alone."""
+an import of the CLI that leaves ``dataclasses`` and ``inspect`` alone, and
+a package source without ``assert``."""
 
+import ast
 import copy
 import dataclasses
 import os
@@ -133,6 +135,16 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     bare, cli = modules(""), modules("import tmh.cli; ")
     assert "tmh.cli" in cli and "tmh.value" in cli
     assert not {"dataclasses", "inspect"} & (cli - bare)
+
+
+def test_package_source_has_no_assert():
+    """Every check in tmh is a raise, so that python -O drops none of them."""
+    sources = sorted(Path(tmh.__file__).parent.glob("*.py"))
+    asserts = [f"{path.name}:{node.lineno}" for path in sources
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Assert)]
+    assert "exactlin.py" in {path.name for path in sources}
+    assert asserts == []
 
 
 @pytest.mark.parametrize("cls", [HomologyProfile, ValidationReport, IntersectionData])
