@@ -146,17 +146,20 @@ def vertex_frame(pair: CharacteristicPair, vid: int) -> VertexFrame:
     The facets are taken in ascending global id, the last two swapped iff
     det N_v < 0, which makes the edges leaving them a positive basis; then
     sigma(v) = sgn det N_v * det L_v, with L_v's columns ascending.  Each
-    frame is built on first use and kept on the pair.
+    frame is built on first use and kept on the pair.  A kept frame is
+    returned before validation is checked: frames are kept only once the
+    pair has passed validation, and a copy or pickle starts with no frames.
     """
+    frames = pair._cache["frames"]
+    if vid in frames:
+        return frames[vid]
     if not pair.validated:
         raise NotValidatedError("characteristic pair has not been validated")
-    frames = pair._cache["frames"]
-    if vid not in frames:
-        order, orientation = _oriented_facets(pair.body, vid)
-        lambda_v = tuple(zip(*(pair.lam[f] for f in order)))
-        frames[vid] = VertexFrame(vid, tuple(order), lambda_v,
-                                  orientation * vertex_determinants(pair)[vid],
-                                  unimodular_inverse(lambda_v))
+    order, orientation = _oriented_facets(pair.body, vid)
+    lambda_v = tuple(zip(*(pair.lam[f] for f in order)))
+    frames[vid] = VertexFrame(vid, tuple(order), lambda_v,
+                              orientation * vertex_determinants(pair)[vid],
+                              unimodular_inverse(lambda_v))
     return frames[vid]
 
 

@@ -6,16 +6,20 @@ the rows of L_v^{-1}: mu_k pairs to 1 with the k-th facet vector and to 0
 with the others, which is exactly the sign normalization M_v^t L_v = I.
 The genus of the whole pair is the sum over vertices of
 (-y)^{index} * sign, evaluated with any direction nu that pairs to a
-nonzero integer with every edge covector.
+nonzero integer with every edge covector.  The covectors repeat across
+vertices (an edge gives one at each end, equal up to sign), so the search
+for such a direction tests each distinct covector once.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+from math import gcd
 
 from .charpair import CharacteristicPair, all_signs, vertex_frame
 from .errors import DimensionError, GenericityError
-from .exactlin import int_vector, is_primitive
+from .exactlin import int_vector
 from .value import Value
 
 
@@ -53,16 +57,14 @@ def _direction(pair: CharacteristicPair, nu) -> tuple[int, ...]:
 
 def find_generic_nu(pair: CharacteristicPair) -> tuple[int, ...]:
     """First primitive direction, by increasing max-norm then lexicographic
-    order, that pairs nonzero with every edge vector of every vertex."""
-    covectors = [m for gv in pair.body.global_vertices() for m in vertex_frame(pair, gv.gid).mu]
+    order, that pairs nonzero with every edge vector of every vertex.  The
+    covectors are collected into a set, so each distinct one is tested once."""
+    covectors = {m for gv in pair.body.global_vertices() for m in vertex_frame(pair, gv.gid).mu}
     n = pair.body.dim
     for bound in itertools.count(1):
         for cand in itertools.product(range(-bound, bound + 1), repeat=n):
-            if max(abs(c) for c in cand) != bound:
-                continue
-            if not is_primitive(cand):
-                continue
-            if all(sum(a * b for a, b in zip(m, cand)) != 0 for m in covectors):
+            if (max(map(abs, cand)) == bound and gcd(*cand) == 1
+                    and all(sum(map(operator.mul, m, cand)) for m in covectors)):
                 return cand
 
 
@@ -71,7 +73,7 @@ def vertex_index(pair: CharacteristicPair, vid: int, nu) -> int:
     nu = _direction(pair, nu)
     index = 0
     for m in vertex_frame(pair, vid).mu:
-        w = sum(a * b for a, b in zip(m, nu))
+        w = sum(map(operator.mul, m, nu))
         if w == 0:
             raise GenericityError(
                 f"direction {nu} pairs to zero with edge vector {m} "

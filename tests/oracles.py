@@ -74,8 +74,11 @@ questions no library caller asks.  ``is_generic`` pairs a direction with
 the rows mu of every vertex frame, ``facet_location`` walks the components'
 facet counts, and ``hole_coordinates`` takes the chart's auxiliary
 coordinates from Fraction facet values and its collar widths; the library
-searches directions (tmh.genus), locates vertices by bisection
-(tmh.polytope) and lifts a point on integer rows (tmh.mac).
+locates vertices by bisection (tmh.polytope) and lifts a point on integer
+rows (tmh.mac).  ``generic_directions_by_scan`` runs ``is_generic`` on each
+primitive direction in the search order of tmh.genus, so every covector
+of every vertex is tested, repeats included; the library collects the
+distinct covectors into a set and tests each once.
 """
 
 import functools
@@ -871,6 +874,18 @@ def is_generic(pair: CharacteristicPair, nu) -> bool:
     """Whether nu pairs nonzero with every edge covector of every vertex."""
     return all(sum(a * b for a, b in zip(mu, nu)) != 0
                for gv in pair.body.global_vertices() for mu in vertex_frame(pair, gv.gid).mu)
+
+
+def generic_directions_by_scan(pair: CharacteristicPair, count: int) -> list[tuple[int, ...]]:
+    """The first ``count`` primitive directions, by increasing max-norm then
+    lexicographic order, that ``is_generic`` accepts."""
+    found = []
+    for bound in itertools.count(1):
+        for cand in itertools.product(range(-bound, bound + 1), repeat=pair.body.dim):
+            if max(abs(c) for c in cand) == bound and is_primitive(cand) and is_generic(pair, cand):
+                found.append(cand)
+                if len(found) == count:
+                    return found
 
 
 def facet_location(body: PolytopeWithHoles, gid: int) -> tuple[int, int]:

@@ -1,10 +1,11 @@
-import itertools
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
-from tmh.charpair import all_signs, vertex_frame
+from tmh.charpair import all_signs, validate, vertex_frame
+from tmh.cli import parse_spec
 from tmh.errors import DimensionError, GenericityError, NotValidatedError
 from tmh.genus import (
     ChiYPolynomial,
@@ -13,7 +14,8 @@ from tmh.genus import (
     vertex_index,
 )
 
-from oracles import is_generic
+from golden_corpus import SPECS
+from oracles import candidates, generic_directions_by_scan, is_generic
 
 from instances import (
     cp2_triangle,
@@ -33,18 +35,16 @@ def vertex_at(pair, point):
     return next(v.gid for v in pair.body.global_vertices() if v.point == point)
 
 
-def generic_directions(pair, count):
-    """First `count` generic primitive directions in enumeration order."""
-    found = []
-    n = pair.body.dim
-    for bound in itertools.count(1):
-        for cand in itertools.product(range(-bound, bound + 1), repeat=n):
-            if max(abs(c) for c in cand) != bound:
-                continue
-            if is_generic(pair, cand):
-                found.append(cand)
-                if len(found) == count:
-                    return found
+# the large pinned specs of the golden corpus
+LARGE_SPECS = ("polygon_64", "polygon_128", "fibersum_64_31", "fibersum_128_128",
+               "octagon_8_holes", "prism_50", "prism_98")
+
+
+@functools.cache
+def valid_candidates():
+    """Every valid pair of the candidate pools of seeds 0 ... 3, validated
+    once for this module; the pairs keep their frames from test to test."""
+    return tuple(pair for seed in range(4) for _, _, pair in candidates(seed) if validate(pair).ok)
 
 
 class TestEdgeVectors:
@@ -77,6 +77,14 @@ class TestEdgeVectors:
     def test_requires_validation(self):
         with pytest.raises(NotValidatedError):
             vertex_frame(cp2_triangle(), 0)
+        # and a pair that validation refused, at every vertex, twice: a
+        # refused call keeps no frame for the next one to serve
+        refused = [pair for _, _, pair in candidates(0) if not validate(pair).ok]
+        assert len(refused) >= 100
+        for pair in refused:
+            for gv in [*pair.body.global_vertices()] * 2:
+                with pytest.raises(NotValidatedError):
+                    vertex_frame(pair, gv.gid)
 
 
 class TestGenericNu:
@@ -94,6 +102,17 @@ class TestGenericNu:
     def test_square_pair(self):
         pair = validated(cp1xcp1_square())
         assert is_generic(pair, (1, 2))
+
+    def test_matches_scan_on_candidates(self):
+        pairs = valid_candidates()
+        assert len(pairs) >= 300
+        for pair in pairs:
+            assert [find_generic_nu(pair)] == generic_directions_by_scan(pair, 1)
+
+    @pytest.mark.parametrize("name", LARGE_SPECS)
+    def test_matches_scan_on_large_specs(self, name):
+        pair = validated(parse_spec(str(SPECS / f"{name}.json")).to_pair())
+        assert [find_generic_nu(pair)] == generic_directions_by_scan(pair, 1)
 
 
 class TestVertexIndex:
@@ -116,7 +135,11 @@ class TestVertexIndex:
         pair = validated(cp2_triangle())
         with pytest.raises(GenericityError) as err:
             vertex_index(pair, vertex_at(pair, (0, 0)), (1, 0))
-        assert err.value.edge_vector is not None
+        assert err.value.edge_vector == (0, 1)
+        # nu = 0 pairs to zero with both: the error names the first in frame order
+        with pytest.raises(GenericityError) as err:
+            vertex_index(pair, vertex_at(pair, (0, 0)), (0, 0))
+        assert err.value.edge_vector == (1, 0)
 
     def test_non_integer_direction_is_refused(self):
         pair = validated(cp2_triangle())
@@ -179,12 +202,17 @@ class TestChiY:
 
     def test_nu_independence(self):
         rng = random.Random(11)
-        pairs = [random_quasitoric_2d(rng), random_one_hole_2d(rng),
-                 random_quasitoric_3d(rng)]
-        for pair in pairs:
+        for pair in (random_quasitoric_2d(rng), random_one_hole_2d(rng),
+                     random_quasitoric_3d(rng)):
             polys = [chi_y(pair, nu).coefficients
-                     for nu in generic_directions(pair, 20)]
+                     for nu in generic_directions_by_scan(pair, 20)]
             assert len(set(polys)) == 1
+        # and nu against -nu on every valid candidate
+        pairs = valid_candidates()
+        assert len(pairs) >= 300
+        for pair in pairs:
+            nu = find_generic_nu(pair)
+            assert chi_y(pair, nu).coefficients == chi_y(pair, [-c for c in nu]).coefficients
 
     def test_chi_minus_one_equals_sign_sum(self):
         rng = random.Random(13)
@@ -213,9 +241,9 @@ class TestChiY:
     def test_coefficient_palindrome(self):
         # negating nu complements every index, and nu-independence then
         # forces c_j = (-1)^n c_{n-j}
-        rng = random.Random(23)
-        for pair in (random_quasitoric_2d(rng), random_quasitoric_3d(rng),
-                     random_one_hole_2d(rng)):
+        pairs = valid_candidates()
+        assert len(pairs) >= 300
+        for pair in pairs:
             c = chi_y(pair).coefficients
             n = pair.body.dim
             for j in range(n + 1):

@@ -24,6 +24,7 @@ from tmh.dim4 import (
     intersection_form,
     structure_flags,
 )
+from tmh.errors import NotValidatedError
 from tmh.genus import chi_y
 from tmh.mac import embedding_chart, kernel_data
 from tmh.polytope import Edge, GlobalVertex, Vertex
@@ -97,11 +98,18 @@ def test_copy_and_pickle_give_an_equal_object(name, build):
 
 
 def test_a_copied_pair_comes_back_unvalidated():
-    # the copy is rebuilt through the constructor, so it gets a cache of its own
+    # the copy is rebuilt through the constructor, so it gets a cache of its own:
+    # the frames kept on the original do not carry over, and vertex_frame,
+    # which serves kept frames first, refuses the copy until it is validated
     pair = validated(square_in_square())
+    frames = {gv.gid: vertex_frame(pair, gv.gid) for gv in pair.body.global_vertices()}
     for again in (copy.copy(pair), copy.deepcopy(pair), pickle.loads(pickle.dumps(pair))):
         assert again == pair and not again.validated
+        for vid in [*frames, *frames]:  # twice: a refused call keeps no frame
+            with pytest.raises(NotValidatedError):
+                vertex_frame(again, vid)
         assert validate(again).ok and again.validated
+        assert {vid: vertex_frame(again, vid) for vid in frames} == frames
 
 
 def test_shared_values_in_different_types_are_unequal():
