@@ -4,8 +4,9 @@ invariant computations, compose fiber sums, and emit reports.
 Spec documents are JSON.  All numbers are exact: integers are written as
 JSON ints and rationals as strings "p/q"; float literals are rejected so
 no precision can silently leak in.  Reports are emitted as text or as
-canonical JSON (sorted keys), and identical inputs produce byte-identical
-output.
+canonical JSON, the bytes of ``json.dumps(sort_keys=True, indent=2)``:
+ASCII, a trailing newline, and a TypeError for any value that is not JSON.
+Identical inputs produce byte-identical output.
 
 Every command prints from the same section builders: ``report`` joins
 them, and ``invariants``, ``homology``, ``ring`` and ``mac`` print their
@@ -75,12 +76,10 @@ def _parse_rational(value, where: str) -> Fraction:
 def _parse_int_vector(value, length: int, where: str) -> tuple[int, ...]:
     if not isinstance(value, list) or len(value) != length:
         raise SpecParseError(f"{where}: expected a list of {length} integers")
-    out = []
     for i, x in enumerate(value):
         if isinstance(x, bool) or not isinstance(x, int):
             raise SpecParseError(f"{where}[{i}]: expected an integer")
-        out.append(x)
-    return tuple(out)
+    return tuple(value)
 
 
 def _parse_component(obj, dim: int, where: str, default_prefix: str):
@@ -105,12 +104,8 @@ def _parse_component(obj, dim: int, where: str, default_prefix: str):
             offset = _parse_rational(entry.get("offset"), f"{loc}.offset")
             labels.append(label)
             hs.append(HalfSpace(normal, offset))
-        try:
-            poly = build_polytope(dim, hs)
-        except GeometryError as exc:
-            raise SpecParseError(f"{where}: {exc}") from exc
-        return poly, labels
-    if "vertices" in obj:
+        build, args = build_polytope, (dim, hs)
+    elif "vertices" in obj:
         if dim != 2:
             raise SpecParseError(f"{where}: vertex cycles are only supported "
                                  "in dimension 2")
@@ -131,12 +126,13 @@ def _parse_component(obj, dim: int, where: str, default_prefix: str):
                 or not all(isinstance(x, str) and x for x in labels)):
             raise SpecParseError(
                 f"{where}.labels: expected one label per vertex-cycle edge")
-        try:
-            poly = polygon_from_vertices(points)
-        except GeometryError as exc:
-            raise SpecParseError(f"{where}: {exc}") from exc
-        return poly, list(labels)
-    raise SpecParseError(f"{where}: needs either \"halfspaces\" or \"vertices\"")
+        build, args = polygon_from_vertices, (points,)
+    else:
+        raise SpecParseError(f"{where}: needs either \"halfspaces\" or \"vertices\"")
+    try:
+        return build(*args), list(labels)
+    except GeometryError as exc:
+        raise SpecParseError(f"{where}: {exc}") from exc
 
 
 class SpecDocument(Value):
@@ -207,6 +203,8 @@ def parse_spec(path: str) -> SpecDocument:
             text = fh.read()
     except OSError as exc:
         raise SpecParseError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecParseError(f"{path}: not UTF-8 text") from exc
     try:
         doc = json.loads(text, parse_float=_reject_float,
                          parse_constant=_reject_float)
@@ -223,6 +221,14 @@ def parse_spec(path: str) -> SpecDocument:
 
 # ---------------------------------------------------------------------------
 # report assembly
+
+
+def _rational_text(x: Fraction) -> str:
+    try:
+        return str(x)
+    except ValueError as exc:  # a part past Python's int-to-str digit limit
+        raise ScopeError(f"a rational with over {sys.get_int_max_str_digits()} digits "
+                         "in its numerator or denominator cannot be written") from exc
 
 
 def _chi_y_section(pair, nu) -> dict:
@@ -299,7 +305,7 @@ def build_report(doc: SpecDocument) -> dict:
         {
             "vertex": gv.gid,
             "component": gv.component,
-            "point": [str(c) for c in gv.point],
+            "point": [_rational_text(c) for c in gv.point],
             "sign": signs[gv.gid],
         }
         for gv in pair.body.global_vertices()
@@ -330,8 +336,31 @@ def build_report(doc: SpecDocument) -> dict:
     return report
 
 
+# each JSON scalar's text, by exact type: bool is not written as an int
+_LEAVES = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
+           bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _json(value, pad: str) -> str:
+    kind, inner = type(value), pad + "  "
+    if kind in _LEAVES:
+        return _LEAVES[kind](value)
+    if kind is dict:  # a key that is not a str fails in sorted() or in the encoder
+        ends, items = "{}", (f"{_LEAVES[str](k)}: {_json(value[k], inner)}" for k in sorted(value))
+    elif kind is list or kind is tuple:
+        kinds = set(map(type, value))
+        leaf = _LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
+        ends, items = "[]", map(leaf, value) if leaf else (_json(v, inner) for v in value)
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    body = (",\n" + inner).join(items)
+    return f"{ends[0]}\n{inner}{body}\n{pad}{ends[1]}" if value else ends
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The bytes of ``json.dumps(report, sort_keys=True, indent=2)`` plus a
+    newline: ASCII only, and a TypeError for any value that is not JSON."""
+    return _json(report, "") + "\n"
 
 
 def _text_lines(value, key="", indent=0):
@@ -373,10 +402,10 @@ def render_text(report: dict) -> str:
 # fiber sum composition
 
 
-def _halfspace_json(poly: SimplePolytope, labels):
-    return [{"label": label, "normal": list(h.normal),
-             "offset": str(h.offset)}
-            for label, h in zip(labels, poly.halfspaces)]
+def _halfspace_json(poly: SimplePolytope, labels) -> dict:
+    return {"halfspaces": [{"label": label, "normal": list(h.normal),
+                            "offset": _rational_text(h.offset)}
+                           for label, h in zip(labels, poly.halfspaces)]}
 
 
 def compose_fibersum(base: SpecDocument, pieces, scale=None) -> dict:
@@ -388,26 +417,18 @@ def compose_fibersum(base: SpecDocument, pieces, scale=None) -> dict:
                              "must be quasitoric")
         if piece.body.dim != base.body.dim:
             raise ScopeError(f"piece {i + 1} dimension mismatch")
-    placed = place_holes(base.body.outer,
-                         [p.body.outer for p in pieces], scale=scale)
-    new_holes = placed.holes
-
-    outer_count = base.body.outer.facet_count
-    labels = list(base.facet_labels)
-    holes_json = []
-    # keep the base's own holes first, then the new pieces
-    for k, hole in enumerate(base.body.holes):
-        lo = base.body.facet_offsets[k + 1]
-        hole_labels = labels[lo:lo + hole.facet_count]
-        holes_json.append({"halfspaces": _halfspace_json(hole, hole_labels)})
+    new_holes = place_holes(base.body.outer, [p.body.outer for p in pieces], scale=scale).holes
+    # the base's own components first, then the new pieces
+    cuts, labels = base.body.facet_offsets, base.facet_labels
+    parts = [_halfspace_json(comp, labels[cuts[k]:cuts[k + 1]])
+             for k, comp in enumerate(base.body.components)]
     char = {label: list(vec) for label, vec in zip(labels, base.lam)}
     for i, (piece, hole) in enumerate(zip(pieces, new_holes), start=1):
-        prefix = f"p{i}."
-        hole_labels = [prefix + lbl for lbl in piece.facet_labels]
+        hole_labels = [f"p{i}.{label}" for label in piece.facet_labels]
         if set(hole_labels) & set(char):
             raise SpecParseError(f"piece {i} label prefix collides")
-        holes_json.append({"halfspaces": _halfspace_json(hole, hole_labels)})
-        char.update((label, list(vec)) for label, vec in zip(hole_labels, piece.lam))
+        parts.append(_halfspace_json(hole, hole_labels))
+        char.update(zip(hole_labels, map(list, piece.lam)))
 
     name = base.name + "".join(f"+{p.name}" for p in pieces)
     # place_holes never sees the base's own holes, so this is what rejects
@@ -417,9 +438,8 @@ def compose_fibersum(base: SpecDocument, pieces, scale=None) -> dict:
     return {
         "dimension": base.body.dim,
         "metadata": {"name": name, "description": "fiber sum composition"},
-        "outer": {"halfspaces": _halfspace_json(base.body.outer,
-                                                labels[:outer_count])},
-        "holes": holes_json,
+        "outer": parts[0],
+        "holes": parts[1:],
         "characteristic": char,
     }
 
@@ -546,7 +566,7 @@ def _command(args, out) -> int:
         section = _moment_angle_section(pair)
         if point is not None:
             coords = mac.embedding_coordinates(pair, point)
-            section["embedding"] = [f"{label}: {x}"
+            section["embedding"] = [f"{label}: {_rational_text(x)}"
                                     for label, x in zip(doc.facet_labels, coords)]
             rows = ("embedding",)
     _print_section(section, out, rows)

@@ -79,10 +79,16 @@ rows (tmh.mac).  ``generic_directions_by_scan`` runs ``is_generic`` on each
 primitive direction in the search order of tmh.genus, so every covector
 of every vertex is tested, repeats included; the library collects the
 distinct covectors into a set and tests each once.
+
+``render_json_by_dumps`` writes a report with ``json.dumps(sort_keys=True,
+indent=2)``, whose indent sends it through the standard library's
+pure-Python encoder; the library writes the same bytes with one recursive
+emitter that joins each list of scalars at once (tmh.cli).
 """
 
 import functools
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -964,3 +970,12 @@ def candidates(seed: int, per_family: int = 64):
     pairs on them, so no validation or vertex frame carries over."""
     for family, how, body, lam in _candidate_pool(seed, per_family):
         yield family, how, CharacteristicPair(body, lam)
+
+
+# ---------------------------------------------------------------------------
+# report JSON by the standard library
+
+
+def render_json_by_dumps(report) -> str:
+    """The canonical report bytes: sorted keys, two-space indent, a newline."""
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -12,7 +13,9 @@ from tmh.cli import (_intersection_section, _parse_rational, build_report, compo
 from tmh.errors import InternalError
 from tmh.genus import chi_y
 
+import golden_corpus
 from instances import PENTAGON_LAMBDA, PENTAGON_VERTICES
+from oracles import render_json_by_dumps
 
 
 def pentagon_spec_dict():
@@ -425,22 +428,28 @@ class TestArgumentErrors:
             assert run_cli(argv)[0] == 0
             assert parse_spec(argv[1]).body.outer.halfspaces[0].offset == value
 
-    def assert_unreadable(self, tmp_path, capsys, pentagon_file, role, text, reason):
+    def assert_unreadable(self, tmp_path, capsys, pentagon_file, role, data, reason):
         bad = tmp_path / "bad.json"
-        bad.write_text(text)
+        bad.write_bytes(data if isinstance(data, bytes) else data.encode())
         out_path = tmp_path / "sum.json"
         argv = {
             "report": ["report", str(bad)],
             "fibersum base": ["fibersum", str(bad), pentagon_file, "-o", str(out_path)],
             "fibersum piece": ["fibersum", pentagon_file, str(bad), "-o", str(out_path)],
         }[role]
-        self.assert_rejected(capsys, argv, 1, f"{bad}: invalid JSON: {reason}")
+        self.assert_rejected(capsys, argv, 1, f"{bad}: {reason}")
         assert not out_path.exists()
 
     @pytest.mark.parametrize("role", ["report", "fibersum base", "fibersum piece"])
     def test_deeply_nested_json_exit_1(self, pentagon_file, tmp_path, capsys, role):
         self.assert_unreadable(tmp_path, capsys, pentagon_file, role,
-                               "[" * 200000 + "]" * 200000, "nested too deeply")
+                               "[" * 200000 + "]" * 200000, "invalid JSON: nested too deeply")
+
+    @pytest.mark.parametrize("role", ["report", "fibersum base", "fibersum piece"])
+    def test_not_utf8_exit_1(self, pentagon_file, tmp_path, capsys, role):
+        # a UTF-16 byte order mark: the decode error is not an OSError
+        self.assert_unreadable(tmp_path, capsys, pentagon_file, role,
+                               b"\xff\xfe{\x00}\x00", "not UTF-8 text")
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="no limit on integer string conversion")
@@ -450,7 +459,36 @@ class TestArgumentErrors:
         doc["outer"]["vertices"][0][0] = "HUGE"
         text = json.dumps(doc).replace('"HUGE"', "1" + "0" * 5000)
         self.assert_unreadable(tmp_path, capsys, pentagon_file, role, text,
-                               "integer literal too long")
+                               "invalid JSON: integer literal too long")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on integer string conversion")
+    @pytest.mark.parametrize("command", ["report json", "report text", "fibersum", "mac"])
+    def test_rational_over_the_digit_limit_exit_3(self, pentagon_file, tmp_path, capsys,
+                                                  command):
+        # CP^2 on a triangle whose offsets have parts of 3/5 of the limit: each
+        # part parses, but the vertex (a, -c - a) has a part of 6/5 of it
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("the digit limit is switched off")
+        sevens, threes = "7" * (limit * 3 // 5), "3" * (limit * 3 // 5 - 1) + "1"
+        a, b = f"-{sevens}/{threes}", f"-{threes}/{sevens}"
+        path = self.spec_file(tmp_path, outer={"halfspaces": [
+            {"label": "e1", "normal": [1, 0], "offset": a},
+            {"label": "e2", "normal": [0, 1], "offset": b},
+            {"label": "e3", "normal": [-1, -1], "offset": f"-{sevens}"}]},
+            characteristic={"e1": [1, 0], "e2": [0, 1], "e3": [-1, -1]})
+        for other in ("validate", "invariants", "homology", "ring", "mac"):
+            assert run_cli([other, path])[0] == 0
+        out_path = tmp_path / "sum.json"
+        argv = {"report json": ["report", path, "--format", "json"],
+                "report text": ["report", path],
+                "fibersum": ["fibersum", path, pentagon_file, "-o", str(out_path)],
+                # the vertex (a, b): its facet value on e3 is -a - b - c
+                "mac": ["mac", path, f"--point={a},{b}"]}[command]
+        self.assert_rejected(capsys, argv, 3, f"a rational with over {limit} digits "
+                             "in its numerator or denominator cannot be written")
+        assert not out_path.exists()
 
 
 class TestGeometryRegressions:
@@ -636,7 +674,80 @@ class TestBuildReport:
         assert report["validation"]["facets"] == ["a"]
         assert "vertex_signs" not in report
 
-    def test_json_renderer_stable_keys(self, pentagon_file):
-        report = build_report(parse_spec(pentagon_file))
-        blob = render_json(report)
-        assert json.loads(blob) == json.loads(render_json(report))
+
+# a str of every kind the encoder treats apart: escapes, control and non-ASCII
+# characters, and one outside the Basic Multilingual Plane
+JSON_TEXT = "az \"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\u2603\U0001d11e"
+
+
+def random_json_scalar(rng, kind):
+    return [None, rng.random() < 0.5,
+            rng.choice([0, -1, 10 ** 40, -(10 ** 40), rng.randrange(-10 ** 6, 10 ** 6)]),
+            "".join(rng.choices(JSON_TEXT, k=rng.randrange(6)))][kind]
+
+
+def random_json_tree(rng, depth=4):
+    """A JSON value: every scalar, lists of one scalar type, mixed lists,
+    tuples, and objects, empty ones included."""
+    kind = rng.randrange(8 if depth else 4)
+    if kind < 4:
+        return random_json_scalar(rng, kind)
+    n = rng.randrange(5)
+    if kind == 4:
+        return {random_json_scalar(rng, 3): random_json_tree(rng, depth - 1) for _ in range(n)}
+    if kind == 5:
+        kind = rng.randrange(4)
+        return [random_json_scalar(rng, kind) for _ in range(n)]
+    items = [random_json_tree(rng, depth - 1) for _ in range(n)]
+    return items if kind == 6 else tuple(items)
+
+
+class TestRenderJson:
+    """render_json writes the bytes of json.dumps(sort_keys=True, indent=2)."""
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in golden_corpus.SPECS.glob("*.json")))
+    def test_matches_dumps_on_golden_reports(self, name):
+        report = build_report(parse_spec(str(golden_corpus.SPECS / f"{name}.json")))
+        assert render_json(report) == render_json_by_dumps(report)
+
+    def test_matches_dumps_on_golden_fibersums(self):
+        entries = [e for e in golden_corpus.manifest() if e["command"] == "fibersum"]
+        assert entries
+        for entry in entries:
+            base, *pieces = (parse_spec(str(golden_corpus.SPECS / f"{s}.json"))
+                             for s in entry["specs"])
+            doc = compose_fibersum(base, pieces)
+            assert render_json(doc) == render_json_by_dumps(doc)
+
+    def test_matches_dumps_on_random_trees(self):
+        rng = random.Random(2111)
+        for _ in range(3000):
+            tree = random_json_tree(rng)
+            assert render_json(tree) == render_json_by_dumps(tree)
+
+    def test_matches_dumps_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        text = st.text(max_size=8)
+        scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                            st.integers(min_value=10 ** 30), text)
+        uniform = st.one_of(*(st.lists(s, max_size=4) for s in (st.none(), st.booleans(),
+                                                                st.integers(), text)))
+        trees = st.recursive(scalars | uniform, lambda kids: st.one_of(
+            st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+            st.dictionaries(text, kids, max_size=4)), max_leaves=20)
+
+        @hypothesis.settings(derandomize=True, max_examples=100, deadline=None,
+                             database=None)
+        @hypothesis.given(trees)
+        def check(tree):
+            assert render_json(tree) == render_json_by_dumps(tree)
+
+        check()
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, {1, 2}, {1: "a"}, {"a": 1, 2: "b"}],
+                             ids=["Fraction", "float", "set", "int key", "mixed keys"])
+    def test_non_json_values_raise_type_error(self, value):
+        for tree in (value, [value], {"a": [1, value]}, (True, {"b": value})):
+            with pytest.raises(TypeError):
+                render_json(tree)
