@@ -13,7 +13,8 @@ them, and ``invariants``, ``homology``, ``ring`` and ``mac`` print their
 own section line by line (``mac --point`` adds the embedding to it).
 One table maps errors to exit codes: 1 for malformed input or arguments,
 2 for an invalid pair, a non-generic direction or a point outside the
-body, 3 for requests out of scope.
+body, 3 for requests out of scope and for an int or rational part past
+sys.get_int_max_str_digits(), which no output or message can write.
 """
 
 from __future__ import annotations
@@ -223,14 +224,6 @@ def parse_spec(path: str) -> SpecDocument:
 # report assembly
 
 
-def _rational_text(x: Fraction) -> str:
-    try:
-        return str(x)
-    except ValueError as exc:  # a part past Python's int-to-str digit limit
-        raise ScopeError(f"a rational with over {sys.get_int_max_str_digits()} digits "
-                         "in its numerator or denominator cannot be written") from exc
-
-
 def _chi_y_section(pair, nu) -> dict:
     poly = genus.chi_y(pair, nu)
     return {
@@ -305,7 +298,7 @@ def build_report(doc: SpecDocument) -> dict:
         {
             "vertex": gv.gid,
             "component": gv.component,
-            "point": [_rational_text(c) for c in gv.point],
+            "point": [str(c) for c in gv.point],
             "sign": signs[gv.gid],
         }
         for gv in pair.body.global_vertices()
@@ -404,7 +397,7 @@ def render_text(report: dict) -> str:
 
 def _halfspace_json(poly: SimplePolytope, labels) -> dict:
     return {"halfspaces": [{"label": label, "normal": list(h.normal),
-                            "offset": _rational_text(h.offset)}
+                            "offset": str(h.offset)}
                            for label, h in zip(labels, poly.halfspaces)]}
 
 
@@ -566,8 +559,7 @@ def _command(args, out) -> int:
         section = _moment_angle_section(pair)
         if point is not None:
             coords = mac.embedding_coordinates(pair, point)
-            section["embedding"] = [f"{label}: {_rational_text(x)}"
-                                    for label, x in zip(doc.facet_labels, coords)]
+            section["embedding"] = [f"{label}: {x}" for label, x in zip(doc.facet_labels, coords)]
             rows = ("embedding",)
     _print_section(section, out, rows)
     return EXIT_OK
@@ -591,6 +583,13 @@ def run(argv, out=None) -> int:
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+    except ValueError as exc:
+        # str() of an int past sys.get_int_max_str_digits(), in output or in a message
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: a rational with over {sys.get_int_max_str_digits()} digits in its "
+              "numerator or denominator cannot be written", file=sys.stderr)
+        return EXIT_SCOPE
 
 
 def main():

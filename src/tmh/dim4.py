@@ -1,24 +1,26 @@
 """Dimension-4 invariants: homology with its CW cell counts, intersection
 forms, Chern numbers and structure obstruction flags.
 
-All of this applies to pairs over 2-dimensional bodies.  One routine
-gives the intersection form of a body with at most one hole, on an
-explicit generator list: the outer characteristic spheres minus the last
-two, and with one hole the two circle-factor spheres over the segment
-joining the closest outer/hole vertex pair and the hole's characteristic
-spheres.  With no hole only the outer (quasitoric) block remains.  Entries
-are obtained by localizing intersections at vertices; self-intersections
-are in closed form, from the linear relations satisfied by the
-characteristic classes of each quasitoric block.  The form's signature is
-chi_1 of the genus, and the report checks the form's determinant against
-it.
+All of this applies to pairs over 2-dimensional bodies.  One routine gives
+the intersection form of a body with at most one hole, on an explicit
+generator list: the outer characteristic spheres minus the last two, and
+with one hole the two circle-factor spheres over the segment joining the
+closest outer/hole vertex pair and the hole's characteristic spheres.  With
+no hole only the outer (quasitoric) block remains.  Entries are obtained by
+localizing intersections at vertices; self-intersections are in closed
+form, from the linear relations satisfied by the characteristic classes of
+each quasitoric block.  At each end of the segment, (1,0) and (0,1) are
+written in the basis of the first and last lambda there by the unimodular
+inverse of [lambda_first | lambda_last] (tmh.exactlin).  The form's
+signature is chi_1 of the genus, and the report checks the form's
+determinant against it.
 """
 
 from __future__ import annotations
 
 from .charpair import CharacteristicPair, all_signs, is_positive_omniorientation
 from .errors import DimensionError, InternalError, ScopeError
-from .exactlin import _integer_row
+from .exactlin import _integer_row, unimodular_inverse
 from .genus import chi_y
 from .value import Value
 
@@ -136,18 +138,6 @@ def _closest_vertex_pair(body):
                for ui, (c, e) in enumerate(xs[len(outer):]))[3:]
 
 
-def _decompose(target, lam_first, lam_last):
-    """Integer (a1, a2) with target = a1*first + a2*last, by Cramer's rule."""
-    det = lam_first[0] * lam_last[1] - lam_first[1] * lam_last[0]
-    if det == 0:
-        raise InternalError("endpoint vectors are not a basis")
-    a1, r1 = divmod(target[0] * lam_last[1] - target[1] * lam_last[0], det)
-    a2, r2 = divmod(lam_first[0] * target[1] - lam_first[1] * target[0], det)
-    if r1 or r2:
-        raise InternalError("endpoint vectors are not a lattice basis")
-    return a1, a2
-
-
 def intersection_form(pair: CharacteristicPair) -> IntersectionData:
     """Intersection form on a basis of H_2, for at most one hole.
 
@@ -186,8 +176,8 @@ def intersection_form(pair: CharacteristicPair) -> IntersectionData:
                                    (1, vcyc1, fcyc1, (l0, size - 1))):
         d = signs[body.vertex_gid(comp, vcyc[0])]
         first, last = (pair.lam[body.facet_gid(comp, f)] for f in (fcyc[0], fcyc[-1]))
-        a1, a2 = _decompose((0, 1), first, last)
-        c1, c2 = _decompose((1, 0), first, last)
+        # (1, 0) = c1 first + c2 last and (0, 1) = a1 first + a2 last
+        (c1, a1), (c2, a2) = unimodular_inverse(tuple(zip(first, last)))
         mat[s01][s01] += a1 * a2 * d
         mat[s10][s10] += c1 * c2 * d
         mat[s01][s10] += a2 * c1 * d

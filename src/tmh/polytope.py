@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-from bisect import bisect_right
 from fractions import Fraction
 from operator import mul
 
@@ -306,13 +305,6 @@ class GlobalVertex(Value):
         object.__setattr__(self, "facets", facets)  # global facet ids
 
 
-def _locate(offsets, gid, what) -> tuple[int, int]:
-    c = bisect_right(offsets, gid) - 1
-    if not 0 <= c < len(offsets) - 1:
-        raise KeyError(f"{what} id {gid} out of range")
-    return c, gid - offsets[c]
-
-
 def _gid(offsets, component, local, what) -> int:
     if not (0 <= component < len(offsets) - 1
             and 0 <= local < offsets[component + 1] - offsets[component]):
@@ -394,7 +386,10 @@ class PolytopeWithHoles(Value):
         return _gid(self.vertex_offsets, component, local, "vertex")
 
     def vertex_location(self, gid: int) -> tuple[int, int]:
-        return _locate(self.vertex_offsets, gid, "vertex")
+        if not 0 <= gid < self.vertex_count:
+            raise KeyError(f"vertex id {gid} out of range")
+        v = self._vertex_table[gid]
+        return v.component, v.local_id
 
     def global_vertices(self) -> tuple[GlobalVertex, ...]:
         """Every vertex of every component, in global vertex order."""

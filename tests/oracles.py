@@ -57,7 +57,9 @@ form and takes the signature from chi_1 of the genus (tmh.dim4, tmh.cli).
 Both pairings walk the library's facet cycle, ``tmh.dim4._cycle``.
 ``quasitoric_form_by_blocks`` and ``one_hole_form_by_blocks`` assemble the
 intersection form of a body without holes and with one hole as two
-separate routines; the library builds both in one (tmh.dim4).
+separate routines; the library builds both in one (tmh.dim4).  The second
+solves for each endpoint's coefficients of (0,1) and (1,0) by Bareiss; the
+library reads them off one unimodular inverse.
 
 ``_eliminate`` is dense fraction-free Gauss-Jordan elimination (Bareiss
 1968), O(r^3) on growing integers.  ``det_by_bareiss`` takes a determinant
@@ -74,11 +76,11 @@ questions no library caller asks.  ``is_generic`` pairs a direction with
 the rows mu of every vertex frame, ``facet_location`` walks the components'
 facet counts, and ``hole_coordinates`` takes the chart's auxiliary
 coordinates from Fraction facet values and its collar widths; the library
-locates vertices by bisection (tmh.polytope) and lifts a point on integer
-rows (tmh.mac).  ``generic_directions_by_scan`` runs ``is_generic`` on each
-primitive direction in the search order of tmh.genus, so every covector
-of every vertex is tested, repeats included; the library collects the
-distinct covectors into a set and tests each once.
+reads vertices off its global vertex table (tmh.polytope) and lifts a point
+on integer rows (tmh.mac).  ``generic_directions_by_scan`` runs
+``is_generic`` on each primitive direction in the search order of
+tmh.genus, so every covector of every vertex is tested, repeats included;
+the library collects the distinct covectors into a set and tests each once.
 
 ``render_json_by_dumps`` writes a report with ``json.dumps(sort_keys=True,
 indent=2)``, whose indent sends it through the standard library's
@@ -777,10 +779,17 @@ def one_hole_form_by_blocks(pair: CharacteristicPair) -> IntersectionData:
     d = signs[body.vertex_gid(0, vcyc0[0])]
     dp = signs[body.vertex_gid(1, vcyc1[0])]
 
-    a1, a2 = dim4._decompose((0, 1), lam0_first, lam0_last)
-    c1, c2 = dim4._decompose((1, 0), lam0_first, lam0_last)
-    b1, b2 = dim4._decompose((0, 1), lam1_first, lam1_last)
-    e1, e2 = dim4._decompose((1, 0), lam1_first, lam1_last)
+    def coefficients(target, first, last):
+        # integer (x1, x2) with target = x1 first + x2 last, by Bareiss
+        x = solve_rational(tuple(zip(first, last)), target)
+        if x is None or any(c.denominator != 1 for c in x):
+            raise InternalError("endpoint vectors are not a lattice basis")
+        return int(x[0]), int(x[1])
+
+    a1, a2 = coefficients((0, 1), lam0_first, lam0_last)
+    c1, c2 = coefficients((1, 0), lam0_first, lam0_last)
+    b1, b2 = coefficients((0, 1), lam1_first, lam1_last)
+    e1, e2 = coefficients((1, 0), lam1_first, lam1_last)
 
     size = l0 + l1
     mat = [[0] * size for _ in range(size)]

@@ -490,6 +490,61 @@ class TestArgumentErrors:
                              "in its numerator or denominator cannot be written")
         assert not out_path.exists()
 
+    @staticmethod
+    def message_spec(tmp_path, kind, k):
+        """A spec whose error message holds an int of about 6/5 of the digit
+        limit, built from ints k of 3/5 of it."""
+        def hs(label, normal, offset):
+            return {"label": label, "normal": normal, "offset": offset}
+        # (k, 1) . x >= 1 and (1, k) . x >= 0 meet at (k, -1) / (k^2 - 1)
+        corner = [hs("a", [k, 1], 1), hs("b", [1, k], 0)]
+        lam_2d = {"a": [1, 0], "b": [0, 1], "c": [1, 0], "d": [0, 1]}  # never validated
+        simplex = {"halfspaces": [hs("x", [1, 0, 0], 0), hs("y", [0, 1, 0], 0),
+                                  hs("z", [0, 0, 1], 0), hs("w", [-1, -1, -1], -1)]}
+        spec = {
+            # a third line through that corner
+            "not simple": {"dimension": 2, "characteristic": lam_2d, "outer": {"halfspaces": [
+                *corner, hs("c", [1, 1], f"1/{k + 1}"), hs("d", [-1, -1], -1)]}},
+            # x + y = 1/(k + 1) at the corner, outside x + y >= 1/2
+            "containment": {
+                "dimension": 2, "characteristic": {**lam_2d, "p": [1, 0], "q": [0, 1]},
+                "outer": {"halfspaces": [hs("d", [1, 1], "1/2"), hs("p", [-1, 0], -10),
+                                         hs("q", [0, -1], -10)]},
+                "holes": [{"halfspaces": [*corner, hs("c", [-1, -1], -1)]}]},
+            # lambda = g (e1, e2, e3, -e1 - e2 - e3): the origin's edge covector
+            # (1, -k, k^2) pairs to zero with nu
+            "genericity": {"dimension": 3, "outer": simplex, "nu": [k, 1, 0], "characteristic": {
+                "x": [1, 0, 0], "y": [k, 1, 0], "z": [0, k, 1], "w": [-1 - k, -1 - k, -1]}},
+            # the span of (k, 1, 0) and (1, k, 0) has divisors (1, k^2 - 1)
+            "summand": {"dimension": 3, "outer": simplex, "characteristic": {
+                "x": [k, 1, 0], "y": [1, k, 0], "z": [0, 0, 1], "w": [1, 1, 1]}},
+        }[kind]
+        path = tmp_path / "long_message.json"
+        path.write_text(json.dumps({"metadata": {"name": kind}, **spec}))
+        return str(path)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on integer string conversion")
+    @pytest.mark.parametrize("kind, command", [
+        ("not simple", "validate"), ("not simple", "report"),
+        ("containment", "validate"), ("containment", "report"),
+        ("genericity", "invariants"), ("genericity", "report"),
+        ("summand", "validate"), ("summand", "report")])
+    def test_message_over_the_digit_limit_exit_3(self, tmp_path, capsys, kind, command):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("the digit limit is switched off")
+        path = self.message_spec(tmp_path, kind, 10 ** (3 * limit // 5) + 7)
+        self.assert_rejected(capsys, [command, path], 3, f"a rational with over {limit} digits "
+                             "in its numerator or denominator cannot be written")
+
+    def test_value_error_not_from_the_digit_limit_propagates(self, pentagon_file, monkeypatch):
+        def broken(doc):
+            raise ValueError("an int too long for a list index")
+        monkeypatch.setattr("tmh.cli.build_report", broken)
+        with pytest.raises(ValueError, match="too long for a list index"):
+            run(["report", pentagon_file])
+
 
 class TestGeometryRegressions:
     def test_pentagram_cycle_exit_1(self, tmp_path, capsys):

@@ -13,7 +13,7 @@ from tmh.dim4 import (
     intersection_form,
     structure_flags,
 )
-from tmh.errors import DimensionError, InternalError, ScopeError
+from tmh.errors import DimensionError, ScopeError
 from tmh.exactlin import det_exact
 from tmh.genus import chi_y
 from tmh.polytope import build_with_holes, polygon_from_vertices
@@ -480,14 +480,3 @@ class TestSignatureOfMatrix:
                 [c * (-1) ** i for i, c in enumerate(coeffs)])
             assert signature_of_matrix(m) == pos - neg
 
-
-class TestInternalChecks:
-    def test_decompose_rejects_a_non_basis(self):
-        # (0, 1) = 0 * (2, 0) + 1/2 * (0, 2) has no integer coefficients;
-        # the check is a raise, so it also holds under python -O
-        with pytest.raises(InternalError):
-            dim4._decompose((0, 1), (2, 0), (0, 2))
-
-    def test_decompose_rejects_a_parallel_pair(self):
-        with pytest.raises(InternalError, match="endpoint vectors are not a basis"):
-            dim4._decompose((0, 1), (1, 0), (2, 0))

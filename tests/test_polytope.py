@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from tmh import polytope
+from tmh.cli import parse_spec
 from tmh.errors import (
     ContainmentError,
     DimensionError,
@@ -28,6 +29,7 @@ from tmh.polytope import (
     polygon_from_vertices,
 )
 
+from golden_corpus import SPECS
 from instances import random_multi_hole_2d, random_one_hole_2d, random_one_hole_3d
 from oracles import (
     blocking_by_fractions,
@@ -307,6 +309,14 @@ class TestGlobalIds:
                 assert facet_location(body, body.facet_gid(c, local)) == (c, local)
             for local in range(comp.vertex_count):
                 assert body.vertex_location(body.vertex_gid(c, local)) == (c, local)
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.json")))
+    def test_vertex_location_on_golden_bodies(self, name):
+        body = parse_spec(str(SPECS / f"{name}.json")).body
+        for gid in range(body.vertex_count):
+            c, local = body.vertex_location(gid)
+            assert 0 <= local < body.components[c].vertex_count
+            assert body.vertex_offsets[c] + local == gid
 
     def test_global_vertex_table_is_built_once(self):
         rng = random.Random(61)
