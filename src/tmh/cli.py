@@ -13,7 +13,7 @@ them, and ``invariants``, ``homology``, ``ring`` and ``mac`` print their
 own section line by line (``mac --point`` adds the embedding to it).
 One table maps errors to exit codes: 1 for malformed input or arguments,
 2 for an invalid pair, a non-generic direction or a point outside the
-body, 3 for requests out of scope and for an int or rational part past
+body, 3 for requests out of scope and for any integer past
 sys.get_int_max_str_digits(), which no output or message can write.
 """
 
@@ -587,8 +587,8 @@ def run(argv, out=None) -> int:
         # str() of an int past sys.get_int_max_str_digits(), in output or in a message
         if "integer string conversion" not in str(exc):
             raise
-        print(f"error: a rational with over {sys.get_int_max_str_digits()} digits in its "
-              "numerator or denominator cannot be written", file=sys.stderr)
+        print(f"error: an integer with over {sys.get_int_max_str_digits()} digits cannot be "
+              "written", file=sys.stderr)
         return EXIT_SCOPE
 
 

@@ -5,11 +5,10 @@ fractions.Fraction; no floating point is used anywhere.  Matrices are
 sequences of integer rows and all operations are pure functions, so
 values can be shared freely between threads.
 
-Determinants come from integer elimination on sparse rows, O(r) row updates
-on the banded intersection forms of tmh.dim4.  The Smith form, unimodular
-inverses and the kernel of tmh.mac with its basis go through the row Hermite
-normal form, whose integer row operations divide with remainder; for a
-unimodular block A the Hermite form of [A | B] is [I | A^-1 B].
+Up to 3x3, the vertex matrices, a determinant is a cofactor sum and a unimodular
+inverse is det * adjugate.  Above, determinants come from elimination on sparse
+rows, O(r) row updates on the banded forms of tmh.dim4; the Smith form, inverses
+and tmh.mac's kernel come from row Hermite forms: [I | A^-1 B] of [A | B], A unimodular.
 """
 
 from __future__ import annotations
@@ -59,13 +58,25 @@ def _integer_row(values) -> list[int]:
     return [x.numerator * (mult // x.denominator) for x in values]
 
 
+def _cofactors(m) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """det and adjugate of a 2x2 or 3x3 matrix; the 3x3 columns are r1 x r2, r2 x r0, r0 x r1."""
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c, ((d, -b), (-c, a))
+    cross = [(b[1] * c[2] - b[2] * c[1], b[2] * c[0] - b[0] * c[2], b[0] * c[1] - b[1] * c[0])
+             for b, c in ((m[1], m[2]), (m[2], m[0]), (m[0], m[1]))]
+    return sum(x * y for x, y in zip(m[0], cross[0])), tuple(zip(*cross))
+
+
 def det_exact(rows) -> int:
-    """Exact determinant of a square integer matrix, by elimination on sparse
-    rows {column: entry}: a row r that meets the pivot row top becomes
+    """Exact determinant of a square integer matrix; above 3x3 by elimination on
+    sparse rows {column: entry}: a row r that meets the pivot row top becomes
     (p r - f top) / g, g the gcd of its entries, and num / den undoes p / g."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise DimensionError("determinant of a non-square matrix")
+    if n in (2, 3):
+        return _cofactors(rows)[0]
     rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
     num = den = 1
     for c in range(n):
@@ -146,12 +157,16 @@ def smith_normal_form(rows) -> tuple[tuple[int, ...], int]:
 
 
 def unimodular_inverse(rows) -> tuple[tuple[int, ...], ...]:
-    """Rows of the exact integer inverse of a matrix with determinant +-1:
-    the row Hermite form of [m | I] is [I | m^-1], and its left block is
-    the identity only if m is unimodular."""
+    """Rows of the exact integer inverse of a matrix with determinant +-1: det * adjugate
+    up to 3x3, above it the row Hermite form [I | m^-1] of [m | I], if m is unimodular."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise DimensionError("inverse of a non-square matrix")
+    if n in (2, 3):
+        det, adj = _cofactors(rows)
+        if det in (1, -1):
+            return tuple(tuple(det * x for x in row) for row in adj)
+        raise NotUnimodularError(f"determinant is {det}, expected +-1")
     h = _row_hnf([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
     if any(h[i][i] != 1 for i in range(n)):
         raise NotUnimodularError(f"determinant is {det_exact(rows)}, expected +-1")

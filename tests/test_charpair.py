@@ -320,7 +320,9 @@ class TestLambdaInput:
 
 
 class TestFramesOnce:
-    def test_pentagon_report_builds_each_frame_once(self, monkeypatch):
+    @staticmethod
+    def report_calls(monkeypatch, spec):
+        """det_exact and unimodular_inverse calls of build_report on a golden spec."""
         from tmh.cli import build_report, parse_spec
 
         calls = Counter()
@@ -339,6 +341,15 @@ class TestFramesOnce:
                 if name in vars(module):
                     monkeypatch.setattr(module, name,
                                         counting(name, getattr(module, name)))
-        build_report(parse_spec(str(SPECS / "pentagon.json")))
+        build_report(parse_spec(str(SPECS / spec)))
+        return calls
+
+    def test_pentagon_report_builds_each_frame_once(self, monkeypatch):
         # det_exact: det L_v and det N_v per vertex, and the intersection form
-        assert calls == {"unimodular_inverse": 5, "det_exact": 11}
+        assert self.report_calls(monkeypatch, "pentagon.json") == {"unimodular_inverse": 5,
+                                                                    "det_exact": 11}
+
+    def test_one_hole_3d_report_counts_its_3x3_calls(self, monkeypatch):
+        # 12 vertices, 3x3 L_v and N_v: the closed forms sit inside the counted functions
+        assert self.report_calls(monkeypatch, "one_hole_3d.json") == {"unimodular_inverse": 12,
+                                                                       "det_exact": 24}

@@ -486,8 +486,8 @@ class TestArgumentErrors:
                 "fibersum": ["fibersum", path, pentagon_file, "-o", str(out_path)],
                 # the vertex (a, b): its facet value on e3 is -a - b - c
                 "mac": ["mac", path, f"--point={a},{b}"]}[command]
-        self.assert_rejected(capsys, argv, 3, f"a rational with over {limit} digits "
-                             "in its numerator or denominator cannot be written")
+        self.assert_rejected(capsys, argv, 3,
+                             f"an integer with over {limit} digits cannot be written")
         assert not out_path.exists()
 
     @staticmethod
@@ -535,8 +535,8 @@ class TestArgumentErrors:
         if not limit:
             pytest.skip("the digit limit is switched off")
         path = self.message_spec(tmp_path, kind, 10 ** (3 * limit // 5) + 7)
-        self.assert_rejected(capsys, [command, path], 3, f"a rational with over {limit} digits "
-                             "in its numerator or denominator cannot be written")
+        self.assert_rejected(capsys, [command, path], 3,
+                             f"an integer with over {limit} digits cannot be written")
 
     def test_value_error_not_from_the_digit_limit_propagates(self, pentagon_file, monkeypatch):
         def broken(doc):

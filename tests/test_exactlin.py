@@ -79,12 +79,15 @@ class TestDeterminant:
 
 
 class TestSparseDeterminant:
-    """det_exact eliminates on sparse rows; dense Bareiss is the oracle."""
+    """Above 3x3 det_exact eliminates on sparse rows; dense Bareiss is the oracle."""
 
-    @staticmethod
-    def seeded(rng, n):
-        """A dense, sparse, singular, zero-row or vanishing-row n x n matrix."""
-        shape = rng.choice(("dense", "sparse", "singular", "zero_row", "vanishing"))
+    SHAPES = ("dense", "sparse", "singular", "zero_row", "vanishing")
+
+    @classmethod
+    def seeded(cls, rng, n, shape=None):
+        """A dense, sparse, singular, zero-row or vanishing-row n x n matrix;
+        the shape is drawn from rng unless given."""
+        shape = shape or rng.choice(cls.SHAPES)
         if shape == "sparse":
             m = [[rng.choice((0, 0, 0, rng.randint(-5, 5))) for _ in range(n)]
                  for _ in range(n)]
@@ -104,18 +107,25 @@ class TestSparseDeterminant:
     def test_against_bareiss_up_to_12(self):
         rng = random.Random(1717)
         dets = []
+        sizes = []
         for _ in range(600):
             m = self.seeded(rng, rng.randint(1, 12))
+            sizes.append(len(m))
             dets.append(det_exact(m))
             assert dets[-1] == det_by_bareiss(m)
         assert sum(d == 0 for d in dets) >= 100
         assert sum(d != 0 for d in dets) >= 100
+        # above 3x3 det_exact eliminates; the closed form has TestClosedForms
+        assert sum(n >= 4 for n in sizes) >= 100
 
     def test_against_permutations_up_to_6(self):
         rng = random.Random(1718)
+        sizes = []
         for _ in range(200):
             m = self.seeded(rng, rng.randint(1, 6))
+            sizes.append(len(m))
             assert det_exact(m) == det_by_permutations(m)
+        assert sum(n >= 4 for n in sizes) >= 80
 
     def test_row_swaps_give_the_permutation_sign(self):
         for perm in itertools.permutations(range(4)):
@@ -135,6 +145,97 @@ class TestSparseDeterminant:
     def test_gcd_factor_is_kept(self):
         # the first two updates divide their rows by 4 and by 12
         assert det_exact([[2, 4, 6], [4, 2, 8], [6, 6, 0]]) == 168
+
+
+class TestClosedForms:
+    """Up to 3x3 det_exact and unimodular_inverse are cofactor sums and
+    det * adjugate; the permutation and Bareiss oracles check them."""
+
+    SMALL = range(-3, 4)
+
+    def test_every_small_2x2_against_permutations(self):
+        dets = [det_exact(m) for m in self.small_2x2()]
+        assert dets == [det_by_permutations(m) for m in self.small_2x2()]
+        assert len(dets) == 7 ** 4 and (min(dets), max(dets)) == (-18, 18)
+
+    @classmethod
+    def small_2x2(cls):
+        for a, b, c, d in itertools.product(cls.SMALL, repeat=4):
+            yield ((a, b), (c, d))
+
+    @pytest.mark.parametrize("shape", TestSparseDeterminant.SHAPES)
+    def test_seeded_3x3_against_bareiss(self, shape):
+        rng = random.Random(f"3x3 {shape}")
+        dets = []
+        for _ in range(200):
+            m = TestSparseDeterminant.seeded(rng, 3, shape)
+            dets.append(det_exact(m))
+            assert dets[-1] == det_by_bareiss(m) == det_by_permutations(m)
+        least_zero, least_nonzero = {"dense": (0, 150), "sparse": (100, 10),
+                                     "singular": (50, 100), "zero_row": (200, 0),
+                                     "vanishing": (200, 0)}[shape]
+        assert dets.count(0) >= least_zero and len(dets) - dets.count(0) >= least_nonzero
+
+    def test_3x3_near_10_30_against_bareiss(self):
+        rng = random.Random(3030)
+        big = 10**30
+        for i in range(200):
+            m = [[rng.choice((-big, big, 0)) + rng.randint(-9, 9) for _ in range(3)]
+                 for _ in range(3)]
+            if i % 4 == 0:
+                # a combination of the other two rows: det 0 with entries near 10^30
+                a, b = rng.choice((-1, 1)), rng.randint(-2, 2)
+                m[2] = [a * x + b * y for x, y in zip(m[0], m[1])]
+            det = det_exact(m)
+            assert det == det_by_bareiss(m)
+            assert (det == 0) == (i % 4 == 0)
+
+    def test_inverse_of_every_small_unimodular_2x2(self):
+        unimodular = 0
+        for m in self.small_2x2():
+            det = det_by_permutations(m)
+            if det in (1, -1):
+                unimodular += 1
+                inv = unimodular_inverse(m)
+                assert matmul(m, inv) == identity(2) == matmul(inv, m)
+            else:
+                with pytest.raises(NotUnimodularError,
+                                   match=rf"^determinant is {det}, expected \+-1$"):
+                    unimodular_inverse(m)
+        assert unimodular == 232
+
+    def test_inverse_of_seeded_unimodular_3x3(self):
+        rng = random.Random(3333)
+        dets = []
+        for _ in range(200):
+            u = random_unimodular(rng, 3)
+            dets.append(det_by_bareiss(u))
+            inv = unimodular_inverse(u)
+            assert matmul(u, inv) == identity(3) == matmul(inv, u)
+        # both signs, so det * adjugate is checked where det is -1
+        assert dets.count(1) >= 50 and dets.count(-1) >= 50
+
+    def test_det_and_inverse_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        entry = st.integers(-3, 3) | st.integers(-10**30, 10**30)
+
+        def square(n):
+            return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+        @hypothesis.settings(derandomize=True, max_examples=200, deadline=None,
+                             database=None)
+        @hypothesis.given(st.sampled_from((2, 3)).flatmap(square))
+        def check(m):
+            det = det_by_bareiss(m)
+            assert det_exact(m) == det
+            if det in (1, -1):
+                assert matmul(m, unimodular_inverse(m)) == identity(len(m))
+            else:
+                with pytest.raises(NotUnimodularError):
+                    unimodular_inverse(m)
+
+        check()
 
 
 class TestSmithNormalForm:
@@ -282,12 +383,16 @@ class TestUnimodularInverse:
 
     def test_product_is_identity(self):
         rng = random.Random(23)
+        sizes = []
         for _ in range(30):
             n = rng.randint(2, 5)
+            sizes.append(n)
             u = random_unimodular(rng, n)
             inv = unimodular_inverse(u)
             assert matmul(u, inv) == identity(n)
             assert det_exact(u) * det_exact(inv) == 1
+        # above 3x3 the inverse comes from the Hermite form
+        assert sum(n >= 4 for n in sizes) >= 10
 
 
 class TestPrimitivity:
