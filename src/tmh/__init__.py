@@ -29,7 +29,6 @@ from .mac import (
     EmbeddingChart,
     KernelData,
     embedding_chart,
-    embedding_coordinates,
     freeness_check,
     kernel_data,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "chi_y",
     "det_exact",
     "embedding_chart",
-    "embedding_coordinates",
     "find_generic_nu",
     "freeness_check",
     "homology_groups",

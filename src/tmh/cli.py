@@ -558,7 +558,7 @@ def _command(args, out) -> int:
     else:
         section = _moment_angle_section(pair)
         if point is not None:
-            coords = mac.embedding_coordinates(pair, point)
+            coords = mac.embedding_chart(pair).evaluate(point)
             section["embedding"] = [f"{label}: {x}" for label, x in zip(doc.facet_labels, coords)]
             rows = ("embedding",)
     _print_section(section, out, rows)

@@ -81,10 +81,15 @@ def _cycle(component, start_local: int | None = None):
     Returns (vertex_ids, facet_ids), both local, with facet i joining
     vertex i to vertex i+1.  Starts at the lexicographically smallest
     vertex unless a start is given.  The inward normals of the facets into
-    and out of a vertex, in that order, have a positive determinant.
+    and out of a vertex, in that order, have a positive determinant.  Facet
+    f holds two vertices, so with ends[f] the sum of their ids, read off the
+    vertex facet sets, it leads from vertex i to vertex ends[f] - i.
     """
     verts, normals = component.vertices, [h.normal for h in component.halfspaces]
-    ends = {f: e.endpoints for e in component.edges for f in e.facets}
+    ends = [0] * len(normals)
+    for i, vertex in enumerate(verts):
+        for f in vertex.facets:
+            ends[f] += i
     first = min(range(len(verts)), key=lambda i: verts[i].point)
     v = first if start_local is None else start_local
     order, facets = [], []
@@ -93,7 +98,7 @@ def _cycle(component, start_local: int | None = None):
         out = b if normals[a][0] * normals[b][1] - normals[a][1] * normals[b][0] > 0 else a
         order.append(v)
         facets.append(out)
-        v = sum(ends[out]) - v
+        v = ends[out] - v
     return order, facets
 
 

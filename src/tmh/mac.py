@@ -125,11 +125,6 @@ def embedding_chart(pair: CharacteristicPair) -> EmbeddingChart:
     return EmbeddingChart(body, widths, tuple(constants))
 
 
-def embedding_coordinates(pair: CharacteristicPair, point) -> RatVector:
-    """Convenience wrapper building a chart for a single evaluation."""
-    return embedding_chart(pair).evaluate(point)
-
-
 # ---------------------------------------------------------------------------
 # kernel lattice of the characteristic map
 

@@ -4,10 +4,12 @@ Polytopes are given by half-spaces ``normal . x >= offset`` with integer
 normals and rational offsets.  One small simplex on integer dictionaries
 (least-index pivot rules, exact division by the previous pivot) decides
 emptiness and boundedness; its walk from the first feasible vertex along
-every edge finds the vertices and edges.  Polygons are read off their
-vertex cycle over one common denominator.  A facet of one hole negative at
-every vertex of another separates them; only a pair with no such facet
-takes an LP.  Every test runs in integers, and every decision is exact.
+every edge finds the vertices and the facets through each.  Two vertices
+are adjacent exactly when they share all but one facet.
+Polygons are read off their vertex cycle over one common denominator.  A
+facet of one hole negative at every vertex of another separates them; only
+a pair with no such facet takes an LP.  Every test runs in integers, and
+every decision is exact.
 """
 
 from __future__ import annotations
@@ -55,18 +57,10 @@ class Vertex(Value):
         object.__setattr__(self, "facets", facets)
 
 
-class Edge(Value):
-    __slots__ = ("endpoints", "facets")
-
-    def __init__(self, endpoints: tuple[int, int], facets: frozenset[int]):
-        object.__setattr__(self, "endpoints", endpoints)  # vertex indices, ascending
-        object.__setattr__(self, "facets", facets)  # the n-1 facets containing the edge
-
-
 class SimplePolytope(Value):
     """A bounded full-dimensional simple polytope with exact combinatorics."""
 
-    __slots__ = ("dim", "halfspaces", "vertices", "edges")
+    __slots__ = ("dim", "halfspaces", "vertices")
 
     @property
     def facet_count(self) -> int:
@@ -113,7 +107,7 @@ class SimplePolytope(Value):
         vertices = tuple(
             Vertex(tuple(scale * x + s for x, s in zip(v.point, shift)), v.facets)
             for v in self.vertices)
-        return SimplePolytope(self.dim, halfspaces, vertices, self.edges)
+        return SimplePolytope(self.dim, halfspaces, vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +190,18 @@ def feasible(dim, rows) -> bool:
     return _Dictionary(dim, rows).phase_one()
 
 
-def _assemble(dim, halfspaces, points, edge_ends, key=None) -> SimplePolytope:
-    """The polytope with vertices {facets: point}, sorted by point or a key in
-    that order, and edges {facets: the endpoints' facet sets}, by facet set."""
+def _assemble(dim, halfspaces, points, key=None) -> SimplePolytope:
+    """The polytope with vertices {facets: point}, sorted by point or a key."""
     order = sorted(points, key=key or points.__getitem__)
-    index = {facets: vid for vid, facets in enumerate(order)}
-    edges = sorted(edge_ends.items(), key=lambda kv: sorted(kv[0]))
     return SimplePolytope(dim, tuple(halfspaces),
-                          tuple(Vertex(points[facets], facets) for facets in order),
-                          tuple(Edge(tuple(sorted(index[e] for e in ends)), facets)
-                                for facets, ends in edges))
+                          tuple(Vertex(points[facets], facets) for facets in order))
 
 
 def build_polytope(dim: int, halfspaces) -> SimplePolytope:
-    """Vertices and edges of a simple polytope from half-spaces, by pivoting
-    from the first feasible vertex along every edge (Avis and Fukuda 1992).
-    Errors come in the order empty, unbounded, not simple, redundant."""
+    """The vertices of a simple polytope from half-spaces, each with its facet
+    set, by pivoting from the first feasible vertex along every edge (Avis
+    and Fukuda 1992).  Errors come in the order empty, unbounded, not
+    simple, redundant."""
     if dim < 2:
         raise DimensionError("dimension must be at least 2")
     hs = tuple(h if isinstance(h, HalfSpace)
@@ -241,7 +231,7 @@ def build_polytope(dim: int, halfspaces) -> SimplePolytope:
     def point(tab):
         return tuple(Fraction(tab.rows[i][-1], tab.p) for i in free_rows)
 
-    queue, found, edges = [start], {frozenset(start.cols): start}, {}
+    queue, found = [start], {frozenset(start.cols): start}
     for tab in queue:
         tight = sum(b >= 0 and row[-1] == 0 for b, row in zip(tab.basis, tab.rows))
         if tight:
@@ -256,11 +246,10 @@ def build_polytope(dim: int, halfspaces) -> SimplePolytope:
                 found[there] = copy.copy(tab)
                 found[there].pivot(i, k)
                 queue.append(found[there])
-            edges.setdefault(here - {f}, set()).update((here, there))
     unused = set(range(len(hs))).difference(*found)
     if unused:
         raise RedundantFacetError(f"facet {min(unused)} supports no vertex")
-    return _assemble(dim, hs, {facets: point(tab) for facets, tab in found.items()}, edges)
+    return _assemble(dim, hs, {facets: point(tab) for facets, tab in found.items()})
 
 
 def polygon_from_vertices(points) -> SimplePolytope:
@@ -284,9 +273,7 @@ def polygon_from_vertices(points) -> SimplePolytope:
     normals = [primitive_part((-t[1], t[0])) for t in steps]  # inward
     hs = [HalfSpace(n, Fraction(n[0] * a[0] + n[1] * a[1], d)) for n, a in zip(normals, xs)]
     corners = [frozenset({(i - 1) % k, i}) for i in range(k)]  # point i's facets
-    return _assemble(2, hs, dict(zip(corners, pts)),
-                     {frozenset({i}): (corners[i], corners[(i + 1) % k]) for i in range(k)},
-                     dict(zip(corners, xs)).__getitem__)
+    return _assemble(2, hs, dict(zip(corners, pts)), dict(zip(corners, xs)).__getitem__)
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,12 @@ polygon off its cycle in Fraction arithmetic, sorting the vertices by
 their Fraction points; the library lifts the cycle once to integer points
 over one common denominator.
 
-``edge_directions_at_vertex`` walks the edge table for the direction of
-the edge leaving each facet at a vertex, and ``frame_order_by_edges``
-orders the facets so that those directions form a positive basis.  The
-library orders them from the sign of the determinant of their normals
-(tmh.charpair).
+``edges_of`` pairs the vertices that share all but one facet, the edges
+of a simple polytope.  ``edge_directions_at_vertex`` walks those edges
+for the direction of the edge leaving each facet at a vertex, and
+``frame_order_by_edges`` orders the facets so that those directions form
+a positive basis.  The library orders them from the sign of the
+determinant of their normals (tmh.charpair).
 
 ``pairing_by_relations`` solves the relations sum_i lambda_i (x_i . x_j) = 0
 for each self-intersection of a component's characteristic spheres, and
@@ -117,7 +118,6 @@ from tmh.exactlin import (
 )
 from tmh.mac import _l1
 from tmh.polytope import (
-    Edge,
     HalfSpace,
     PolytopeWithHoles,
     SimplePolytope,
@@ -572,12 +572,12 @@ def polygon_by_fractions(points) -> SimplePolytope:
     normals = [primitive_part(_integer_row((-t[1], t[0]))) for t in steps]  # inward
     hs = [HalfSpace(n, n[0] * a[0] + n[1] * a[1]) for n, a in zip(normals, pts)]
     corners = [frozenset({(i - 1) % k, i}) for i in range(k)]  # point i's facets
-    return _assemble(2, hs, dict(zip(corners, pts)),
-                     {frozenset({i}): (corners[i], corners[(i + 1) % k]) for i in range(k)})
+    return _assemble(2, hs, dict(zip(corners, pts)))
 
 
 def build_by_enumeration(dim: int, halfspaces) -> SimplePolytope:
-    """Enumerate vertices and edges of a simple polytope from half-spaces."""
+    """Enumerate the vertices of a simple polytope from half-spaces, and
+    check that each has dim edges."""
     if dim < 2:
         raise DimensionError("dimension must be at least 2")
     hs = tuple(h if isinstance(h, HalfSpace)
@@ -621,18 +621,24 @@ def build_by_enumeration(dim: int, halfspaces) -> SimplePolytope:
     for vid, v in enumerate(vertices):
         for subset in itertools.combinations(sorted(v.facets), dim - 1):
             edge_map.setdefault(frozenset(subset), set()).add(vid)
-    edges = []
     for facets, vids in sorted(edge_map.items(), key=lambda kv: sorted(kv[0])):
         if len(vids) != 2:
             raise NotSimpleError(
                 f"facet set {sorted(facets)} is shared by {len(vids)} vertices")
-        a, b = sorted(vids)
-        edges.append(Edge((a, b), facets))
-    poly = SimplePolytope(dim, hs, vertices, tuple(edges))
+    poly = SimplePolytope(dim, hs, vertices)
+    ends = [end for pair, _ in edges_of(poly) for end in pair]
     for vid in range(len(vertices)):
-        if len([e for e in poly.edges if vid in e.endpoints]) != dim:
+        if ends.count(vid) != dim:
             raise NotSimpleError(f"vertex {vid} does not have {dim} edges")
     return poly
+
+
+def edges_of(poly: SimplePolytope):
+    """The edges of a simple polytope as ((a, b), facets), a < b: each pair of
+    vertices that share dim - 1 facets, with those facets."""
+    verts = poly.vertices
+    return [((a, b), shared) for a, b in itertools.combinations(range(len(verts)), 2)
+            if len(shared := verts[a].facets & verts[b].facets) == poly.dim - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -650,10 +656,11 @@ def edge_directions_at_vertex(body: PolytopeWithHoles, vid: int):
     comp = body.components[ci]
     vertex = comp.vertices[li]
     out = []
+    edges = edges_of(comp)
     for f in sorted(vertex.facets):
         others = frozenset(vertex.facets - {f})
-        edge = next(e for e in comp.edges if e.facets == others)
-        other_end = edge.endpoints[0] if edge.endpoints[1] == li else edge.endpoints[1]
+        ends = next(pair for pair, facets in edges if facets == others)
+        other_end = ends[0] if ends[1] == li else ends[1]
         target = comp.vertices[other_end].point
         direction = tuple(t - s for t, s in zip(target, vertex.point))
         out.append((body.facet_gid(ci, f), direction))

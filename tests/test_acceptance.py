@@ -23,6 +23,7 @@ from tmh.mac import embedding_chart, freeness_check, kernel_data
 from matrices import transpose
 from oracles import (
     candidates,
+    edges_of,
     freeness_by_kernel,
     is_generic,
     signature_of_matrix,
@@ -237,11 +238,10 @@ def test_criterion_09_moment_angle_data():
         for gv in body.global_vertices():
             samples.append((gv.point, set(gv.facets)))
         for ci, comp in enumerate(body.components):
-            for edge in comp.edges:
-                a = comp.vertices[edge.endpoints[0]].point
-                b = comp.vertices[edge.endpoints[1]].point
+            for (i, j), facets in edges_of(comp):
+                a, b = comp.vertices[i].point, comp.vertices[j].point
                 mid = tuple((p + q) / 2 for p, q in zip(a, b))
-                samples.append((mid, {body.facet_gid(ci, f) for f in edge.facets}))
+                samples.append((mid, {body.facet_gid(ci, f) for f in facets}))
         interior = tuple(c + Fraction(1, 7) for c in body.outer.vertices[0].point)
         if body.contains(interior):
             samples.append((interior, set()))

@@ -10,7 +10,6 @@ from tmh.mac import (
     _certified_collar_widths,
     _collar_bounds,
     embedding_chart,
-    embedding_coordinates,
     freeness_check,
     kernel_data,
 )
@@ -23,6 +22,7 @@ from oracles import (
     collar_thresholds_by_lps,
     collar_widths_by_fm,
     collar_widths_by_lps,
+    edges_of,
     freeness_by_kernel,
     hole_coordinates,
     kernel_by_hermite,
@@ -58,11 +58,10 @@ def boundary_and_interior_samples(pair):
         samples.append((gv.point, set(gv.facets)))
     # edge midpoints lie on exactly the edge's facets
     for ci, comp in enumerate(body.components):
-        for e in comp.edges:
-            a = comp.vertices[e.endpoints[0]].point
-            b = comp.vertices[e.endpoints[1]].point
+        for (i, j), facets in edges_of(comp):
+            a, b = comp.vertices[i].point, comp.vertices[j].point
             mid = tuple((x + y) / 2 for x, y in zip(a, b))
-            samples.append((mid, {body.facet_gid(ci, f) for f in e.facets}))
+            samples.append((mid, {body.facet_gid(ci, f) for f in facets}))
     return samples
 
 
@@ -76,7 +75,7 @@ class TestEmbeddingCoordinates:
             ((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)])
         pair = pair_from_components(outer, [], [[(1, 0), (0, 1), (-1, 0), (0, -1)]])
         validate(pair)
-        coords = embedding_coordinates(pair, (F(1, 4), F(1, 2)))
+        coords = embedding_chart(pair).evaluate((F(1, 4), F(1, 2)))
         assert coords == (F(1, 4), F(1, 2), F(3, 4), F(1, 2))
 
     def test_vanishing_pattern(self):
@@ -98,16 +97,16 @@ class TestEmbeddingCoordinates:
 
     def test_interior_point_all_positive(self):
         pair = validated(square_in_square())
-        coords = embedding_coordinates(pair, (F(1, 2), F(1, 2)))
+        coords = embedding_chart(pair).evaluate((F(1, 2), F(1, 2)))
         assert all(c > 0 for c in coords)
 
     def test_outside_raises(self):
-        pair = validated(square_in_square())
+        chart = embedding_chart(validated(square_in_square()))
         with pytest.raises(DomainError):
-            embedding_coordinates(pair, (10, 10))
+            chart.evaluate((10, 10))
         with pytest.raises(DomainError):
             # strictly inside the hole
-            embedding_coordinates(pair, (F(3, 2), F(3, 2)))
+            chart.evaluate((F(3, 2), F(3, 2)))
 
     def test_hole_boundary_lift(self):
         pair = validated(square_in_square())

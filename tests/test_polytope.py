@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -7,6 +8,7 @@ import pytest
 
 from tmh import polytope
 from tmh.cli import parse_spec
+from tmh.dim4 import _cycle
 from tmh.errors import (
     ContainmentError,
     DimensionError,
@@ -30,12 +32,22 @@ from tmh.polytope import (
 )
 
 from golden_corpus import SPECS
-from instances import random_multi_hole_2d, random_one_hole_2d, random_one_hole_3d
+from instances import (
+    cp2_triangle,
+    prism_3d,
+    random_multi_hole_2d,
+    random_one_hole_2d,
+    random_one_hole_3d,
+    random_prism_3d,
+    simplex_3d,
+    unit_cube,
+)
 from oracles import (
     blocking_by_fractions,
     build_by_enumeration,
     collar_thresholds_by_lps,
     edge_directions_at_vertex,
+    edges_of,
     facet_location,
     fm_feasible,
     fm_screen,
@@ -65,7 +77,7 @@ class TestBuildPolytope:
     def test_unit_square(self):
         p = unit_square()
         assert p.vertex_count == 4
-        assert len(p.edges) == 4
+        assert len(edges_of(p)) == 4
         assert {v.point for v in p.vertices} == {
             (0, 0), (1, 0), (0, 1), (1, 1)}
 
@@ -109,7 +121,7 @@ class TestBuildPolytope:
             ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
             ((-1, 0, 0), -1), ((0, -1, 0), -1), ((0, 0, -1), -1)])
         assert cube.vertex_count == 8
-        assert len(cube.edges) == 12
+        assert len(edges_of(cube)) == 12
         assert all(len(v.facets) == 3 for v in cube.vertices)
 
     def test_octahedron_rejected_not_simple(self):
@@ -737,6 +749,63 @@ class TestEnumerationAgreement:
             classes.setdefault(kind, set()).add(want)
         assert classes == {kind: {NotSimpleError}
                            for kind in ("flat", "through-vertex", "touching")}
+
+
+def _graph_bodies():
+    """Every component of every golden spec, and the bodies the instance
+    generators build: the walk's in 2D and 3D, vertex cycles and placed holes."""
+    for path in sorted(SPECS.glob("*.json")):
+        yield from parse_spec(str(path)).body.components
+    yield from (cp2_triangle().body.outer, unit_cube(), simplex_3d(), prism_3d())
+    rng = random.Random(2029)
+    for _ in range(8):
+        yield from random_one_hole_3d(rng).body.components
+        yield from random_multi_hole_2d(rng).body.components
+    for sides in (3, 8, 21):
+        yield random_prism_3d(rng, sides).body.outer
+
+
+def _vertex_cycle_components():
+    """(spec name, component, points) for each component a golden spec gives
+    by its vertex cycle."""
+    for path in sorted(SPECS.glob("*.json")):
+        doc = json.loads(path.read_text())
+        for c, obj in enumerate([doc["outer"], *doc.get("holes", [])]):
+            if "vertices" in obj:
+                yield path.stem, c, [tuple(map(F, p)) for p in obj["vertices"]]
+
+
+class TestVertexGraph:
+    def test_graph_from_facet_sets_is_regular_and_connected(self):
+        # with the vertices adjacent that share dim - 1 facets, a walk that
+        # missed a vertex would leave some vertex short of dim neighbours
+        dims = []
+        for poly in _graph_bodies():
+            neighbours = {v: set() for v in range(poly.vertex_count)}
+            for (a, b), _ in edges_of(poly):
+                neighbours[a].add(b)
+                neighbours[b].add(a)
+            assert all(len(n) == poly.dim for n in neighbours.values())
+            reached, stack = {0}, [0]
+            while stack:
+                new = neighbours[stack.pop()] - reached
+                reached |= new
+                stack.extend(new)
+            assert len(reached) == poly.vertex_count
+            dims.append(poly.dim)
+        assert dims.count(2) >= 60 and dims.count(3) >= 20
+
+    def test_cycle_follows_the_spec_order(self):
+        # facet i of a vertex cycle runs from point i to point i + 1
+        seen = []
+        for name, c, points in _vertex_cycle_components():
+            comp = parse_spec(str(SPECS / f"{name}.json")).body.components[c]
+            order, facets = _cycle(comp)
+            k = len(points)
+            assert facets == [(facets[0] + i) % k for i in range(k)], (name, c)
+            assert [comp.vertices[v].point for v in order] == [points[f] for f in facets]
+            seen.append(facets[0])
+        assert len(seen) >= 10 and any(seen)  # not every cycle starts at facet 0
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from tmh.dim4 import (
 from tmh.errors import NotValidatedError
 from tmh.genus import chi_y
 from tmh.mac import embedding_chart, kernel_data
-from tmh.polytope import Edge, GlobalVertex, Vertex
+from tmh.polytope import GlobalVertex, HalfSpace, Vertex
 
 from instances import cp2_triangle, random_one_hole_2d, square_in_square, validated
 
@@ -36,13 +36,12 @@ BUILDS = {"cp2": cp2_triangle, "square_in_square": square_in_square,
 
 
 def one_of_each(pair):
-    """One instance of each of the 16 value types, built from the pair."""
+    """One instance of each of the 15 value types, built from the pair."""
     body = pair.body
     labels = tuple(f"f{i}" for i in range(body.facet_count))
     return {
         "HalfSpace": body.outer.halfspaces[0],
         "Vertex": body.outer.vertices[0],
-        "Edge": body.outer.edges[0],
         "SimplePolytope": body.outer,
         "GlobalVertex": body.global_vertices()[-1],
         "PolytopeWithHoles": body,
@@ -63,7 +62,7 @@ TYPES = list(one_of_each(validated(cp2_triangle())))
 
 
 def test_one_of_each_covers_every_type():
-    assert len(TYPES) == 16
+    assert len(TYPES) == 15
     for name, value in one_of_each(validated(cp2_triangle())).items():
         assert type(value).__name__ == name
 
@@ -119,8 +118,8 @@ def test_shared_values_in_different_types_are_unequal():
     assert (vertex.point, vertex.facets) == (global_vertex.point, global_vertex.facets)
     assert vertex == Vertex(point, facets) and vertex != (point, facets)
     # equal field tuples, different classes
-    edge = Edge(point, facets)
-    assert vertex != edge and edge != vertex and hash(vertex) == hash(edge)
+    halfspace = HalfSpace(point, facets)
+    assert vertex != halfspace and halfspace != vertex and hash(vertex) == hash(halfspace)
 
 
 def test_caches_stay_out_of_equality_and_repr():
