@@ -130,11 +130,12 @@ def _check(pair: CharacteristicPair) -> ValidationReport:
 
 def _oriented_facets(body: PolytopeWithHoles, vid: int) -> tuple[list[int], int]:
     """The facets at the vertex in frame order, and sgn det N_v."""
-    ci, li = body.vertex_location(vid)
-    comp = body.components[ci]
-    local = sorted(comp.vertices[li].facets)
-    order = [body.facet_gid(ci, f) for f in local]
-    if det_exact([comp.halfspaces[f].normal for f in local]) > 0:
+    if not 0 <= vid < body.vertex_count:
+        raise KeyError(f"vertex id {vid} out of range")
+    gv = body.global_vertices()[vid]
+    halfspaces, offset = body.components[gv.component].halfspaces, body.facet_offsets[gv.component]
+    order = sorted(gv.facets)  # global ids, ascending as the local ones are
+    if det_exact([halfspaces[f - offset].normal for f in order]) > 0:
         return order, 1
     order[-1], order[-2] = order[-2], order[-1]
     return order, -1

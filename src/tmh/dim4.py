@@ -114,8 +114,9 @@ def _component_pairing(pair: CharacteristicPair, comp_index: int,
     body = pair.body
     vcycle, fcycle = _cycle(body.components[comp_index], start_local)
     signs = all_signs(pair)
-    csigns = [signs[body.vertex_gid(comp_index, v)] for v in vcycle]
-    lam = [pair.lam[body.facet_gid(comp_index, f)] for f in fcycle]
+    vo, fo = body.vertex_offsets[comp_index], body.facet_offsets[comp_index]
+    csigns = [signs[vo + v] for v in vcycle]
+    lam = [pair.lam[fo + f] for f in fcycle]
     l = len(fcycle)
 
     q = [[0] * l for _ in range(l)]
@@ -167,7 +168,7 @@ def intersection_form(pair: CharacteristicPair) -> IntersectionData:
     q0, vcyc0, fcyc0 = _component_pairing(pair, 0, v1)
     l0 = len(fcyc0)
     s01, s10 = l0 - 2, l0 - 1      # l0 - 2 outer classes are kept; the circle spheres follow
-    generators = tuple(("facet", body.facet_gid(0, f)) for f in fcyc0[:s01])
+    generators = tuple(("facet", f) for f in fcyc0[:s01])  # outer ids are global
     if s == 0:
         return IntersectionData(generators, tuple(tuple(r[:s01]) for r in q0[:s01]))
 
@@ -176,11 +177,11 @@ def intersection_form(pair: CharacteristicPair) -> IntersectionData:
     mat = ([r[:s01] + [0] * (size - s01) for r in q0[:s01]] + [[0] * size, [0] * size]
            + [[0] * l0 + r for r in q1])
     signs = all_signs(pair)
-    # generator index of each endpoint's first and last facet; the outer last one is dropped
-    for comp, vcyc, fcyc, ends in ((0, vcyc0, fcyc0, (0, None)),
-                                   (1, vcyc1, fcyc1, (l0, size - 1))):
-        d = signs[body.vertex_gid(comp, vcyc[0])]
-        first, last = (pair.lam[body.facet_gid(comp, f)] for f in (fcyc[0], fcyc[-1]))
+    # hole ids start at l0; generator index of each end's first and last facet (outer last dropped)
+    for offset, vcyc, fcyc, ends in ((0, vcyc0, fcyc0, (0, None)),
+                                     (l0, vcyc1, fcyc1, (l0, size - 1))):
+        d = signs[offset + vcyc[0]]
+        first, last = (pair.lam[offset + f] for f in (fcyc[0], fcyc[-1]))
         # (1, 0) = c1 first + c2 last and (0, 1) = a1 first + a2 last
         (c1, a1), (c2, a2) = unimodular_inverse(tuple(zip(first, last)))
         mat[s01][s01] += a1 * a2 * d
@@ -192,7 +193,7 @@ def intersection_form(pair: CharacteristicPair) -> IntersectionData:
                 mat[i][s10] = mat[s10][i] = c
     mat[s10][s01] = mat[s01][s10]
     generators += (("circle", "(0,1)"), ("circle", "(1,0)"))
-    generators += tuple(("facet", body.facet_gid(1, f)) for f in fcyc1)
+    generators += tuple(("facet", l0 + f) for f in fcyc1)
     return IntersectionData(generators, tuple(map(tuple, mat)), 1)
 
 

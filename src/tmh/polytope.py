@@ -281,22 +281,13 @@ def polygon_from_vertices(points) -> SimplePolytope:
 
 
 class GlobalVertex(Value):
-    __slots__ = ("gid", "component", "local_id", "point", "facets")
+    __slots__ = ("gid", "component", "point", "facets")
 
-    def __init__(self, gid: int, component: int, local_id: int, point: RatVector,
-                 facets: frozenset[int]):
+    def __init__(self, gid: int, component: int, point: RatVector, facets: frozenset[int]):
         object.__setattr__(self, "gid", gid)
         object.__setattr__(self, "component", component)  # 0 = outer, k >= 1 = hole k
-        object.__setattr__(self, "local_id", local_id)
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "facets", facets)  # global facet ids
-
-
-def _gid(offsets, component, local, what) -> int:
-    if not (0 <= component < len(offsets) - 1
-            and 0 <= local < offsets[component + 1] - offsets[component]):
-        raise KeyError(f"{what} {local} of component {component} out of range")
-    return offsets[component] + local
 
 
 def _disjoint(dim, rows, points, a, b) -> bool:
@@ -309,8 +300,10 @@ def _disjoint(dim, rows, points, a, b) -> bool:
 
 class PolytopeWithHoles(Value):
     """Outer simple polytope minus the open interiors of hole polytopes,
-    which must lie strictly inside it and be pairwise disjoint.  The facet
-    and vertex offsets follow from the components."""
+    which must lie strictly inside it and be pairwise disjoint.  Ids run outer
+    first, then by hole: local facet f of component c is global facet_offsets[c]
+    + f, local vertex v is vertex_offsets[c] + v, and global_vertices()[gid]
+    gives a vertex's component and global facet ids."""
 
     __slots__ = ("components", "facet_offsets", "vertex_offsets", "_vertex_table")
 
@@ -336,7 +329,7 @@ class PolytopeWithHoles(Value):
         object.__setattr__(self, "facet_offsets", fo)
         object.__setattr__(self, "vertex_offsets", vo)
         object.__setattr__(self, "_vertex_table", tuple(
-            GlobalVertex(vo[ci] + li, ci, li, v.point, frozenset(fo[ci] + f for f in v.facets))
+            GlobalVertex(vo[ci] + li, ci, v.point, frozenset(fo[ci] + f for f in v.facets))
             for ci, comp in enumerate(components) for li, v in enumerate(comp.vertices)))
 
     def __reduce__(self):
@@ -365,18 +358,6 @@ class PolytopeWithHoles(Value):
     @property
     def vertex_count(self) -> int:
         return self.vertex_offsets[-1]
-
-    def facet_gid(self, component: int, local: int) -> int:
-        return _gid(self.facet_offsets, component, local, "facet")
-
-    def vertex_gid(self, component: int, local: int) -> int:
-        return _gid(self.vertex_offsets, component, local, "vertex")
-
-    def vertex_location(self, gid: int) -> tuple[int, int]:
-        if not 0 <= gid < self.vertex_count:
-            raise KeyError(f"vertex id {gid} out of range")
-        v = self._vertex_table[gid]
-        return v.component, v.local_id
 
     def global_vertices(self) -> tuple[GlobalVertex, ...]:
         """Every vertex of every component, in global vertex order."""

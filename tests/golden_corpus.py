@@ -116,7 +116,7 @@ def _halfspace_spec(name, pair):
             label = f"{prefix}f{local + 1}"
             rows.append({"label": label, "normal": list(h.normal),
                          "offset": str(h.offset)})
-            char[label] = list(pair.lam[body.facet_gid(ci, local)])
+            char[label] = list(pair.lam[body.facet_offsets[ci] + local])
         comps.append({"halfspaces": rows})
     return {"dimension": body.dim, "metadata": {"name": name},
             "outer": comps[0], "holes": comps[1:], "characteristic": char}

@@ -652,7 +652,8 @@ def edge_directions_at_vertex(body: PolytopeWithHoles, vid: int):
     Directions are computed inside the component owning the vertex and
     returned as (global facet id, direction) sorted by facet id.
     """
-    ci, li = body.vertex_location(vid)
+    ci = body.global_vertices()[vid].component
+    li = vid - body.vertex_offsets[ci]
     comp = body.components[ci]
     vertex = comp.vertices[li]
     out = []
@@ -663,7 +664,7 @@ def edge_directions_at_vertex(body: PolytopeWithHoles, vid: int):
         other_end = ends[0] if ends[1] == li else ends[1]
         target = comp.vertices[other_end].point
         direction = tuple(t - s for t, s in zip(target, vertex.point))
-        out.append((body.facet_gid(ci, f), direction))
+        out.append((body.facet_offsets[ci] + f, direction))
     return out
 
 
@@ -710,8 +711,8 @@ def pairing_by_relations(pair: CharacteristicPair, comp_index: int,
     comp = body.components[comp_index]
     vcycle, fcycle = _cycle(comp, start_local)
     signs = all_signs(pair)
-    csigns = [signs[body.vertex_gid(comp_index, v)] for v in vcycle]
-    lam = [pair.lam[body.facet_gid(comp_index, f)] for f in fcycle]
+    csigns = [signs[body.vertex_offsets[comp_index] + v] for v in vcycle]
+    lam = [pair.lam[body.facet_offsets[comp_index] + f] for f in fcycle]
     l = len(fcycle)
 
     # the CCW cycle convention makes sigma(v_i) = det[lambda_{i-1}, lambda_i]
@@ -753,7 +754,7 @@ def quasitoric_form_by_blocks(pair: CharacteristicPair) -> IntersectionData:
     l = len(fcycle)
     kept = list(range(l - 2))
     matrix = tuple(tuple(q[i][j] for j in kept) for i in kept)
-    generators = tuple(("facet", pair.body.facet_gid(0, fcycle[i])) for i in kept)
+    generators = tuple(("facet", fcycle[i]) for i in kept)  # outer ids are global
     return IntersectionData(generators, matrix, None)
 
 
@@ -779,12 +780,13 @@ def one_hole_form_by_blocks(pair: CharacteristicPair) -> IntersectionData:
     l0, l1 = len(fcyc0), len(fcyc1)
     signs = all_signs(pair)
 
-    lam0_first = pair.lam[body.facet_gid(0, fcyc0[0])]
-    lam0_last = pair.lam[body.facet_gid(0, fcyc0[-1])]
-    lam1_first = pair.lam[body.facet_gid(1, fcyc1[0])]
-    lam1_last = pair.lam[body.facet_gid(1, fcyc1[-1])]
-    d = signs[body.vertex_gid(0, vcyc0[0])]
-    dp = signs[body.vertex_gid(1, vcyc1[0])]
+    fo, vo = body.facet_offsets[1], body.vertex_offsets[1]  # outer ids are global
+    lam0_first = pair.lam[fcyc0[0]]
+    lam0_last = pair.lam[fcyc0[-1]]
+    lam1_first = pair.lam[fo + fcyc1[0]]
+    lam1_last = pair.lam[fo + fcyc1[-1]]
+    d = signs[vcyc0[0]]
+    dp = signs[vo + vcyc1[0]]
 
     def coefficients(target, first, last):
         # integer (x1, x2) with target = x1 first + x2 last, by Bareiss
@@ -826,9 +828,9 @@ def one_hole_form_by_blocks(pair: CharacteristicPair) -> IntersectionData:
     set_sym(hole0 + l1 - 1, s01, b2)
     set_sym(hole0 + l1 - 1, s10, e2)
 
-    generators = tuple(("facet", body.facet_gid(0, fcyc0[i])) for i in range(l0 - 2))
+    generators = tuple(("facet", fcyc0[i]) for i in range(l0 - 2))
     generators += (("circle", "(0,1)"), ("circle", "(1,0)"))
-    generators += tuple(("facet", body.facet_gid(1, f)) for f in fcyc1)
+    generators += tuple(("facet", fo + f) for f in fcyc1)
     return IntersectionData(generators, tuple(map(tuple, mat)), 1)
 
 

@@ -241,7 +241,7 @@ def test_criterion_09_moment_angle_data():
             for (i, j), facets in edges_of(comp):
                 a, b = comp.vertices[i].point, comp.vertices[j].point
                 mid = tuple((p + q) / 2 for p, q in zip(a, b))
-                samples.append((mid, {body.facet_gid(ci, f) for f in facets}))
+                samples.append((mid, {body.facet_offsets[ci] + f for f in facets}))
         interior = tuple(c + Fraction(1, 7) for c in body.outer.vertices[0].point)
         if body.contains(interior):
             samples.append((interior, set()))

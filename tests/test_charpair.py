@@ -22,7 +22,7 @@ from tmh.charpair import (
 )
 from tmh.dim4 import intersection_form
 from tmh.errors import NotValidatedError
-from tmh.genus import chi_y
+from tmh.genus import chi_y, vertex_index
 from tmh.mac import embedding_chart, kernel_data
 from tmh.polytope import build_with_holes, polygon_from_vertices
 
@@ -111,6 +111,16 @@ class TestVertexFrame:
         pair = cp2_triangle()
         with pytest.raises(NotValidatedError):
             vertex_frame(pair, 0)
+
+    def test_vertex_ids_out_of_range_raise(self):
+        # a square with a square hole has 8 vertices; -1 must not frame the last one
+        pair = validated(square_in_square())
+        all_signs(pair)  # every frame kept, so the lookups below miss the cache only
+        for vid in (-1, pair.body.vertex_count):
+            with pytest.raises(KeyError, match="out of range"):
+                vertex_frame(pair, vid)
+            with pytest.raises(KeyError, match="out of range"):
+                vertex_index(pair, vid, (1, 2))
 
     def test_positive_direction_basis(self):
         rng = random.Random(31)

@@ -61,7 +61,7 @@ def boundary_and_interior_samples(pair):
         for (i, j), facets in edges_of(comp):
             a, b = comp.vertices[i].point, comp.vertices[j].point
             mid = tuple((x + y) / 2 for x, y in zip(a, b))
-            samples.append((mid, {body.facet_gid(ci, f) for f in facets}))
+            samples.append((mid, {body.facet_offsets[ci] + f for f in facets}))
     return samples
 
 

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from tmh import polytope
+from tmh.charpair import _oriented_facets
 from tmh.cli import parse_spec
 from tmh.dim4 import _cycle
 from tmh.errors import (
@@ -299,36 +300,30 @@ class TestGlobalIds:
             with pytest.raises(KeyError, match="out of range"):
                 facet_location(body, gid)
             with pytest.raises(KeyError, match="out of range"):
-                body.vertex_location(gid)
-
-    def test_local_ids_out_of_range_raise(self):
-        # a square with a square hole: 4 + 4 facets and 4 + 4 vertices
-        body = build_with_holes(box(0, 0, 4, 4), [box(1, 1, 2, 2)])
-        for component, local in ((0, 4), (0, 5), (0, -1), (1, 4), (1, 7), (1, -1),
-                                 (2, 0), (-1, 0), (-1, 3)):
-            with pytest.raises(KeyError, match="out of range"):
-                body.facet_gid(component, local)
-            with pytest.raises(KeyError, match="out of range"):
-                body.vertex_gid(component, local)
-        assert [body.facet_gid(c, local) for c in (0, 1) for local in range(4)] == list(range(8))
-        assert [body.vertex_gid(c, local) for c in (0, 1) for local in range(4)] == list(range(8))
+                _oriented_facets(body, gid)
 
     def test_locations_invert_gids(self):
         body = build_with_holes(box(0, 0, 8, 8), [
             box(1, 1, 2, 2), polygon_from_vertices([(4, 4), (6, 4), (5, 6)])])
+        table = body.global_vertices()
         for c, comp in enumerate(body.components):
+            fo, vo = body.facet_offsets[c], body.vertex_offsets[c]
             for local in range(comp.facet_count):
-                assert facet_location(body, body.facet_gid(c, local)) == (c, local)
-            for local in range(comp.vertex_count):
-                assert body.vertex_location(body.vertex_gid(c, local)) == (c, local)
+                assert facet_location(body, fo + local) == (c, local)
+            for local, v in enumerate(comp.vertices):
+                gv = table[vo + local]
+                assert (gv.gid, gv.component, gv.point) == (vo + local, c, v.point)
+                assert gv.facets == {fo + f for f in v.facets}
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.json")))
     def test_vertex_location_on_golden_bodies(self, name):
+        # the table's component holds each vertex and each of its facets
         body = parse_spec(str(SPECS / f"{name}.json")).body
-        for gid in range(body.vertex_count):
-            c, local = body.vertex_location(gid)
-            assert 0 <= local < body.components[c].vertex_count
-            assert body.vertex_offsets[c] + local == gid
+        for gid, gv in enumerate(body.global_vertices()):
+            c, comp = gv.component, body.components[gv.component]
+            assert gv.gid == gid
+            assert 0 <= gid - body.vertex_offsets[c] < comp.vertex_count
+            assert all(0 <= f - body.facet_offsets[c] < comp.facet_count for f in gv.facets)
 
     def test_global_vertex_table_is_built_once(self):
         rng = random.Random(61)
@@ -346,8 +341,8 @@ class TestGlobalIds:
             old = []
             for ci, comp in enumerate(body.components):
                 for li, v in enumerate(comp.vertices):
-                    facets = frozenset(body.facet_gid(ci, f) for f in v.facets)
-                    old.append(GlobalVertex(body.vertex_gid(ci, li), ci, li, v.point, facets))
+                    facets = frozenset(body.facet_offsets[ci] + f for f in v.facets)
+                    old.append(GlobalVertex(body.vertex_offsets[ci] + li, ci, v.point, facets))
             assert table == tuple(old)
             # equality, hash and repr see the components and offsets only
             twin = PolytopeWithHoles(body.components)

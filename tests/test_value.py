@@ -1,6 +1,6 @@
 """The frozen value types: equality, hashing, immutability, copy and pickle,
 an import of the CLI that leaves ``dataclasses`` and ``inspect`` alone, and
-a package source without ``assert``."""
+a package source without ``assert`` or unused imports."""
 
 import ast
 import copy
@@ -113,7 +113,7 @@ def test_a_copied_pair_comes_back_unvalidated():
 
 def test_shared_values_in_different_types_are_unequal():
     point, facets = (1, 2), frozenset({0, 1})
-    vertex, global_vertex = Vertex(point, facets), GlobalVertex(0, 0, 0, point, facets)
+    vertex, global_vertex = Vertex(point, facets), GlobalVertex(0, 0, point, facets)
     assert vertex != global_vertex and global_vertex != vertex
     assert (vertex.point, vertex.facets) == (global_vertex.point, global_vertex.facets)
     assert vertex == Vertex(point, facets) and vertex != (point, facets)
@@ -152,6 +152,23 @@ def test_package_source_has_no_assert():
                if isinstance(node, ast.Assert)]
     assert "exactlin.py" in {path.name for path in sources}
     assert asserts == []
+
+
+def test_package_modules_use_every_name_they_import():
+    """No module of tmh but __init__, which re-exports, imports a name it never reads."""
+    sources = [path for path in sorted(Path(tmh.__file__).parent.glob("*.py"))
+               if path.name != "__init__.py"]
+    unused = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                unused += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in read]
+    assert "polytope.py" in {path.name for path in sources}
+    assert unused == []
 
 
 @pytest.mark.parametrize("cls", [HomologyProfile, ValidationReport, IntersectionData])
