@@ -4,8 +4,10 @@ Polytopes are given by half-spaces ``normal . x >= offset`` with integer
 normals and rational offsets.  One small simplex on integer dictionaries
 (least-index pivot rules, exact division by the previous pivot) decides
 emptiness and boundedness; its walk from the first feasible vertex along
-every edge finds the vertices and the facets through each.  Two vertices
-are adjacent exactly when they share all but one facet.
+every edge finds the vertices and the facets through each.  A 2D system is
+read off its lines in angle order unless that fails; then the walk raises,
+in the order empty, unbounded, not simple, redundant.  Two vertices are
+adjacent exactly when they share all but one facet.
 Polygons are read off their vertex cycle over one common denominator.  A
 facet of one hole negative at every vertex of another separates them; only
 a pair with no such facet takes an LP.  Every test runs in integers, and
@@ -17,6 +19,7 @@ from __future__ import annotations
 import copy
 import itertools
 from fractions import Fraction
+from functools import cmp_to_key
 from operator import mul
 
 from .errors import (
@@ -76,12 +79,6 @@ class SimplePolytope(Value):
         return tuple(Fraction(sum(map(mul, h.normal, x)) * h.offset.denominator
                               - h.offset.numerator * d, d * h.offset.denominator)
                      for h in self.halfspaces)
-
-    def contains(self, point, strict: bool = False) -> bool:
-        point = rat_vector(point)
-        if len(point) != self.dim:
-            raise DimensionError(f"point needs {self.dim} coordinates, got {len(point)}")
-        return all(v > 0 if strict else v >= 0 for v in self.values(point))
 
     def centroid(self) -> RatVector:
         n = len(self.vertices)
@@ -199,18 +196,43 @@ def _assemble(dim, halfspaces, points, key=None) -> SimplePolytope:
 
 def build_polytope(dim: int, halfspaces) -> SimplePolytope:
     """The vertices of a simple polytope from half-spaces, each with its facet
-    set, by pivoting from the first feasible vertex along every edge (Avis
-    and Fukuda 1992).  Errors come in the order empty, unbounded, not
-    simple, redundant."""
+    set: a 2D system by angle order (_by_angle) where that gives a polygon,
+    any other by the walk, whose errors come in the order empty, unbounded,
+    not simple, redundant."""
     if dim < 2:
         raise DimensionError("dimension must be at least 2")
     hs = tuple(h if isinstance(h, HalfSpace)
                else HalfSpace(int_vector(h[0]), Fraction(h[1]))
                for h in halfspaces)
-    for h in hs:
-        if len(h.normal) != dim:
-            raise DimensionError("normal length does not match dimension")
+    if any(len(h.normal) != dim for h in hs):
+        raise DimensionError("normal length does not match dimension")
+    return dim == 2 and _by_angle(hs) or _walk(dim, hs)
 
+
+def _by_angle(hs) -> SimplePolytope | None:
+    """The polygon of 2D half-planes in normal angle order (Preparata and
+    Shamos 1985, 7.2) if each normal turns left from the last and each edge
+    runs counter-clockwise between the meetings of its line with the lines
+    before and after; None otherwise, as for the empty x, y >= 1, x + y <= 1."""
+    rows = [_integer_row([*h.normal, h.offset]) for h in hs]  # a x + b y >= c
+    half = [(b, a) < (0, 0) for a, b, _ in rows]
+    order = sorted(range(len(rows)), key=cmp_to_key(
+        lambda i, j: half[i] - half[j] or rows[j][0] * rows[i][1] - rows[i][0] * rows[j][1]))
+    pairs = list(zip(order, order[1:] + order[:1]))
+    lines = [(rows[i], rows[j]) for i, j in pairs]
+    dets = [a * e - b * d for (a, b, _), (d, e, _) in lines]
+    if min(dets, default=0) <= 0:
+        return None
+    xs = [(c * e - b * f, a * f - c * d) for (a, b, c), (d, e, f) in lines]  # meeting t * dets[t]
+    if any(p * (b * u - a * v) <= q * (b * x - a * y) for (x, y), (u, v), p, q, (_, (a, b, _))
+           in zip(xs, xs[1:] + xs[:1], dets, dets[1:] + dets[:1], lines)):
+        return None
+    return _assemble(2, hs, {frozenset(f): (Fraction(x, d), Fraction(y, d))
+                             for f, (x, y), d in zip(pairs, xs, dets)})
+
+
+def _walk(dim, hs) -> SimplePolytope:
+    """The walk: pivots from the first feasible vertex along every edge (Avis and Fukuda 1992)."""
     start = _Dictionary(dim, [(h.normal, h.offset) for h in hs])
     if not start.phase_one():
         raise EmptyError("half-space system is infeasible")
@@ -362,13 +384,6 @@ class PolytopeWithHoles(Value):
     def global_vertices(self) -> tuple[GlobalVertex, ...]:
         """Every vertex of every component, in global vertex order."""
         return self._vertex_table
-
-    def contains(self, point) -> bool:
-        """Membership in P = outer minus the open hole interiors."""
-        point = rat_vector(point)
-        if not self.outer.contains(point):
-            return False
-        return not any(h.contains(point, strict=True) for h in self.holes)
 
 
 def build_with_holes(outer: SimplePolytope, holes) -> PolytopeWithHoles:

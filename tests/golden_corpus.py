@@ -220,13 +220,14 @@ def _point_in(spec_path):
     """A rational point of the body: an interior point near an outer vertex
     when one is free of holes, else that outer vertex."""
     from tmh.cli import parse_spec
+    from oracles import body_contains
 
     body = parse_spec(str(spec_path)).body
     corner = body.outer.vertices[0].point
     centre = body.outer.centroid()
     for t in (Fraction(1, 8), Fraction(1, 32), Fraction(0)):
         point = tuple(c + t * (m - c) for c, m in zip(corner, centre))
-        if body.contains(point):
+        if body_contains(body, point):
             return ",".join(str(c) for c in point)
     raise AssertionError("no point found")
 

@@ -37,8 +37,9 @@ ratio test by cross-multiplying integers (tmh.polytope).
 
 ``build_by_enumeration`` solves every n-subset of the rows and keeps the
 solutions that satisfy all of them; its basic points are the vertices.
-The library walks from one vertex to the next by pivoting instead, and
-reads polygons off their vertex cycle.  ``polygon_by_fractions`` reads a
+The library walks from one vertex to the next by pivoting instead, reads
+a 2D half-space system off its lines in angle order, and reads polygons
+off their vertex cycle.  ``polygon_by_fractions`` reads a
 polygon off its cycle in Fraction arithmetic, sorting the vertices by
 their Fraction points; the library lifts the cycle once to integer points
 over one common denominator.
@@ -72,13 +73,15 @@ the kernel of tmh.mac from row Hermite forms (tmh.exactlin).
 by its Fraction squared distance; the library lifts all points once to
 integers over one common denominator (tmh.dim4).
 
-``is_generic``, ``facet_location`` and ``hole_coordinates`` answer
-questions no library caller asks.  ``is_generic`` pairs a direction with
-the rows mu of every vertex frame, ``facet_location`` walks the components'
-facet counts, and ``hole_coordinates`` takes the chart's auxiliary
-coordinates from Fraction facet values and its collar widths; the library
-reads vertices off its global vertex table (tmh.polytope) and lifts a point
-on integer rows (tmh.mac).  ``generic_directions_by_scan`` runs
+``is_generic``, ``facet_location``, ``hole_coordinates``, ``contains`` and
+``body_contains`` answer questions no library caller asks.  ``is_generic``
+pairs a direction with the rows mu of every vertex frame, ``facet_location``
+walks the components' facet counts, ``hole_coordinates`` takes the chart's
+auxiliary coordinates from Fraction facet values and its collar widths, and
+``body_contains`` tests a point against the outer body and each open hole;
+the library reads vertices off its global vertex table (tmh.polytope), lifts
+a point on integer rows, and refuses a point outside the body in
+``EmbeddingChart.evaluate`` (tmh.mac).  ``generic_directions_by_scan`` runs
 ``is_generic`` on each primitive direction in the search order of
 tmh.genus, so every covector of every vertex is tested, repeats included;
 the library collects the distinct covectors into a set and tests each once.
@@ -330,6 +333,20 @@ FM_ROW_CAP = 20_000
 def value_by_fractions(h: HalfSpace, point) -> Fraction:
     """normal . point - offset, each coordinate coerced to a Fraction."""
     return sum(n * Fraction(x) for n, x in zip(h.normal, point)) - h.offset
+
+
+def contains(poly: SimplePolytope, point, strict: bool = False) -> bool:
+    """Whether the point lies in the polytope, or in its interior if strict."""
+    point = rat_vector(point)
+    if len(point) != poly.dim:
+        raise DimensionError(f"point needs {poly.dim} coordinates, got {len(point)}")
+    return all(v > 0 if strict else v >= 0 for v in poly.values(point))
+
+
+def body_contains(body: PolytopeWithHoles, point) -> bool:
+    """Membership in P = outer minus the open hole interiors."""
+    return contains(body.outer, point) and not any(
+        contains(hole, point, strict=True) for hole in body.holes)
 
 
 def blocking_by_fractions(tab, k) -> list[int]:

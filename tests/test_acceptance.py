@@ -22,6 +22,7 @@ from tmh.mac import embedding_chart, freeness_check, kernel_data
 
 from matrices import transpose
 from oracles import (
+    body_contains,
     candidates,
     edges_of,
     freeness_by_kernel,
@@ -243,7 +244,7 @@ def test_criterion_09_moment_angle_data():
                 mid = tuple((p + q) / 2 for p, q in zip(a, b))
                 samples.append((mid, {body.facet_offsets[ci] + f for f in facets}))
         interior = tuple(c + Fraction(1, 7) for c in body.outer.vertices[0].point)
-        if body.contains(interior):
+        if body_contains(body, interior):
             samples.append((interior, set()))
         for point, on in samples:
             coords = chart.evaluate(point)

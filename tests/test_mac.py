@@ -18,6 +18,7 @@ from tmh.polytope import _Dictionary, build_polytope, build_with_holes, polygon_
 from golden_corpus import SPECS
 from matrices import mul_vector
 from oracles import (
+    body_contains,
     candidates,
     collar_thresholds_by_lps,
     collar_widths_by_fm,
@@ -135,6 +136,29 @@ class TestEmbeddingCoordinates:
             # every outer coordinate is the facet value plus the hole coordinate
             outer_value = value_by_fractions(pair.body.outer.halfspaces[0], p)
             assert chart.evaluate(p)[0] == outer_value + expect
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.json")))
+    def test_domain_check_matches_the_containment_oracle(self, name):
+        # evaluate refuses exactly the points body_contains rejects: on up to 16
+        # vertices of each component, and an eighth of the way from each toward
+        # and away from the component's centroid
+        doc = parse_spec(str(SPECS / f"{name}.json"))
+        body, chart = doc.body, embedding_chart(doc.to_pair())
+        verdicts = set()
+        for comp in body.components:
+            c = comp.centroid()
+            for v in comp.vertices[::-(-comp.vertex_count // 16)]:
+                for t in (F(0), F(1, 8), F(-1, 8)):
+                    point = tuple(x + t * (y - x) for x, y in zip(v.point, c))
+                    inside = body_contains(body, point)
+                    try:
+                        chart.evaluate(point)
+                    except DomainError:
+                        assert not inside, point
+                    else:
+                        assert inside, point
+                    verdicts.add(inside)
+        assert verdicts == {True, False}
 
 
 class TestCollarWidths:

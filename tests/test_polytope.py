@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -34,19 +35,28 @@ from tmh.polytope import (
 
 from golden_corpus import SPECS
 from instances import (
+    cp1xcp1_square,
     cp2_triangle,
+    hirzebruch_cp2_fibersum,
+    hirzebruch_square,
+    pentagon_y,
     prism_3d,
+    random_convex_lattice_polygon,
+    random_many_sided_quasitoric_2d,
     random_multi_hole_2d,
     random_one_hole_2d,
     random_one_hole_3d,
     random_prism_3d,
     simplex_3d,
+    square_in_square,
     unit_cube,
 )
 from oracles import (
     blocking_by_fractions,
+    body_contains,
     build_by_enumeration,
     collar_thresholds_by_lps,
+    contains,
     edge_directions_at_vertex,
     edges_of,
     facet_location,
@@ -62,6 +72,16 @@ F = Fraction
 def unit_square():
     return build_polytope(2, [
         ((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)])
+
+
+def walk(dim, rows):
+    """build_polytope's fallback alone: the simplex walk, in 2D too."""
+    return polytope._walk(dim, tuple(HalfSpace(tuple(c), F(b)) for c, b in rows))
+
+
+# every test of the walk runs through both: in 2D, build_polytope mostly
+# takes the angular route
+ROUTES = (build_polytope, walk)
 
 
 def box(x0, y0, x1, y1):
@@ -135,7 +155,7 @@ class TestBuildPolytope:
         square = box(0, 0, 4, 4)
         for point in ((1, 1, -99), (1,)):
             with pytest.raises(DimensionError):
-                square.contains(point)
+                contains(square, point)
 
 
 class TestPolygonFromVertices:
@@ -192,15 +212,15 @@ class TestBuildWithHoles:
 
     def test_contains_points(self):
         body = build_with_holes(box(0, 0, 4, 4), [box(1, 1, 2, 2)])
-        assert body.contains((F(1, 2), F(1, 2)))
-        assert body.contains((1, 1))          # on the hole boundary
-        assert not body.contains((F(3, 2), F(3, 2)))  # inside the hole
-        assert not body.contains((5, 0))
+        assert body_contains(body, (F(1, 2), F(1, 2)))
+        assert body_contains(body, (1, 1))          # on the hole boundary
+        assert not body_contains(body, (F(3, 2), F(3, 2)))  # inside the hole
+        assert not body_contains(body, (5, 0))
 
     def test_contains_wrong_length(self):
         body = build_with_holes(box(0, 0, 4, 4), [box(1, 1, 2, 2)])
         with pytest.raises(DimensionError):
-            body.contains((F(1, 2), F(1, 2), 7))
+            body_contains(body, (F(1, 2), F(1, 2), 7))
 
 
 class TestEdgeDirections:
@@ -240,7 +260,7 @@ class TestEdgeDirections:
             for fid, direction in edge_directions_at_vertex(body, gv.gid):
                 assert any(d != 0 for d in direction)
                 probe = tuple(p + F(1, 1000) * d for p, d in zip(gv.point, direction))
-                assert comp.contains(probe)
+                assert contains(comp, probe)
                 _, local = facet_location(body, fid)
                 # the probe stays on the edge's facets (the other facets at
                 # the vertex) and strictly inside everything else
@@ -431,7 +451,7 @@ class TestIntegerContainment:
                 hole = _hole_at(point, interior)
                 if hole is None:
                     continue
-                expect = outer.contains(point, strict=True)
+                expect = contains(outer, point, strict=True)
                 assert _accepts(outer, hole) == expect
                 verdicts[expect] += 1
         assert min(verdicts.values()) >= 100
@@ -566,9 +586,9 @@ def _screen_class(dim, rows):
     return None
 
 
-def _build_class(dim, rows):
+def _build_class(build, dim, rows):
     try:
-        build_polytope(dim, rows)
+        build(dim, rows)
     except (EmptyError, UnboundedError) as exc:
         return type(exc)
     except (NotSimpleError, RedundantFacetError):
@@ -599,7 +619,8 @@ class TestFourierMotzkinAgreement:
         classes = {}
         for kind, dim, rows in _error_pool(2025):
             want = _screen_class(dim, rows)
-            assert _build_class(dim, rows) is want, (kind, rows)
+            for build in ROUTES:
+                assert _build_class(build, dim, rows) is want, (build, kind, rows)
             classes.setdefault(kind, set()).add(want)
         assert classes["empty"] == {EmptyError}
         assert classes["unbounded"] == {UnboundedError}
@@ -714,7 +735,8 @@ class TestEnumerationAgreement:
     def test_walk_matches_enumeration(self):
         kinds = set()
         for kind, dim, rows in _simple_bodies(2026):
-            assert build_polytope(dim, rows) == build_by_enumeration(dim, rows), (kind, rows)
+            want = build_by_enumeration(dim, rows)
+            assert all(build(dim, rows) == want for build in ROUTES), (kind, rows)
             kinds.add(kind)
         assert kinds == {"polygon", "prism", "box", "simplex"}
 
@@ -740,10 +762,174 @@ class TestEnumerationAgreement:
         classes = {}
         for kind, dim, rows in _not_simple_systems(2028):
             want = _error_class(build_by_enumeration, dim, rows)
-            assert _error_class(build_polytope, dim, rows) is want, (kind, rows)
+            for build in ROUTES:
+                assert _error_class(build, dim, rows) is want, (build, kind, rows)
             classes.setdefault(kind, set()).add(want)
         assert classes == {kind: {NotSimpleError}
                            for kind in ("flat", "through-vertex", "touching")}
+
+
+# ---------------------------------------------------------------------------
+# 2D half-space systems by angular order, against the walk and the enumeration
+
+
+# x >= 1, y >= 1, x + y <= 1 is empty, yet its lines meet in angle order in
+# the strictly convex cycle (1, 1), (0, 1), (1, 0), run clockwise
+EMPTY_TRIANGLE = [((1, 0), 1), ((0, 1), 1), ((-1, -1), -1)]
+# the normals at 0, 90 and 270 degrees turn left by less than pi and then by
+# pi exactly: x >= 0 and 0 <= y <= 1 is a half-strip
+HALF_STRIP = [((1, 0), 0), ((0, 1), 0), ((0, -1), -1)]
+
+
+def _planar_systems(seed):
+    """Seeded (kind, rows) 2D systems: the 2D ones of the seeded pools, every
+    component of every golden 2D spec, and the components the 2D instance
+    generators build, each with its rows shuffled and some of them scaled
+    by 2 or 3."""
+    for pool in (_simple_bodies(seed), _error_pool(seed), _not_simple_systems(seed)):
+        yield from ((kind, rows) for kind, dim, rows in pool if dim == 2)
+    for path in sorted(SPECS.glob("*.json")):
+        body = parse_spec(str(path)).body
+        if body.dim == 2:
+            yield from (("golden", _rows(c)) for c in body.components)
+    rng = random.Random(seed)
+    pairs = [cp2_triangle(), cp1xcp1_square(), hirzebruch_square(3), pentagon_y(),
+             square_in_square(), hirzebruch_cp2_fibersum(1), random_one_hole_2d(rng),
+             random_multi_hole_2d(rng, holes=4)]
+    pairs += [random_many_sided_quasitoric_2d(rng, m, bound=8) for m in (5, 17, 48, 96)]
+    polygons = [c for pair in pairs for c in pair.body.components]
+    for poly in polygons + [random_convex_lattice_polygon(rng, k) for k in range(3, 9)]:
+        rows = [(tuple(k * x for x in c), k * b)
+                for (c, b), k in zip(_rows(poly), rng.choices((1, 1, 2, 3), k=poly.facet_count))]
+        rng.shuffle(rows)
+        yield "generated", rows
+
+
+def _agree(rows):
+    """The angular route's polygon equals the walk's and the enumeration's
+    where it accepts; where it refuses, the walk raises the enumeration's
+    error class.  Returns that class, None for a polygon.  Past 50 rows the
+    enumeration, C(m, 2) solves checked on m rows each, is left out."""
+    got = polytope._by_angle(tuple(HalfSpace(tuple(c), F(b)) for c, b in rows))
+    want = _error_class(walk, 2, rows)
+    oracles = [walk] + [build_by_enumeration] * (len(rows) <= 50)
+    assert all(_error_class(build, 2, rows) is want for build in oracles), rows
+    if want is None:
+        assert all(got == build(2, rows) for build in oracles), rows
+        assert build_polytope(2, rows) == got
+    else:
+        assert got is None, rows
+    return want
+
+
+def _symmetric_polygon(m, bound):
+    """The counter-clockwise vertex cycle of a centrally symmetric m-gon whose
+    edge directions, primitive with entries up to bound, are spread evenly in
+    angle: the shape of the benchmark's polygons."""
+    upper = sorted((v for v in itertools.product(range(-bound, bound + 1), repeat=2)
+                    if (v[1], v[0]) > (0, 0) and gcd(*v) == 1), key=cmp_to_key(_by_angle))
+    steps = [upper[k * len(upper) // (m // 2)] for k in range(m // 2)]
+    pts = [(0, 0)]
+    for x, y in (steps + [(-x, -y) for x, y in steps])[:-1]:
+        pts.append((pts[-1][0] + x, pts[-1][1] + y))
+    return pts
+
+
+class TestAngularRoute:
+    def test_agrees_on_the_seeded_systems(self):
+        outcomes = {}
+        for kind, rows in _planar_systems(2030):
+            outcomes.setdefault(kind, set()).add(_agree(rows))
+        assert outcomes["polygon"] == outcomes["golden"] == outcomes["generated"] == {None}
+        assert outcomes["empty"] == {EmptyError} and outcomes["unbounded"] == {UnboundedError}
+        assert outcomes["flat"] == outcomes["through-vertex"] == {NotSimpleError}
+        assert None in outcomes["random"] and len(outcomes["random"]) >= 3
+
+    def test_refuses_the_empty_triangle_and_the_half_strip(self):
+        assert _agree(EMPTY_TRIANGLE) is EmptyError
+        assert _agree(HALF_STRIP) is UnboundedError
+
+    def test_agrees_on_generated_systems(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        point = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+        rational = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+        edits = st.lists(st.sampled_from(
+            ("duplicate", "parallel", "opposite", "strip", "drop", "random", "short")),
+            max_size=3)
+
+        @st.composite
+        def systems(draw):
+            """Shuffled polygon rows with normals scaled by 1 to 3, shifted by
+            a rational vector, then edited: a duplicate, a parallel or an
+            opposite row, a row dropped, a random row added, all but at most
+            2 rows dropped, or a strip between a row and an opposite one cut
+            by a random row.  Hulls of collinear points give no rows."""
+            cycle = _hull(draw(st.lists(point, min_size=3, max_size=7)))
+            shift = draw(st.tuples(rational, rational))
+            rows = []
+            if len(cycle) >= 3:
+                for c, b in _rows(polygon_from_vertices(cycle).transformed(F(1), shift)):
+                    k = draw(st.integers(1, 3))
+                    rows.append((tuple(k * x for x in c), k * b))
+            for edit in draw(edits):
+                if edit == "random" or not rows:
+                    rows.append((draw(point.filter(any)), draw(rational)))
+                    continue
+                c, b = rows[draw(st.integers(0, len(rows) - 1))]
+                if edit == "duplicate":
+                    rows.append((c, b))
+                elif edit == "parallel":
+                    rows.append((c, b + draw(rational)))
+                elif edit == "opposite":
+                    rows.append((tuple(-x for x in c), -b + draw(rational)))
+                elif edit == "strip":
+                    rows = [(c, b), (tuple(-x for x in c), -b - draw(rational)),
+                            (draw(point.filter(any)), draw(rational))]
+                elif edit == "drop":
+                    rows.remove((c, b))
+                else:
+                    rows = rows[:draw(st.integers(0, 2))]
+            return draw(st.permutations(rows))
+
+        outcomes = []
+
+        @hypothesis.settings(derandomize=True, max_examples=300, deadline=None,
+                             database=None)
+        @hypothesis.example(EMPTY_TRIANGLE)
+        @hypothesis.example(HALF_STRIP)
+        @hypothesis.given(systems())
+        def check(rows):
+            outcomes.append((len(rows) < 3, _agree(rows)))
+
+        check()
+        classes = {want for _, want in outcomes}
+        assert classes == {None, EmptyError, UnboundedError, NotSimpleError, RedundantFacetError}
+        assert sum(short for short, _ in outcomes) >= 10
+        assert min(sum(want is c for _, want in outcomes) for c in classes) >= 5
+
+    def test_symmetric_polygons_make_no_dictionary(self, monkeypatch):
+        # the walk's row updates grew 4x per doubling of m on these polygons
+        counts = {"dictionaries": 0, "pivots": 0}
+        init, pivot = _Dictionary.__init__, _Dictionary.pivot
+
+        def counted_init(tab, *args):
+            counts["dictionaries"] += 1
+            init(tab, *args)
+
+        def counted_pivot(tab, *args):
+            counts["pivots"] += 1
+            pivot(tab, *args)
+
+        monkeypatch.setattr(_Dictionary, "__init__", counted_init)
+        monkeypatch.setattr(_Dictionary, "pivot", counted_pivot)
+        for m in (16, 32, 64, 128, 256):
+            rows = _rows(polygon_from_vertices(_symmetric_polygon(m, 40)))
+            assert build_polytope(2, rows).vertex_count == m
+        assert counts == {"dictionaries": 0, "pivots": 0}
+        base = _rows(polygon_from_vertices(_symmetric_polygon(16, 40)))
+        build_polytope(3, [((*c, 0), b) for c, b in base] + [((0, 0, 1), 0), ((0, 0, -1), -1)])
+        assert counts["dictionaries"] >= 1 and counts["pivots"] >= 16
 
 
 def _graph_bodies():
@@ -847,9 +1033,9 @@ class TestIntegerArithmetic:
                 want = tuple(value_by_fractions(h, point) for h in poly.halfspaces)
                 assert poly.values(point) == want, point
                 assert tuple(h.value(point) for h in poly.halfspaces) == want
-                assert poly.contains(point) == (min(want) >= 0)
-                assert poly.contains(point, strict=True) == (min(want) > 0)
-                assert poly.contains([str(x) for x in point]) == (min(want) >= 0)
+                assert contains(poly, point) == (min(want) >= 0)
+                assert contains(poly, point, strict=True) == (min(want) > 0)
+                assert contains(poly, [str(x) for x in point]) == (min(want) >= 0)
                 inside += min(want) > 0
                 outside += min(want) < 0
         assert min(inside, outside) >= 100 and fractional >= 15
@@ -869,11 +1055,12 @@ class TestIntegerArithmetic:
             return rows
 
         monkeypatch.setattr(_Dictionary, "blocking", checked)
-        for kind, dim, rows in _simple_bodies(73):
-            build_polytope(dim, rows)
-        for kind, dim, rows in _not_simple_systems(73):
-            with pytest.raises(NotSimpleError):
-                build_polytope(dim, rows)
+        for build in ROUTES:
+            for kind, dim, rows in _simple_bodies(73):
+                build(dim, rows)
+            for kind, dim, rows in _not_simple_systems(73):
+                with pytest.raises(NotSimpleError):
+                    build(dim, rows)
         built = len(seen)
         for pair in pairs:
             collar_thresholds_by_lps(pair.body)  # one LP per (hole, obstacle)
