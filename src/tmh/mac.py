@@ -9,8 +9,8 @@ per facet measures a weighted distance to that facet.  Collar widths stay
 below the threshold where a hole's collar first meets the outer boundary
 or another hole, so that distinct facets never share a zero locus: one exact
 LP (tmh.polytope) per obstacle whose dual bound is below the least threshold
-found, in practice one per hole.  Bounds, ratio tests and the padding
-constants run in integers.
+found, in practice one per hole.  Bounds, ratio tests, the padding
+constants and the coordinates of a point run in integers.
 """
 
 from __future__ import annotations
@@ -87,26 +87,41 @@ class EmbeddingChart(Value):
     __slots__ = ("body", "collar_widths", "hole_constants")
 
     def evaluate(self, point) -> RatVector:
-        """The facet coordinates (d_1(x), ..., d_m(x))."""
+        """The facet coordinates (d_1(x), ..., d_m(x)), one Fraction each: x = X / d, and
+        h(x) = V / (d q) in integers, q the lcm of the offset denominators of h's component."""
         point = rat_vector(point)
         if len(point) != self.body.dim:
             raise DimensionError(f"point needs {self.body.dim} coordinates, got {len(point)}")
-        values = [c.values(point) for c in self.body.components]  # h(x), each read once
-        # outside the outer body, or in the open interior of a hole
-        if min(values[0]) < 0 or any(min(vals) > 0 for vals in values[1:]):
-            raise DomainError(f"point {tuple(map(str, point))} is not in the body")
+        *x, d = _integer_row([*point, 1])
+        values = []  # per component, its facet values V and their denominator d q
+        for comp in self.body.components:
+            *offsets, q = _integer_row([*(h.offset for h in comp.halfspaces), 1])
+            values.append(([sum(map(mul, h.normal, x)) * q - o * d
+                            for h, o in zip(comp.halfspaces, offsets)], d * q))
+        if min(values[0][0]) < 0:
+            raise DomainError(f"point {tuple(map(str, point))} is outside the outer body")
         p_hole = []  # the hole coordinates max(0, 1 - depth / width)
-        for vals, hole, w in zip(values[1:], self.body.holes, self.collar_widths):
-            # weighted depth of the point outside the hole; 0 exactly on the hole
-            depth = max(-v / _l1(h.normal) for v, h in zip(vals, hole.halfspaces))
-            p_hole.append(max(Fraction(0), 1 - depth / w))
-        total_hole = sum(p_hole)
-        out = [v + total_hole for v in values[0]]
+        for k, ((vals, den), hole, w) in enumerate(
+                zip(values[1:], self.body.holes, self.collar_widths), start=1):
+            if min(vals) > 0:
+                raise DomainError(f"point {tuple(map(str, point))} is in the open interior "
+                                  f"of hole {k}")
+            # depth max -V / (den l1) by cross-multiplication, 0 exactly on the hole
+            v, l1 = 0, 1  # the least V / l1 is <= 0, as some V <= 0
+            for u, n in zip(vals, map(_l1, (h.normal for h in hole.halfspaces))):
+                v, l1 = (u, n) if u * l1 < v * n else (v, l1)
+            scale = den * l1 * w.numerator  # 1 - depth / w = (scale + v w_d) / scale
+            p_hole.append(Fraction(max(0, scale + v * w.denominator), scale))
+        t = sum(p_hole)  # the int 0 without holes
+        vals, den = values[0]
+        out = [Fraction(v * t.denominator + t.numerator * den, den * t.denominator) for v in vals]
         constants = iter(self.hole_constants)
-        for vals, p_k in zip(values[1:], p_hole):
-            a_k = 1 - p_k
-            shift = a_k + total_hole - p_k  # a_k plus the other holes' coordinates
-            out.extend(v + next(constants) * a_k + shift for v in vals)
+        for (vals, den), p_k in zip(values[1:], p_hole):
+            # V / den + c a_k + shift, a_k = a / e and shift / e = a_k + the other holes' p
+            a, shift, e = _integer_row([1 - p_k, 1 - 2 * p_k + t, 1])
+            out.extend(Fraction(v * c.denominator * e
+                                + den * (c.numerator * a + shift * c.denominator),
+                                den * c.denominator * e) for v, c in zip(vals, constants))
         return tuple(out)
 
 

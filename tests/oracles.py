@@ -81,7 +81,13 @@ auxiliary coordinates from Fraction facet values and its collar widths, and
 ``body_contains`` tests a point against the outer body and each open hole;
 the library reads vertices off its global vertex table (tmh.polytope), lifts
 a point on integer rows, and refuses a point outside the body in
-``EmbeddingChart.evaluate`` (tmh.mac).  ``generic_directions_by_scan`` runs
+``EmbeddingChart.evaluate`` (tmh.mac).  ``evaluate_by_fractions`` is the
+chart's Fraction route: facet values from ``value_by_fractions``, hole
+coordinates from ``hole_coordinates``, and each coordinate a sum of
+Fractions; the library lifts the point once to X / d, takes each
+component's facet values as integers over one denominator, picks each
+hole's depth by cross-multiplication, and builds each coordinate as one
+Fraction (tmh.mac).  ``generic_directions_by_scan`` runs
 ``is_generic`` on each primitive direction in the search order of
 tmh.genus, so every covector of every vertex is tested, repeats included;
 the library collects the distinct covectors into a set and tests each once.
@@ -103,6 +109,7 @@ from tmh.charpair import CharacteristicPair, ValidationReport, all_signs, vertex
 from tmh.dim4 import IntersectionData, _cycle
 from tmh.errors import (
     DimensionError,
+    DomainError,
     EmptyError,
     InternalError,
     NotSimpleError,
@@ -119,7 +126,7 @@ from tmh.exactlin import (
     primitive_part,
     rat_vector,
 )
-from tmh.mac import _l1
+from tmh.mac import EmbeddingChart, _l1
 from tmh.polytope import (
     HalfSpace,
     PolytopeWithHoles,
@@ -947,6 +954,34 @@ def hole_coordinates(chart, point) -> tuple[Fraction, ...]:
         max(Fraction(0), 1 - max(-value_by_fractions(h, point) / sum(map(abs, h.normal))
                                  for h in hole.halfspaces) / width)
         for hole, width in zip(chart.body.holes, chart.collar_widths))
+
+
+def evaluate_by_fractions(chart: EmbeddingChart, point) -> tuple[Fraction, ...]:
+    """The facet coordinates of ``EmbeddingChart.evaluate`` in Fraction
+    arithmetic: each facet value h(x) from ``value_by_fractions``, the hole
+    coordinates p_k from ``hole_coordinates``, their sum t, then h(x) + t on
+    an outer facet and h(x) + c a_k + (a_k + t - p_k) on a facet of hole k,
+    with a_k = 1 - p_k and c the facet's padding constant."""
+    point = rat_vector(point)
+    body = chart.body
+    if len(point) != body.dim:
+        raise DimensionError(f"point needs {body.dim} coordinates, got {len(point)}")
+    values = [[value_by_fractions(h, point) for h in c.halfspaces] for c in body.components]
+    if min(values[0]) < 0:
+        raise DomainError(f"point {tuple(map(str, point))} is outside the outer body")
+    for k, vals in enumerate(values[1:], start=1):
+        if min(vals) > 0:
+            raise DomainError(
+                f"point {tuple(map(str, point))} is in the open interior of hole {k}")
+    p_hole = hole_coordinates(chart, point)
+    total_hole = sum(p_hole)
+    out = [v + total_hole for v in values[0]]
+    constants = iter(chart.hole_constants)
+    for vals, p_k in zip(values[1:], p_hole):
+        a_k = 1 - p_k
+        shift = a_k + total_hole - p_k  # a_k plus the other holes' coordinates
+        out.extend(v + next(constants) * a_k + shift for v in vals)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,12 @@ class TestArgumentErrors:
     def test_point_outside_body_exit_2(self, pentagon_file, capsys):
         self.assert_rejected(capsys, ["mac", pentagon_file, "--point=9,9"], 2)
 
+    def test_point_in_hole_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "holed.json"
+        path.write_text(json.dumps(square_in_square_spec_dict()))
+        self.assert_rejected(capsys, ["mac", str(path), "--point=3/2,3/2"], 2,
+                             "point ('3/2', '3/2') is in the open interior of hole 1")
+
     @pytest.mark.parametrize("holes", [5, "ab"], ids=repr)
     @pytest.mark.parametrize("command", ["validate", "invariants", "homology",
                                          "ring", "mac", "report"])

@@ -1,5 +1,7 @@
+import functools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -9,6 +11,7 @@ from tmh.cli import parse_spec
 from tmh.mac import (
     _certified_collar_widths,
     _collar_bounds,
+    _l1,
     embedding_chart,
     freeness_check,
     kernel_data,
@@ -24,6 +27,7 @@ from oracles import (
     collar_widths_by_fm,
     collar_widths_by_lps,
     edges_of,
+    evaluate_by_fractions,
     freeness_by_kernel,
     hole_coordinates,
     kernel_by_hermite,
@@ -64,6 +68,35 @@ def boundary_and_interior_samples(pair):
             mid = tuple((x + y) / 2 for x, y in zip(a, b))
             samples.append((mid, {body.facet_offsets[ci] + f for f in facets}))
     return samples
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_chart(name):
+    return embedding_chart(parse_spec(str(SPECS / f"{name}.json")).to_pair())
+
+
+def _golden_points(body):
+    """Up to 16 vertices of each component, and the points an eighth of the
+    way from each toward and away from the component's centroid."""
+    for comp in body.components:
+        c = comp.centroid()
+        for v in comp.vertices[::-(-comp.vertex_count // 16)]:
+            for t in (F(0), F(1, 8), F(-1, 8)):
+                yield tuple(x + t * (y - x) for x, y in zip(v.point, c))
+
+
+def _collar_points(chart):
+    """Points straight off up to 8 facets of each hole, at the weighted depth
+    t in {0, w/3, w, 2w} from the centroid of the facet's vertices, w the
+    hole's collar width: h(x) = -t |normal|_1 there."""
+    for hole, w in zip(chart.body.holes, chart.collar_widths):
+        for f in range(0, hole.facet_count, -(-hole.facet_count // 8)):
+            normal = hole.halfspaces[f].normal
+            on = [v.point for v in hole.vertices if f in v.facets]
+            base = tuple(sum(xs) / len(on) for xs in zip(*on))
+            step = F(_l1(normal), sum(c * c for c in normal))
+            for t in (F(0), w / 3, w, 2 * w):
+                yield tuple(x - t * step * c for x, c in zip(base, normal))
 
 
 class TestEmbeddingCoordinates:
@@ -142,24 +175,105 @@ class TestEmbeddingCoordinates:
         # evaluate refuses exactly the points body_contains rejects: on up to 16
         # vertices of each component, and an eighth of the way from each toward
         # and away from the component's centroid
-        doc = parse_spec(str(SPECS / f"{name}.json"))
-        body, chart = doc.body, embedding_chart(doc.to_pair())
+        chart = _golden_chart(name)
         verdicts = set()
-        for comp in body.components:
-            c = comp.centroid()
-            for v in comp.vertices[::-(-comp.vertex_count // 16)]:
-                for t in (F(0), F(1, 8), F(-1, 8)):
-                    point = tuple(x + t * (y - x) for x, y in zip(v.point, c))
-                    inside = body_contains(body, point)
-                    try:
-                        chart.evaluate(point)
-                    except DomainError:
-                        assert not inside, point
-                    else:
-                        assert inside, point
-                    verdicts.add(inside)
+        for point in _golden_points(chart.body):
+            inside = body_contains(chart.body, point)
+            try:
+                chart.evaluate(point)
+            except DomainError:
+                assert not inside, point
+            else:
+                assert inside, point
+            verdicts.add(inside)
         assert verdicts == {True, False}
 
+
+
+class TestIntegerEvaluation:
+    """EmbeddingChart.evaluate runs in integers; evaluate_by_fractions is the
+    Fraction route it replaced."""
+
+    @staticmethod
+    def verdict(chart, point):
+        """True if both routes give the same coordinates, each a Fraction in
+        lowest terms, and False if both raise the same DomainError."""
+        try:
+            want = evaluate_by_fractions(chart, point)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                chart.evaluate(point)
+            assert str(got.value) == str(exc)
+            return False
+        got = chart.evaluate(point)
+        assert got == want, point
+        # without holes the hole sum is the int 0, and the coordinates stay Fractions
+        assert all(type(c) is Fraction and c.denominator > 0
+                   and gcd(c.numerator, c.denominator) == 1 for c in got)
+        return True
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.json")))
+    def test_golden_charts(self, name):
+        chart = _golden_chart(name)
+        verdicts = [self.verdict(chart, p) for p in _golden_points(chart.body)]
+        assert set(verdicts) == {True, False}
+        collar = [self.verdict(chart, p) for p in _collar_points(chart)]
+        assert all(collar[::4])  # t = 0 is on the hole boundary, in the body
+
+    def test_collar_points_span_the_hole_coordinate(self):
+        # at t = 0, w/3, w and 2w off a hole facet its coordinate is 1, 2/3, 0, 0
+        pair = validated(square_in_square())
+        chart = embedding_chart(pair)
+        seen = [hole_coordinates(chart, p)[0] for p in _collar_points(chart)]
+        assert seen == [F(1), F(2, 3), F(0), F(0)] * 4
+        assert all(self.verdict(chart, p) for p in _collar_points(chart))
+
+    def test_open_hole_test_is_strict(self):
+        # every hole vertex and facet point is in the body; a hole's centroid is not
+        chart = embedding_chart(validated(random_multi_hole_2d(random.Random(5), holes=3)))
+        for k, hole in enumerate(chart.body.holes, start=1):
+            for v in hole.vertices:
+                assert self.verdict(chart, v.point)
+            with pytest.raises(DomainError, match=f"in the open interior of hole {k}$"):
+                chart.evaluate(hole.centroid())
+        with pytest.raises(DomainError, match="is outside the outer body$"):
+            chart.evaluate(tuple(x - 1 for x in chart.body.outer.bounding_box()[0]))
+
+    def test_generated_points(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        charts = [embedding_chart(random_multi_hole_2d(random.Random(seed), holes=holes))
+                  for seed, holes in ((11, 2), (12, 2), (13, 3), (14, 3))]
+        charts.append(embedding_chart(random_one_hole_3d(random.Random(15))))
+        share = st.fractions(min_value=F(-1, 8), max_value=F(9, 8), max_denominator=60)
+        offset = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+
+        @st.composite
+        def points(draw):
+            """A rational point of a chart's bounding box, or one within two
+            collar widths of a hole vertex."""
+            chart = draw(st.sampled_from(charts))
+            if draw(st.booleans()):
+                lo, hi = chart.body.outer.bounding_box()
+                return chart, tuple(a + (b - a) * draw(share) for a, b in zip(lo, hi))
+            k = draw(st.integers(0, chart.body.hole_count - 1))
+            v = draw(st.sampled_from(chart.body.holes[k].vertices)).point
+            return chart, tuple(x + chart.collar_widths[k] * draw(offset) for x in v)
+
+        seen = []
+
+        @hypothesis.settings(derandomize=True, max_examples=300, deadline=None,
+                             database=None)
+        @hypothesis.given(points())
+        def check(case):
+            chart, point = case
+            inside = self.verdict(chart, point)
+            collar = inside and any(0 < p < 1 for p in hole_coordinates(chart, point))
+            seen.append((inside, collar))
+
+        check()
+        assert sum(not inside for inside, _ in seen) >= 20
+        assert sum(collar for _, collar in seen) >= 20
 
 class TestCollarWidths:
     def test_match_fourier_motzkin_halving(self):
