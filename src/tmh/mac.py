@@ -10,7 +10,8 @@ below the threshold where a hole's collar first meets the outer boundary
 or another hole, so that distinct facets never share a zero locus: one exact
 LP (tmh.polytope) per obstacle whose dual bound is below the least threshold
 found, in practice one per hole.  Bounds, ratio tests, the padding
-constants and the coordinates of a point run in integers.
+constants and the coordinates of a point run in integers; the chart keeps
+its integer data, so evaluating a point lifts only the point.
 """
 
 from __future__ import annotations
@@ -81,47 +82,62 @@ def _certified_collar_widths(body: PolytopeWithHoles) -> tuple[Fraction, ...]:
 
 
 class EmbeddingChart(Value):
-    """Evaluator for the facet coordinate functions d_1 ... d_m."""
+    """Evaluator for the facet coordinate functions d_1 ... d_m.  It keeps per component the
+    facet normals and the offsets P / q over their lcm q, per hole each facet's l1 weight
+    and the width w_n / w_d, and each padding constant as (c_n, c_d)."""
 
     # hole_constants: the padding constant per hole facet, in global order
-    __slots__ = ("body", "collar_widths", "hole_constants")
+    __slots__ = ("body", "collar_widths", "hole_constants", "_rows", "_holes", "_constants")
+
+    def __init__(self, body: PolytopeWithHoles, collar_widths, hole_constants):
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "collar_widths", collar_widths)
+        object.__setattr__(self, "hole_constants", hole_constants)
+        rows = []
+        for comp in body.components:
+            *offsets, q = _integer_row([*(h.offset for h in comp.halfspaces), 1])
+            rows.append((tuple(h.normal for h in comp.halfspaces), tuple(offsets), q))
+        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_holes", tuple(
+            (tuple(_l1(h.normal) for h in hole.halfspaces), w.numerator, w.denominator)
+            for hole, w in zip(body.holes, collar_widths)))
+        object.__setattr__(self, "_constants", tuple((c.numerator, c.denominator)
+                                                     for c in hole_constants))
 
     def evaluate(self, point) -> RatVector:
-        """The facet coordinates (d_1(x), ..., d_m(x)), one Fraction each: x = X / d, and
-        h(x) = V / (d q) in integers, q the lcm of the offset denominators of h's component."""
+        """The facet coordinates (d_1(x), ..., d_m(x)), one Fraction each: x = X / d, the
+        one lift per call, and h(x) = V / (d q) in integers from the chart's kept rows."""
         point = rat_vector(point)
         if len(point) != self.body.dim:
             raise DimensionError(f"point needs {self.body.dim} coordinates, got {len(point)}")
         *x, d = _integer_row([*point, 1])
-        values = []  # per component, its facet values V and their denominator d q
-        for comp in self.body.components:
-            *offsets, q = _integer_row([*(h.offset for h in comp.halfspaces), 1])
-            values.append(([sum(map(mul, h.normal, x)) * q - o * d
-                            for h, o in zip(comp.halfspaces, offsets)], d * q))
+        # per component, its facet values V and their denominator d q
+        values = [([sum(map(mul, a, x)) * q - o * d for a, o in zip(normals, offsets)], d * q)
+                  for normals, offsets, q in self._rows]
         if min(values[0][0]) < 0:
             raise DomainError(f"point {tuple(map(str, point))} is outside the outer body")
         p_hole = []  # the hole coordinates max(0, 1 - depth / width)
-        for k, ((vals, den), hole, w) in enumerate(
-                zip(values[1:], self.body.holes, self.collar_widths), start=1):
+        for k, ((vals, den), (l1s, w_n, w_d)) in enumerate(zip(values[1:], self._holes), start=1):
             if min(vals) > 0:
                 raise DomainError(f"point {tuple(map(str, point))} is in the open interior "
                                   f"of hole {k}")
             # depth max -V / (den l1) by cross-multiplication, 0 exactly on the hole
             v, l1 = 0, 1  # the least V / l1 is <= 0, as some V <= 0
-            for u, n in zip(vals, map(_l1, (h.normal for h in hole.halfspaces))):
+            for u, n in zip(vals, l1s):
                 v, l1 = (u, n) if u * l1 < v * n else (v, l1)
-            scale = den * l1 * w.numerator  # 1 - depth / w = (scale + v w_d) / scale
-            p_hole.append(Fraction(max(0, scale + v * w.denominator), scale))
+            scale = den * l1 * w_n  # 1 - depth / w = (scale + v w_d) / scale
+            p_hole.append(Fraction(max(0, scale + v * w_d), scale))
         t = sum(p_hole)  # the int 0 without holes
         vals, den = values[0]
         out = [Fraction(v * t.denominator + t.numerator * den, den * t.denominator) for v in vals]
-        constants = iter(self.hole_constants)
-        for (vals, den), p_k in zip(values[1:], p_hole):
-            # V / den + c a_k + shift, a_k = a / e and shift / e = a_k + the other holes' p
-            a, shift, e = _integer_row([1 - p_k, 1 - 2 * p_k + t, 1])
-            out.extend(Fraction(v * c.denominator * e
-                                + den * (c.numerator * a + shift * c.denominator),
-                                den * c.denominator * e) for v, c in zip(vals, constants))
+        constants = iter(self._constants)
+        for (vals, den), p in zip(values[1:], p_hole):
+            # V / den + c a_k + shift over e = p_d t_d: a_k = 1 - p_k, shift = a_k + t - p_k
+            e = p.denominator * t.denominator
+            a = (p.denominator - p.numerator) * t.denominator
+            shift = a + t.numerator * p.denominator - p.numerator * t.denominator
+            out.extend(Fraction(v * c_d * e + den * (c_n * a + shift * c_d), den * c_d * e)
+                       for v, (c_n, c_d) in zip(vals, constants))
         return tuple(out)
 
 
@@ -145,12 +161,12 @@ def embedding_chart(pair: CharacteristicPair) -> EmbeddingChart:
 
 
 class KernelData(Value):
-    # the n rows of Lambda, and m - n kernel vectors of length m
-    __slots__ = ("lambda_matrix", "kernel_basis", "torus_rank")
+    # m - n kernel vectors of length m
+    __slots__ = ("kernel_basis", "torus_rank")
 
 
 def kernel_data(pair: CharacteristicPair) -> KernelData:
-    """Lambda and the Hermite basis of its kernel.  L_v is unimodular at a
+    """The Hermite basis of the kernel of Lambda.  L_v is unimodular at a
     vertex v of a valid pair, so the row Hermite form of [L_v | lambda_off]
     is [I | L_v^-1 lambda_off], and e_j - sum_k (L_v^-1 lambda_j)_k e_(i_k),
     for the facets j off v and i_1 < ... < i_n at v, span the kernel; on the
@@ -168,7 +184,7 @@ def kernel_data(pair: CharacteristicPair) -> KernelData:
         for k, i in enumerate(at):
             vec[i] = -rows[k][t]
     kernel = tuple(map(tuple, _row_hnf(basis)))
-    return KernelData(lam, kernel, len(kernel))
+    return KernelData(kernel, len(kernel))
 
 
 def freeness_check(pair: CharacteristicPair) -> bool:

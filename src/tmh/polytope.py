@@ -331,8 +331,11 @@ class PolytopeWithHoles(Value):
 
     def __init__(self, components: tuple[SimplePolytope, ...]):
         outer, holes = components[0], components[1:]
-        # h.value(x) > 0 in integers: row . (X, d) > 0 with x = X / d, d > 0
-        rows = [[_integer_row([*h.normal, -h.offset]) for h in c.halfspaces] for c in components]
+        # h.value(x) > 0 in integers: row . (X, d) > 0 with x = X / d, d > 0 and offset p / q;
+        # the outer rows once there is a hole, the hole rows once two may meet
+        rows = [[[*(a * h.offset.denominator for a in h.normal), -h.offset.numerator]
+                 for h in c.halfspaces]
+                for c in (components if len(holes) > 1 else components[:len(holes)])]
         points = [[], *([_integer_row([*v.point, 1]) for v in c.vertices] for c in holes)]
         for k, hole in enumerate(holes, start=1):
             if hole.dim != outer.dim:

@@ -1,10 +1,13 @@
+import copy
 import functools
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import tmh.mac
 from tmh.charpair import CharacteristicPair, validate
 from tmh.errors import DimensionError, DomainError, NotValidatedError
 from tmh.cli import parse_spec
@@ -220,6 +223,57 @@ class TestIntegerEvaluation:
         collar = [self.verdict(chart, p) for p in _collar_points(chart)]
         assert all(collar[::4])  # t = 0 is on the hole boundary, in the body
 
+    def test_one_lift_per_point(self, monkeypatch):
+        # the chart keeps its offsets, l1 weights, widths and constants in integers;
+        # evaluate lifts the point and nothing else, in the body and in a hole
+        chart = _golden_chart("octagon_8_holes")
+        calls = []
+        lift = tmh.mac._integer_row
+
+        def counted(values):
+            calls.append(len(values))
+            return lift(values)
+
+        monkeypatch.setattr(tmh.mac, "_integer_row", counted)
+        for comp in chart.body.components:
+            for v in comp.vertices:
+                calls.clear()
+                chart.evaluate(v.point)
+                assert calls == [chart.body.dim + 1]
+        for hole in chart.body.holes:
+            calls.clear()
+            with pytest.raises(DomainError):
+                chart.evaluate(hole.centroid())
+            assert calls == [chart.body.dim + 1]
+
+    def test_copies_rebuild_the_kept_data(self):
+        # copy and pickle carry the three fields; the constructor rebuilds the tuples it keeps
+        def outcome(chart, point):
+            try:
+                return chart.evaluate(point)
+            except DomainError as exc:
+                return str(exc)
+
+        checked = 0
+        for name in sorted(p.stem for p in SPECS.glob("*.json")):
+            chart = _golden_chart(name)
+            if not chart.body.hole_count:
+                continue
+            fields = (chart.body, chart.collar_widths, chart.hole_constants)
+            assert chart.__reduce_ex__(pickle.HIGHEST_PROTOCOL) == (type(chart), fields)
+            points = [*_golden_points(chart.body), *_collar_points(chart)]
+            want = [outcome(chart, p) for p in points]
+            assert any(isinstance(w, str) for w in want)
+            for dup in (copy.copy(chart), copy.deepcopy(chart), pickle.loads(pickle.dumps(chart))):
+                assert dup == chart and hash(dup) == hash(chart) and repr(dup) == repr(chart)
+                assert repr(dup).startswith("EmbeddingChart(body=")
+                for slot in ("_rows", "_holes", "_constants"):
+                    assert type(getattr(dup, slot)) is tuple
+                    assert getattr(dup, slot) == getattr(chart, slot)
+                assert [outcome(dup, p) for p in points] == want
+            checked += 1
+        assert checked >= 10
+
     def test_collar_points_span_the_hole_coordinate(self):
         # at t = 0, w/3, w and 2w off a hole facet its coordinate is 1, 2/3, 0, 0
         pair = validated(square_in_square())
@@ -371,7 +425,7 @@ class TestKernelData:
         assert data.torus_rank == 1
         col = data.kernel_basis[0]
         assert col in ((1, 1, 1), (-1, -1, -1))
-        assert mul_vector(data.lambda_matrix, col) == (0, 0)
+        assert mul_vector(pair.lambda_matrix(), col) == (0, 0)
 
     def test_square_rank(self):
         pair = validated(cp1xcp1_square())
@@ -390,7 +444,7 @@ class TestKernelData:
             n = pair.body.dim
             assert data.torus_rank == m - n
             for vec in data.kernel_basis:
-                assert mul_vector(data.lambda_matrix, vec) == tuple([0] * n)
+                assert mul_vector(pair.lambda_matrix(), vec) == tuple([0] * n)
 
     def test_requires_validation(self):
         with pytest.raises(NotValidatedError):
