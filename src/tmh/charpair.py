@@ -57,16 +57,10 @@ class CharacteristicPair(Value):
         report = self._cache["report"]
         return report is not None and report.ok
 
-    def lambda_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """The n rows of Lambda, whose columns are lambda_1 ... lambda_m in
-        global facet order."""
-        return tuple(zip(*self.lam))
-
 
 class ValidationReport(Value):
     # kind is "primitivity" or "summand"; facets are global ids
     __slots__ = ("ok", "kind", "facets", "message")
-    _defaults = (None, (), "valid")
 
 
 class VertexFrame(Value):
@@ -125,7 +119,7 @@ def _check(pair: CharacteristicPair) -> ValidationReport:
                         False, "summand", subset,
                         f"face {subset}: span is not a rank-{k} direct summand "
                         f"(divisors {list(divisors)}, rank {rank})")
-    return ValidationReport(True)
+    return ValidationReport(True, None, (), "valid")
 
 
 def _oriented_facets(body: PolytopeWithHoles, vid: int) -> tuple[list[int], int]:

@@ -244,12 +244,10 @@ def _homology_section(pair) -> dict:
     }
 
 
-def _intersection_section(doc: SpecDocument, pair, signature: int) -> dict | None:
+def _intersection_section(doc: SpecDocument, pair, signature: int) -> dict:
     """The intersection form; its signature is chi_1 of the genus.  A
     unimodular form of rank r and signature s has determinant
     (-1)^((r - s) / 2), which certifies the matrix and chi_1 together."""
-    if pair.body.hole_count > 1:
-        return None
     data = dim4.intersection_form(pair)
     det, r = det_exact(data.matrix), len(data.matrix)
     if (r - signature) % 2 or abs(signature) > r or det != (-1) ** ((r - signature) // 2):
@@ -312,7 +310,8 @@ def build_report(doc: SpecDocument) -> dict:
             **_homology_section(pair),
             "c1_squared": c1sq,
             "c2": c2,
-            "intersection": _intersection_section(doc, pair, report["chi_y"]["signature"]),
+            "intersection": None if pair.body.hole_count > 1 else _intersection_section(
+                doc, pair, report["chi_y"]["signature"]),
         }
 
     flags = dim4.structure_flags(pair)
@@ -549,9 +548,6 @@ def _command(args, out) -> int:
     elif args.command == "homology":
         section = _homology_section(pair)
     elif args.command == "ring":
-        if pair.body.hole_count > 1:
-            raise ScopeError("intersection products are only computed for "
-                             "at most one hole")
         # chi_1 does not depend on the direction, so a pinned nu is not used
         section = _intersection_section(doc, pair, genus.chi_y(pair).signature)
         rows = ("matrix",)

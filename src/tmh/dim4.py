@@ -9,18 +9,18 @@ closest outer/hole vertex pair and the hole's characteristic spheres.  With
 no hole only the outer (quasitoric) block remains.  Entries are obtained by
 localizing intersections at vertices; self-intersections are in closed
 form, from the linear relations satisfied by the characteristic classes of
-each quasitoric block.  At each end of the segment, (1,0) and (0,1) are
-written in the basis of the first and last lambda there by the unimodular
-inverse of [lambda_first | lambda_last] (tmh.exactlin).  The form's
-signature is chi_1 of the genus, and the report checks the form's
-determinant against it.
+each quasitoric block.  At each end of the segment, the coefficients of
+(1,0) and (0,1) in the basis of the first and last lambda there are the
+edge covectors mu = L_v^-1 that the end vertex's kept frame holds
+(tmh.charpair).  The form's signature is chi_1 of the genus, and the
+report checks the form's determinant against it.
 """
 
 from __future__ import annotations
 
-from .charpair import CharacteristicPair, all_signs, is_positive_omniorientation
+from .charpair import CharacteristicPair, all_signs, is_positive_omniorientation, vertex_frame
 from .errors import DimensionError, InternalError, ScopeError
-from .exactlin import _integer_row, unimodular_inverse
+from .exactlin import _integer_row
 from .genus import chi_y
 from .value import Value
 
@@ -39,7 +39,6 @@ class IntersectionData(Value):
     """
 
     __slots__ = ("generators", "matrix", "one_three_pairing")  # matrix as rows
-    _defaults = (None,)
 
 
 class StructureFlags(Value):
@@ -170,20 +169,19 @@ def intersection_form(pair: CharacteristicPair) -> IntersectionData:
     s01, s10 = l0 - 2, l0 - 1      # l0 - 2 outer classes are kept; the circle spheres follow
     generators = tuple(("facet", f) for f in fcyc0[:s01])  # outer ids are global
     if s == 0:
-        return IntersectionData(generators, tuple(tuple(r[:s01]) for r in q0[:s01]))
+        return IntersectionData(generators, tuple(tuple(r[:s01]) for r in q0[:s01]), None)
 
     q1, vcyc1, fcyc1 = _component_pairing(pair, 1, u1)
     size = l0 + len(fcyc1)
     mat = ([r[:s01] + [0] * (size - s01) for r in q0[:s01]] + [[0] * size, [0] * size]
            + [[0] * l0 + r for r in q1])
-    signs = all_signs(pair)
     # hole ids start at l0; generator index of each end's first and last facet (outer last dropped)
     for offset, vcyc, fcyc, ends in ((0, vcyc0, fcyc0, (0, None)),
                                      (l0, vcyc1, fcyc1, (l0, size - 1))):
-        d = signs[offset + vcyc[0]]
-        first, last = (pair.lam[offset + f] for f in (fcyc[0], fcyc[-1]))
-        # (1, 0) = c1 first + c2 last and (0, 1) = a1 first + a2 last
-        (c1, a1), (c2, a2) = unimodular_inverse(tuple(zip(first, last)))
+        # the frame orders the facets (last, first), into the end vertex and out of it, and
+        # its mu rows give (1, 0) = c1 first + c2 last and (0, 1) = a1 first + a2 last
+        frame = vertex_frame(pair, offset + vcyc[0])
+        ((c2, a2), (c1, a1)), d = frame.mu, frame.sign
         mat[s01][s01] += a1 * a2 * d
         mat[s10][s10] += c1 * c2 * d
         mat[s01][s10] += a2 * c1 * d

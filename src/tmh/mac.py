@@ -173,12 +173,11 @@ def kernel_data(pair: CharacteristicPair) -> KernelData:
     last facets that basis is nearly echelon, and Hermite forms are unique."""
     if not pair.validated:
         raise NotValidatedError("kernel data needs a validated pair")
-    lam = pair.lambda_matrix()
     n, m = pair.body.dim, pair.body.facet_count
     at = sorted(max((gv.facets for gv in pair.body.global_vertices()),
                     key=lambda facets: sorted(facets, reverse=True)))
     off = [j for j in range(m) if j not in at]
-    rows = _row_hnf([[row[j] for j in at + off] for row in lam])  # [I | L_v^-1 lambda_off]
+    rows = _row_hnf(list(zip(*(pair.lam[j] for j in at + off))))  # [I | L_v^-1 lambda_off]
     basis = [[int(i == j) for i in range(m)] for j in off]
     for t, vec in enumerate(basis, start=n):
         for k, i in enumerate(at):

@@ -3,9 +3,8 @@
 A subclass lists its slots.  Its fields, the slots without a leading
 underscore (at least two), make up equality, the hash, the repr and the
 constructor arguments that copy and pickle rebuild from; a slot with one,
-such as a cache, is outside all four.  The shared constructor takes the
-fields positionally, in slot order; a class-level ``_defaults`` tuple
-fills the trailing fields a caller leaves out.  A type built many times
+such as a cache, is outside all four.  The shared constructor takes
+exactly the fields, positionally, in slot order.  A type built many times
 per report, or one that checks its input or fills a cache, has its own
 ``__init__`` and sets its slots through ``object.__setattr__``.
 """
@@ -15,20 +14,16 @@ from operator import attrgetter
 
 class Value:
     __slots__ = ()
-    _defaults = ()
 
     def __init_subclass__(cls):
         cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
         cls._values = attrgetter(*cls._fields)
 
     def __init__(self, *values):
-        fields, defaults = self._fields, self._defaults
-        missing = len(fields) - len(values)
-        if not 0 <= missing <= len(defaults):
-            raise TypeError(f"{type(self).__qualname__}() takes {len(fields)} positional "
-                            f"arguments ({len(defaults)} with defaults) but {len(values)} "
-                            "were given")
-        for name, value in zip(fields, values + defaults[len(defaults) - missing:]):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__}() takes {len(self._fields)} positional "
+                            f"arguments but {len(values)} were given")
+        for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):

@@ -308,7 +308,7 @@ def validate_by_faces(pair: CharacteristicPair) -> ValidationReport:
                         False, "summand", subset,
                         f"face {subset}: span is not a rank-{k} direct summand "
                         f"(divisors {list(divisors)}, rank {rank})")
-    return ValidationReport(True)
+    return ValidationReport(True, None, (), "valid")
 
 
 def freeness_by_kernel(pair: CharacteristicPair) -> bool:
@@ -316,7 +316,7 @@ def freeness_by_kernel(pair: CharacteristicPair) -> bool:
     facets through each vertex: [kernel basis | coordinate columns] is
     unimodular."""
     m = pair.body.facet_count
-    basis = kernel_by_pivoting(pair.lambda_matrix(), m)
+    basis = kernel_by_pivoting(tuple(zip(*pair.lam)), m)
     if len(basis) + pair.body.dim != m:
         return False  # rank-deficient characteristic map
     for gv in pair.body.global_vertices():

@@ -363,3 +363,11 @@ class TestFramesOnce:
         # 12 vertices, 3x3 L_v and N_v: the closed forms sit inside the counted functions
         assert self.report_calls(monkeypatch, "one_hole_3d.json") == {"unimodular_inverse": 12,
                                                                        "det_exact": 24}
+
+    @pytest.mark.parametrize("spec, vertices", [("square_in_square.json", 8),
+                                                ("one_hole_2d_0.json", 9)])
+    def test_one_hole_form_reads_the_kept_frames(self, monkeypatch, spec, vertices):
+        # one inverse per vertex: the segment's two ends reuse their frames' mu;
+        # det L_v and det N_v per vertex, and the intersection form
+        assert self.report_calls(monkeypatch, spec) == {"unimodular_inverse": vertices,
+                                                        "det_exact": 2 * vertices + 1}

@@ -294,6 +294,12 @@ class TestCommands:
         code, _ = run_cli(["ring", str(path)])
         assert code == 3
 
+    def test_ring_scope_error_for_two_holes(self, capsys):
+        # the library's one-hole guard is the only one, and its message is the error line
+        path = golden_corpus.SPECS / "multi_hole_2d_0.json"
+        assert run_cli(["ring", str(path)]) == (3, "")
+        assert capsys.readouterr().err == "error: intersection form is not computed for 2 holes\n"
+
 
 class TestArgumentErrors:
     """A malformed argument exits 1 and a point outside the body exits 2,

@@ -425,7 +425,7 @@ class TestKernelData:
         assert data.torus_rank == 1
         col = data.kernel_basis[0]
         assert col in ((1, 1, 1), (-1, -1, -1))
-        assert mul_vector(pair.lambda_matrix(), col) == (0, 0)
+        assert mul_vector(tuple(zip(*pair.lam)), col) == (0, 0)
 
     def test_square_rank(self):
         pair = validated(cp1xcp1_square())
@@ -444,7 +444,7 @@ class TestKernelData:
             n = pair.body.dim
             assert data.torus_rank == m - n
             for vec in data.kernel_basis:
-                assert mul_vector(pair.lambda_matrix(), vec) == tuple([0] * n)
+                assert mul_vector(tuple(zip(*pair.lam)), vec) == tuple([0] * n)
 
     def test_requires_validation(self):
         with pytest.raises(NotValidatedError):
@@ -474,7 +474,7 @@ class TestKernelAgreement:
 
     @staticmethod
     def assert_agree(pair):
-        lam, m = pair.lambda_matrix(), pair.body.facet_count
+        lam, m = tuple(zip(*pair.lam)), pair.body.facet_count
         basis = kernel_data(pair).kernel_basis
         assert basis == kernel_by_hermite(lam, m)
         assert basis == kernel_by_pivoting(lam, m)
