@@ -64,16 +64,9 @@ class ValidationReport(Value):
 
 
 class VertexFrame(Value):
+    # facet_order is the global facet ids i_1 ... i_n, lambda_v the rows of
+    # L_v = [lambda_i_1 ... lambda_i_n] and mu the rows of L_v^-1, one covector per facet
     __slots__ = ("vertex", "facet_order", "lambda_v", "sign", "mu")
-
-    def __init__(self, vertex: int, facet_order: tuple[int, ...],
-                 lambda_v: tuple[tuple[int, ...], ...], sign: int,
-                 mu: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "facet_order", facet_order)  # global facet ids i_1 ... i_n
-        object.__setattr__(self, "lambda_v", lambda_v)  # rows of L_v = [lambda_i_1 ... lambda_i_n]
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "mu", mu)  # rows of L_v^-1, one covector per facet
 
 
 def vertex_determinants(pair: CharacteristicPair) -> dict[int, int]:

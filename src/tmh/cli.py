@@ -244,11 +244,10 @@ def _homology_section(pair) -> dict:
     }
 
 
-def _intersection_section(doc: SpecDocument, pair, signature: int) -> dict:
-    """The intersection form; its signature is chi_1 of the genus.  A
+def _intersection_section(doc: SpecDocument, data, signature: int) -> dict:
+    """The section of an intersection form; its signature is chi_1 of the genus.  A
     unimodular form of rank r and signature s has determinant
     (-1)^((r - s) / 2), which certifies the matrix and chi_1 together."""
-    data = dim4.intersection_form(pair)
     det, r = det_exact(data.matrix), len(data.matrix)
     if (r - signature) % 2 or abs(signature) > r or det != (-1) ** ((r - signature) // 2):
         raise InternalError(f"intersection form of rank {r} has determinant {det}, "
@@ -311,7 +310,7 @@ def build_report(doc: SpecDocument) -> dict:
             "c1_squared": c1sq,
             "c2": c2,
             "intersection": None if pair.body.hole_count > 1 else _intersection_section(
-                doc, pair, report["chi_y"]["signature"]),
+                doc, dim4.intersection_form(pair), report["chi_y"]["signature"]),
         }
 
     flags = dim4.structure_flags(pair)
@@ -548,8 +547,10 @@ def _command(args, out) -> int:
     elif args.command == "homology":
         section = _homology_section(pair)
     elif args.command == "ring":
-        # chi_1 does not depend on the direction, so a pinned nu is not used
-        section = _intersection_section(doc, pair, genus.chi_y(pair).signature)
+        # the form comes first, so a body it refuses costs no genus; chi_1 does
+        # not depend on the direction, so a pinned nu is not used
+        section = _intersection_section(doc, dim4.intersection_form(pair),
+                                        genus.chi_y(pair).signature)
         rows = ("matrix",)
     else:
         section = _moment_angle_section(pair)

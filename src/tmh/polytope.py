@@ -55,10 +55,6 @@ class HalfSpace(Value):
 class Vertex(Value):
     __slots__ = ("point", "facets")
 
-    def __init__(self, point: RatVector, facets: frozenset[int]):
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "facets", facets)
-
 
 class SimplePolytope(Value):
     """A bounded full-dimensional simple polytope with exact combinatorics."""
@@ -303,13 +299,8 @@ def polygon_from_vertices(points) -> SimplePolytope:
 
 
 class GlobalVertex(Value):
+    # component 0 is the outer polytope and k >= 1 hole k; facets are global ids
     __slots__ = ("gid", "component", "point", "facets")
-
-    def __init__(self, gid: int, component: int, point: RatVector, facets: frozenset[int]):
-        object.__setattr__(self, "gid", gid)
-        object.__setattr__(self, "component", component)  # 0 = outer, k >= 1 = hole k
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "facets", facets)  # global facet ids
 
 
 def _disjoint(dim, rows, points, a, b) -> bool:

@@ -3,10 +3,11 @@
 A subclass lists its slots.  Its fields, the slots without a leading
 underscore (at least two), make up equality, the hash, the repr and the
 constructor arguments that copy and pickle rebuild from; a slot with one,
-such as a cache, is outside all four.  The shared constructor takes
-exactly the fields, positionally, in slot order.  A type built many times
-per report, or one that checks its input or fills a cache, has its own
-``__init__`` and sets its slots through ``object.__setattr__``.
+such as a cache, is outside all four.  A type without an ``__init__`` of
+its own gets one built for it, once, that takes exactly the fields,
+positionally, in slot order, and writes one slot per field.  A type that
+checks its input or derives slots has its own ``__init__`` and sets its
+slots through ``object.__setattr__``.
 """
 
 from operator import attrgetter
@@ -18,13 +19,13 @@ class Value:
     def __init_subclass__(cls):
         cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
         cls._values = attrgetter(*cls._fields)
-
-    def __init__(self, *values):
-        if len(values) != len(self._fields):
-            raise TypeError(f"{type(self).__qualname__}() takes {len(self._fields)} positional "
-                            f"arguments but {len(values)} were given")
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        if "__init__" not in vars(cls):
+            namespace = {"setattr": object.__setattr__}
+            exec(f"def __init__(self, {', '.join(cls._fields)}, /):"
+                 + "".join(f"\n setattr(self, {name!r}, {name})" for name in cls._fields),
+                 namespace)
+            init = cls.__init__ = namespace["__init__"]
+            init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -5,7 +5,6 @@ import pickle
 import random
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from tmh.genus import chi_y, vertex_index
 from tmh.mac import embedding_chart, kernel_data
 from tmh.polytope import build_with_holes, polygon_from_vertices
 
+from counting import count_calls
 from golden_corpus import SPECS
 from matrices import transpose
 from oracles import (
@@ -335,22 +335,7 @@ class TestFramesOnce:
         """det_exact and unimodular_inverse calls of build_report on a golden spec."""
         from tmh.cli import build_report, parse_spec
 
-        calls = Counter()
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        names = ("unimodular_inverse", "det_exact")
-        modules = [m for key, m in sys.modules.items()
-                   if key == "tmh" or key.startswith("tmh.")]
-        for module in modules:
-            for name in names:
-                if name in vars(module):
-                    monkeypatch.setattr(module, name,
-                                        counting(name, getattr(module, name)))
+        calls = count_calls(monkeypatch, ("unimodular_inverse", "det_exact"))
         build_report(parse_spec(str(SPECS / spec)))
         return calls
 

@@ -10,10 +10,12 @@ from tmh import polytope
 from tmh.charpair import validate
 from tmh.cli import (_intersection_section, _parse_rational, build_report, compose_fibersum,
                      parse_spec, parse_spec_dict, render_json, run)
+from tmh.dim4 import intersection_form
 from tmh.errors import InternalError
 from tmh.genus import chi_y
 
 import golden_corpus
+from counting import count_calls
 from instances import PENTAGON_LAMBDA, PENTAGON_VERTICES
 from oracles import render_json_by_dumps
 
@@ -224,9 +226,10 @@ class TestCommands:
         pair = doc.to_pair()
         assert validate(pair).ok
         signature = chi_y(pair).signature
-        assert _intersection_section(doc, pair, signature)["signature"] == 3
+        form = intersection_form(pair)
+        assert _intersection_section(doc, form, signature)["signature"] == 3
         with pytest.raises(InternalError, match="not that of a unimodular form"):
-            _intersection_section(doc, pair, signature + 2)
+            _intersection_section(doc, form, signature + 2)
 
     def test_mac_with_point(self, cp2_file):
         code, out = run_cli(["mac", cp2_file, "--point", "1/4,1/4"])
@@ -299,6 +302,13 @@ class TestCommands:
         path = golden_corpus.SPECS / "multi_hole_2d_0.json"
         assert run_cli(["ring", str(path)]) == (3, "")
         assert capsys.readouterr().err == "error: intersection form is not computed for 2 holes\n"
+
+    @pytest.mark.parametrize("spec, code, genus_calls", [("multi_hole_2d_0.json", 3, 0),
+                                                         ("square_in_square.json", 0, 1)])
+    def test_ring_refuses_two_holes_before_the_genus(self, monkeypatch, spec, code, genus_calls):
+        calls = count_calls(monkeypatch, ("chi_y",))
+        assert run_cli(["ring", str(golden_corpus.SPECS / spec)])[0] == code
+        assert calls["chi_y"] == genus_calls
 
 
 class TestArgumentErrors:

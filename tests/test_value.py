@@ -8,6 +8,7 @@ import dataclasses
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,19 +16,14 @@ from pathlib import Path
 import pytest
 
 import tmh
-from tmh.charpair import ValidationReport, validate, vertex_frame
+from tmh.charpair import VertexFrame, validate, vertex_frame
 from tmh.cli import SpecDocument
-from tmh.dim4 import (
-    HomologyProfile,
-    IntersectionData,
-    homology_groups,
-    intersection_form,
-    structure_flags,
-)
-from tmh.errors import NotValidatedError
+from tmh.dim4 import homology_groups, intersection_form, structure_flags
+from tmh.errors import DimensionError, NotValidatedError
 from tmh.genus import chi_y
 from tmh.mac import embedding_chart, kernel_data
 from tmh.polytope import GlobalVertex, HalfSpace, Vertex
+from tmh.value import Value
 
 from instances import cp2_triangle, random_one_hole_2d, square_in_square, validated
 
@@ -58,7 +54,8 @@ def one_of_each(pair):
     }
 
 
-TYPES = list(one_of_each(validated(cp2_triangle())))
+CLASSES = {name: type(value) for name, value in one_of_each(validated(cp2_triangle())).items()}
+TYPES = list(CLASSES)
 
 
 def test_one_of_each_covers_every_type():
@@ -171,15 +168,37 @@ def test_package_modules_use_every_name_they_import():
     assert unused == []
 
 
-@pytest.mark.parametrize("cls", [HomologyProfile, ValidationReport, IntersectionData])
+# the types that check their input or derive slots keep their own __init__
+OWN_INIT = ("HalfSpace", "PolytopeWithHoles", "CharacteristicPair", "EmbeddingChart")
+GENERATED = [cls for name, cls in CLASSES.items() if name not in OWN_INIT]
+
+
+def test_every_other_type_takes_the_generated_constructor():
+    assert len(GENERATED) == 11 and {Vertex, GlobalVertex, VertexFrame} < set(GENERATED)
+    for cls in GENERATED:
+        init = vars(cls)["__init__"]
+        assert (init.__qualname__, init.__module__) == (f"{cls.__name__}.__init__", cls.__module__)
+    assert "__init__" not in vars(Value)
+    # a checking type keeps its own: HalfSpace still refuses a zero normal
+    with pytest.raises(DimensionError, match="^half-space normal must be nonzero$"):
+        HalfSpace((0, 0), 0)
+
+
+@pytest.mark.parametrize("cls", GENERATED)
 def test_shared_constructor_refuses_too_few_and_too_many_arguments(cls):
-    size = len(cls._fields)
-    for count in (size - 1, size + 1):
-        with pytest.raises(TypeError, match=f"^{cls.__name__}\\(\\) takes {size} positional "
-                                            f"arguments but {count} were given$"):
+    # Python's own messages for a positional-only def __init__(self, <fields>, /)
+    name, fields = cls.__name__, cls._fields
+    size = len(fields)
+    refusals = {
+        size - 1: f"missing 1 required positional argument: '{fields[-1]}'",
+        size + 1: f"takes {size + 1} positional arguments but {size + 2} were given",
+    }
+    for count, message in refusals.items():
+        with pytest.raises(TypeError, match=f"^{re.escape(f'{name}.__init__() {message}')}$"):
             cls(*range(count))
     value = cls(*range(size))
-    assert tuple(getattr(value, name) for name in cls._fields) == tuple(range(size))
-    # the shared constructor is positional only
-    with pytest.raises(TypeError):
-        cls(**dict(zip(cls._fields, range(size))))
+    assert tuple(getattr(value, field) for field in fields) == tuple(range(size))
+    message = ("got some positional-only arguments passed as keyword arguments: "
+               f"'{', '.join(fields)}'")
+    with pytest.raises(TypeError, match=f"^{re.escape(f'{name}.__init__() {message}')}$"):
+        cls(**dict(zip(fields, range(size))))
