@@ -7,16 +7,18 @@ auxiliary coordinate that is 1 on the hole boundary and falls off to 0
 affinely across a collar around the hole, then one nonnegative coordinate
 per facet measures a weighted distance to that facet.  Collar widths stay
 below the threshold where a hole's collar first meets the outer boundary
-or another hole, so that distinct facets never share a zero locus: one exact
-LP (tmh.polytope) per obstacle whose dual bound is below the least threshold
-found, in practice one per hole.  Bounds, ratio tests, the padding
-constants and the coordinates of a point run in integers; the chart keeps
-its integer data, so evaluating a point lifts only the point.
+or another hole, so that distinct facets never share a zero locus: the
+hole's least dual bound, where a primal point at it proves it (in practice
+for nearly every hole), else one exact LP (tmh.polytope) per obstacle whose
+bound is below the least threshold found.  Bounds, primal points, ratio
+tests, the padding constants and a point's coordinates run in integers; the
+chart keeps its integer data, so evaluating a point lifts only the point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import starmap
 from math import inf, prod
 from operator import itemgetter, mul
 
@@ -28,54 +30,86 @@ from .value import Value
 
 
 def _l1(normal) -> int:
-    return sum(abs(c) for c in normal)
+    return sum(map(abs, normal))
+
+
+def _least(ratios) -> int:
+    """The first index of the least n / d over pairs (n, d), d > 0, by cross-multiplying."""
+    low = 0
+    for i, (n, d) in enumerate(ratios):
+        low = i if n * ratios[low][1] < ratios[low][0] * d else low
+    return low
 
 
 def _collar_bounds(body: PolytopeWithHoles):
-    """Yields, per hole, half its least l1-weighted clearance from the outer facets
-    and a lower bound on each obstacle's threshold, outer facets first.  The
-    collar of width t has the vertex v - t Y / e, N_v Y = e l1_v over the
-    normals at v (Cramer's rule).  For v least on an outer facet a.x >= c,
-    a = N_v^T mu, mu >= 0, is dual feasible, so its threshold is at least
-    (a.v - c) e / a.Y (weak duality, Chvatal 1983).  Another hole O is at
-    least max over the hole's facets of (offset - max_O n.u) / l1 away."""
+    """Yields, per hole, half its least l1-weighted clearance from the outer facets, a
+    lower bound (T, D), D > 0, on each obstacle's threshold T / D, outer facets first, and
+    the least bound if a primal point proves it the threshold, else None.  The collar of
+    width t has the vertex v - t Y / e, N_v Y = e l1_v over the normals at v (Cramer's
+    rule).  For v least on an outer facet a.x >= c, a = N_v^T mu, mu >= 0, is dual
+    feasible, so its threshold is at least (a.v - c) e / a.Y (weak duality, Chvatal 1983),
+    reached at that collar vertex.  Another hole O is at least max over the hole's facets
+    f of (offset - max_O n.u) / l1 away, reached at O's vertex farthest along f."""
+    dim, outer = body.dim, body.outer.halfspaces
+    *cs, q0 = _integer_row([*(h.offset for h in outer), 1])  # outer offsets C / q0
     rows = [_integer_row([*(c for v in hole.vertices for c in v.point), 1]) for hole in body.holes]
-    lifted = [(list(zip(*[iter(r[:-1])] * body.dim)), r[-1]) for r in rows]  # X / d
+    lifted = [(list(zip(*[iter(r[:-1])] * dim)), r[-1]) for r in rows]  # X / d
     for k, (hole, (xs, d)) in enumerate(zip(body.holes, lifted)):
-        normals = [[hole.halfspaces[f].normal for f in sorted(v.facets)] for v in hole.vertices]
-        drift = [([det_exact([(*a[:i], _l1(a), *a[i + 1:]) for a in nv]) for i in range(len(nv))],
-                  det_exact(nv)) for nv in normals]
-        clearances, bounds = [], []
-        for h in body.outer.halfspaces:
-            (ax, i), c = min((sum(map(mul, h.normal, x)), i) for i, x in enumerate(xs)), h.offset
-            gap, den = ax * c.denominator - c.numerator * d, d * c.denominator  # a.v - c
-            clearances.append(Fraction(gap, den * _l1(h.normal)))
-            bounds.append(Fraction(gap * drift[i][1], den * sum(map(mul, h.normal, drift[i][0]))))
-        bounds += [max(Fraction(h.offset.numerator * e - h.offset.denominator
-                                * max(sum(map(mul, h.normal, u)) for u in us),
-                                h.offset.denominator * e * _l1(h.normal)) for h in hole.halfspaces)
-                   for j, (us, e) in enumerate(lifted) if j != k]
-        yield min(clearances) / 2, bounds
+        normals, drifts, gaps, bounds, points = [h.normal for h in hole.halfspaces], {}, [], [], []
+        *ps, q = _integer_row([*(h.offset for h in hole.halfspaces), 1])  # offsets P / q
+        for h, c in zip(outer, cs):
+            ax = [sum(map(mul, h.normal, x)) for x in xs]
+            if (i := ax.index(min(ax))) not in drifts:  # Y and e > 0 at a least vertex
+                nv = [normals[f] for f in sorted(hole.vertices[i].facets)]
+                ys, e = [det_exact([(*a[:j], _l1(a), *a[j + 1:]) for a in nv])
+                         for j in range(dim)], det_exact(nv)
+                drifts[i] = (ys, e) if e > 0 else ([-y for y in ys], -e)
+            (ys, e), gap = drifts[i], ax[i] * q0 - c * d  # a.v - c = gap / (d q0)
+            r = sum(map(mul, h.normal, ys))  # r / e = mu . l1_v > 0
+            gaps.append((gap, _l1(h.normal)))
+            bounds.append((gap * e, d * q0 * r))
+            points.append((xs[i], ys, gap, r))
+        for us, du in lifted[:k] + lifted[k + 1:]:  # -(offset - max_O n.u) q du, by l1
+            far = [(q * max(sum(map(mul, n, u)) for u in us) - p * du, _l1(n))
+                   for n, p in zip(normals, ps)]
+            f = _least(far)
+            bounds.append((-far[f][0], q * du * far[f][1]))
+            points.append((normals[f], us, du))
+        t, s = bounds[least := _least(bounds)]
+        if least < len(outer):  # v - t Y / e = (X q0 r - gap Y) / (d q0 r)
+            v, ys, gap, r = points[least]
+            x, w = [a * q0 * r - gap * y for a, y in zip(v, ys)], d * q0 * r
+        else:
+            n, us, w = points[least]
+            x = max(us, key=lambda u: sum(map(mul, n, u)))
+        # violation(X / w) <= T / D: (P w - q n.X) D <= q w l1 T on every hole facet
+        proved = all((p * w - q * sum(map(mul, n, x))) * s <= q * w * _l1(n) * t
+                     for n, p in zip(normals, ps))
+        gap, l1 = gaps[_least(gaps)]
+        yield Fraction(gap, 2 * d * q0 * l1), bounds, Fraction(t, s) if proved else None
 
 
 def _certified_collar_widths(body: PolytopeWithHoles) -> tuple[Fraction, ...]:
     """A positive collar width per hole: half its clearance from the outer
     facets, halved below the threshold where the collar {violation <= width}
     meets an obstacle (an outer facet's closed complement, or another hole):
-    the least t with violation(x) <= t at some x in one, an LP in (x, t) per
-    obstacle, run in the order of their bounds until a bound reaches the least
-    t.  It is positive, as the closed holes are disjoint and interior."""
-    outside = [[((*(-c for c in h.normal), 0), -h.offset)] for h in body.outer.halfspaces]
-    inside = [[((*h.normal, 0), h.offset) for h in hole.halfspaces] for hole in body.holes]
+    the least t with violation(x) <= t at some x in one: the least bound if its
+    primal point proves it, else by an LP in (x, t) per obstacle, run in the order
+    of their bounds until a bound reaches the least t.  It is positive, as the
+    closed holes are disjoint and interior."""
     widths = []
-    for k, (hole, (guess, bounds)) in enumerate(zip(body.holes, _collar_bounds(body))):
-        gauge = [((*h.normal, _l1(h.normal)), h.offset) for h in hole.halfspaces]
-        threshold = inf
-        for bound, rows in sorted(zip(bounds, outside + inside[:k] + inside[k + 1:]),
-                                  key=itemgetter(0)):
-            if bound >= threshold:
-                break  # every LP left is at least its bound
-            threshold = min(threshold, _Dictionary(body.dim + 1, gauge + rows).least(body.dim))
+    for k, (hole, (guess, bounds, threshold)) in enumerate(zip(body.holes, _collar_bounds(body))):
+        if threshold is None:
+            outside = [[((*(-c for c in h.normal), 0), -h.offset)] for h in body.outer.halfspaces]
+            inside = [[((*h.normal, 0), h.offset) for h in o.halfspaces] for o in body.holes]
+            gauge = [((*h.normal, _l1(h.normal)), h.offset) for h in hole.halfspaces]
+            threshold = inf
+            obstacles = zip(starmap(Fraction, bounds), outside + inside[:k] + inside[k + 1:])
+            for bound, rows in sorted(obstacles, key=itemgetter(0)):
+                if bound >= threshold:
+                    break  # every LP left is at least its bound
+                lp = _Dictionary(body.dim + 1, gauge + rows)
+                threshold = min(threshold, lp.least(body.dim))
         # 2^j > guess / threshold iff 2^j > floor(guess / threshold)
         widths.append(guess / 2 ** (guess // threshold).bit_length())
     return tuple(widths)

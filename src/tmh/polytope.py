@@ -9,9 +9,9 @@ read off its lines in angle order unless that fails; then the walk raises,
 in the order empty, unbounded, not simple, redundant.  Two vertices are
 adjacent exactly when they share all but one facet.
 Polygons are read off their vertex cycle over one common denominator.  A
-facet of one hole negative at every vertex of another separates them; only
-a pair with no such facet takes an LP.  Every test runs in integers, and
-every decision is exact.
+facet of one hole negative at every vertex of another separates them; two
+disjoint polygons always have one, so only a pair of 3D holes with no such
+facet takes an LP.  Every test runs in integers, and every decision is exact.
 """
 
 from __future__ import annotations
@@ -86,20 +86,23 @@ class SimplePolytope(Value):
         return lo, hi
 
     def transformed(self, scale: Fraction, shift: RatVector) -> "SimplePolytope":
-        """Uniformly scale by a positive rational, then translate.
-
-        Normals are untouched, so facet identity and all combinatorics
-        survive verbatim.
-        """
+        """Uniformly scale by a positive rational, then translate, each new offset and
+        coordinate one Fraction of the integer rows of the scale a / b, the shift S / e,
+        the offsets P / q and the points X / d.  Normals are untouched, so facet identity
+        and all combinatorics survive verbatim."""
         if scale <= 0:
             raise ValueError("scale must be positive")
-        halfspaces = tuple(
-            HalfSpace(h.normal, scale * h.offset
-                      + sum(n * s for n, s in zip(h.normal, shift)))
-            for h in self.halfspaces)
-        vertices = tuple(
-            Vertex(tuple(scale * x + s for x, s in zip(v.point, shift)), v.facets)
-            for v in self.vertices)
+        (a, b), (*s, e) = _integer_row([scale, 1]), _integer_row([*shift, 1])
+        *ps, q = _integer_row([*(h.offset for h in self.halfspaces), 1])
+        *xs, d = _integer_row([*(c for v in self.vertices for c in v.point), 1])
+        halfspaces = tuple(  # a P / (b q) + n . S / e
+            HalfSpace(h.normal, Fraction(a * p * e + b * q * sum(map(mul, h.normal, s)),
+                                         b * q * e))
+            for h, p in zip(self.halfspaces, ps))
+        vertices = tuple(  # a X / (b d) + S / e
+            Vertex(tuple(Fraction(a * c * e + b * d * t, b * d * e) for c, t in zip(x, s)),
+                   v.facets)
+            for v, x in zip(self.vertices, zip(*[iter(xs)] * self.dim)))
         return SimplePolytope(self.dim, halfspaces, vertices)
 
 
@@ -305,10 +308,12 @@ class GlobalVertex(Value):
 
 def _disjoint(dim, rows, points, a, b) -> bool:
     """Whether closed components a and b (facet rows rows[c], vertex rows points[c])
-    are disjoint: a facet row of one negative at every vertex row of the other, or one LP."""
+    are disjoint: a facet row of one negative at every vertex row of the other, which two
+    disjoint polygons always have (every edge of a - b is one of a or b), or in 3D one LP."""
     separated = any(all(sum(map(mul, row, x)) < 0 for x in points[j])
                     for i, j in ((a, b), (b, a)) for row in rows[i])
-    return separated or not feasible(dim, [(r[:-1], -r[-1]) for r in rows[a] + rows[b]])
+    return separated or (dim > 2 and not feasible(dim, [(r[:-1], -r[-1])
+                                                        for r in rows[a] + rows[b]]))
 
 
 class PolytopeWithHoles(Value):
@@ -400,7 +405,6 @@ def place_holes(outer: SimplePolytope, pieces, scale: Fraction | None = None) ->
     for p in pieces:
         if p.dim != outer.dim:
             raise DimensionError("piece dimension does not match the outer body")
-    dim = outer.dim
     centroid = outer.centroid()
     # l1-normalized facet clearance at the centroid: the l-infinity ball of
     # this radius around the centroid is contained in the outer body.

@@ -25,8 +25,9 @@ system per outer facet and per other hole.  The library decides the same
 questions with an exact simplex (tmh.polytope, tmh.mac).
 ``collar_thresholds_by_lps`` solves the collar LP of every obstacle of
 every hole, and ``collar_widths_by_lps`` halves the first guess below the
-least of them one step at a time; the library skips each LP whose dual
-lower bound already reaches the least threshold found, and takes the
+least of them one step at a time; the library takes the least dual lower
+bound where a primal point at it proves it the threshold, else skips each
+LP whose bound already reaches the least threshold found, and takes the
 number of halvings from one integer quotient (tmh.mac).
 
 ``value_by_fractions`` sums normal . point - offset one Fraction per
@@ -42,7 +43,10 @@ a 2D half-space system off its lines in angle order, and reads polygons
 off their vertex cycle.  ``polygon_by_fractions`` reads a
 polygon off its cycle in Fraction arithmetic, sorting the vertices by
 their Fraction points; the library lifts the cycle once to integer points
-over one common denominator.
+over one common denominator.  ``transformed_by_fractions`` scales and
+shifts a polytope one Fraction operation at a time; the library lifts the
+scale, the shift, the offsets and the points once each to integer rows and
+builds each new number as one Fraction (tmh.polytope).
 
 ``edges_of`` pairs the vertices that share all but one facet, the edges
 of a simple polytope.  ``edge_directions_at_vertex`` walks those edges
@@ -597,6 +601,19 @@ def polygon_by_fractions(points) -> SimplePolytope:
     hs = [HalfSpace(n, n[0] * a[0] + n[1] * a[1]) for n, a in zip(normals, pts)]
     corners = [frozenset({(i - 1) % k, i}) for i in range(k)]  # point i's facets
     return _assemble(2, hs, dict(zip(corners, pts)))
+
+
+def transformed_by_fractions(poly: SimplePolytope, scale, shift) -> SimplePolytope:
+    """Uniformly scale by a positive rational, then translate, in Fraction
+    arithmetic; normals and facet sets are kept."""
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    halfspaces = tuple(
+        HalfSpace(h.normal, scale * h.offset + sum(n * s for n, s in zip(h.normal, shift)))
+        for h in poly.halfspaces)
+    vertices = tuple(Vertex(tuple(scale * x + s for x, s in zip(v.point, shift)), v.facets)
+                     for v in poly.vertices)
+    return SimplePolytope(poly.dim, halfspaces, vertices)
 
 
 def build_by_enumeration(dim: int, halfspaces) -> SimplePolytope:

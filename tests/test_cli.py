@@ -605,9 +605,29 @@ class TestGeometryRegressions:
         assert len(embedding) == 12
         assert all(Fraction(line.split(": ")[1]) > 0 for line in embedding)
 
+    @staticmethod
+    def corner_file(tmp_path):
+        """A unit-square hole whose corner faces the long edge of a triangle hole:
+        the square's facets put the triangle 1/2 away, its least bound, but its
+        collar meets the triangle only at 5/4, so the square's width takes LPs."""
+        lam = {"e1": [1, 0], "e2": [0, 1], "e3": [-1, 0], "e4": [0, -1]}
+        doc = {
+            "dimension": 2,
+            "metadata": {"name": "corner to edge"},
+            "outer": {"vertices": [[0, 0], [10, 0], [10, 10], [0, 10]]},
+            "holes": [{"vertices": [[1, 1], [2, 1], [2, 2], [1, 2]]},
+                      {"vertices": [[4, "5/2"], [4, 4], ["5/2", 4]]}],
+            "characteristic": {**lam, **{f"h1.{k}": v for k, v in lam.items()},
+                               "h2.e1": [1, 0], "h2.e2": [0, 1], "h2.e3": [-1, -1]},
+        }
+        path = tmp_path / "corner.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
     def test_collar_work_does_not_grow_with_the_gap(self, tmp_path, monkeypatch):
         # the width is computed from one threshold, not found by halving:
-        # as many linear programs at 10^-300 as at 10^-30
+        # as many linear programs at 10^-300 as at 10^-30, and the count
+        # reaches the LPs on a body whose least bound no primal point proves
         calls = []
         phase_one = polytope._Dictionary.phase_one
 
@@ -617,13 +637,13 @@ class TestGeometryRegressions:
 
         monkeypatch.setattr(polytope._Dictionary, "phase_one", counted)
         counts = []
-        for exponent in (30, 300):
+        for path in (self.near_touching_file(tmp_path, 30),
+                     self.near_touching_file(tmp_path, 300), self.corner_file(tmp_path)):
             calls.clear()
-            code, out = run_cli(["mac", self.near_touching_file(tmp_path, exponent),
-                                 "--point=5,8"])
+            code, out = run_cli(["mac", path, "--point=5,8"])
             assert code == 0 and "embedding:" in out
             counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
+        assert counts[0] == counts[1] < counts[2], counts
 
 
 class TestNegativeValues:

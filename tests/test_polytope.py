@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -63,6 +64,7 @@ from oracles import (
     fm_feasible,
     fm_screen,
     polygon_by_fractions,
+    transformed_by_fractions,
     value_by_fractions,
 )
 
@@ -1160,8 +1162,44 @@ class TestPolygonByFractions:
             assert kinds[kind] == bad_cycle, kind
 
 
+class TestTransformedByFractions:
+    @staticmethod
+    def _bodies(seed):
+        """Seeded 2D polygons with mixed denominators and 3D bodies, outer and hole."""
+        rng = random.Random(seed)
+        for kind, cycle in _polygon_cycles(seed):
+            if kind in ("mixed", "scaled"):
+                yield polygon_from_vertices(cycle)
+        for _ in range(4):
+            yield from random_one_hole_3d(rng).body.components
+
+    def test_same_polytope_as_the_fraction_route(self):
+        rng = random.Random(97)
+        seen = {2: 0, 3: 0}
+        for poly in self._bodies(97):
+            shifts = [tuple(F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(poly.dim)),
+                      tuple(rng.randint(-9, 9) for _ in range(poly.dim)),
+                      tuple(-F(rng.randint(1, 40), rng.randint(1, 9)) for _ in range(poly.dim))]
+            for scale in (F(1), 1, F(rng.randint(1, 40), rng.randint(1, 9)), F(3)):
+                for shift in shifts:
+                    got = poly.transformed(scale, shift)
+                    want = transformed_by_fractions(poly, scale, shift)
+                    assert got == want, (poly, scale, shift)
+                    assert all(type(h.offset) is F for h in got.halfspaces)
+                    assert all(type(x) is F for v in got.vertices for x in v.point)
+            seen[poly.dim] += 1
+        assert seen[2] >= 30 and seen[3] >= 8, seen
+
+    @pytest.mark.parametrize("scale", [F(0), 0, F(-1, 3), -2])
+    def test_nonpositive_scale(self, scale):
+        poly = polygon_from_vertices([(0, 0), (F(3, 2), 0), (0, 1)])
+        for route in (poly.transformed, functools.partial(transformed_by_fractions, poly)):
+            with pytest.raises(ValueError, match="scale must be positive"):
+                route(scale, (F(1, 2), 0))
+
+
 # ---------------------------------------------------------------------------
-# hole disjointness: a separating facet in integers, else one LP
+# hole disjointness: a separating facet in integers, else one LP in 3D
 
 
 def _hull(points):
@@ -1306,22 +1344,24 @@ class TestHoleDisjointness:
             disjoint = not fm_feasible(_rows(a) + _rows(b))
             accepted, lps = run(a, b)
             assert accepted == disjoint, kind
-            # a pair with no separating facet always reaches the LP
-            assert lps == (0 if _some_facet_separates(a, b) else 1), kind
             # in the plane every edge of P - Q is an edge of P or of Q, so two
-            # disjoint polygons always have a separating edge: no LP accepts
-            assert not (a.dim == 2 and lps and accepted), kind
-            route = "facet" if not lps else "lp-accept" if accepted else "lp-reject"
+            # disjoint polygons always have a separating edge; only a 3D pair
+            # with no separating facet reaches the LP
+            separates = _some_facet_separates(a, b)
+            assert a.dim > 2 or separates or not disjoint, kind
+            assert lps == (0 if separates or a.dim == 2 else 1), kind
+            route = ("facet" if separates else "no-facet" if not lps
+                     else "lp-accept" if accepted else "lp-reject")
             routes.setdefault(kind, {}).setdefault(route, 0)
             routes[kind][route] += 1
         assert routes == {
             "apart": {"facet": 12},
-            "corner": {"lp-reject": 12},
-            "shared": {"lp-reject": 12},
-            "overlap": {"lp-reject": 12},
-            "nested": {"lp-reject": 12},
+            "corner": {"no-facet": 6, "lp-reject": 6},
+            "shared": {"no-facet": 6, "lp-reject": 6},
+            "overlap": {"no-facet": 6, "lp-reject": 6},
+            "nested": {"no-facet": 6, "lp-reject": 6},
             "apex": {"facet": 6},
-            "polygons": {"facet": 23, "lp-reject": 7},
+            "polygons": {"facet": 23, "no-facet": 7},
             "simplices": {"facet": 22, "lp-reject": 6, "lp-accept": 2},
             "skew": {"lp-accept": 6},
         }
