@@ -55,31 +55,42 @@ def _reject_float(text):
         f"float literal {text!r} is not allowed; write rationals as \"p/q\"")
 
 
-def _parse_rational(value, where: str) -> Fraction:
+# "p/q", read as Fraction(int(p), int(q)): the value and error text of Fraction("p/q")
+_RATIO = re.compile(r"\s*([-+]?\d+)/(\d+)\s*", re.ASCII)
+
+
+def _parse_rational(value, where: str, *args) -> Fraction:
+    """An int, "p/q" or decimal string as a Fraction; errors name where.format(*args)."""
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, bool):
-        raise SpecParseError(f"{where}: expected a number, got a boolean")
+        raise SpecParseError(f"{where.format(*args)}: expected a number, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        # Fraction also reads exponents, and 1e10000000 takes seconds to expand
-        if "e" in value or "E" in value:
-            raise SpecParseError(f"{where}: bad rational {value!r}: exponents are not allowed")
-        # Fraction takes "_" digit groups from 3.11 on and non-ASCII digits on all versions
-        if not re.fullmatch(r"\s*[-+]?(\d+/\d+|\d*\.?\d*)\s*", value, re.ASCII):
-            raise SpecParseError(f"{where}: bad rational {value!r}: expected p/q or a decimal")
+        ratio = _RATIO.fullmatch(value)
+        if ratio is None:
+            # Fraction also reads exponents, and 1e10000000 takes seconds to expand
+            if "e" in value or "E" in value:
+                raise SpecParseError(f"{where.format(*args)}: bad rational {value!r}: "
+                                     "exponents are not allowed")
+            # Fraction takes "_" digit groups from 3.11 on and non-ASCII digits on all versions
+            if not re.fullmatch(r"\s*[-+]?(\d+/\d+|\d*\.?\d*)\s*", value, re.ASCII):
+                raise SpecParseError(f"{where.format(*args)}: bad rational {value!r}: "
+                                     "expected p/q or a decimal")
         try:
-            return Fraction(value)
+            return Fraction(int(ratio[1]), int(ratio[2])) if ratio else Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise SpecParseError(f"{where}: bad rational {value!r}: {exc}") from exc
-    raise SpecParseError(f"{where}: expected an integer or \"p/q\" string")
+            raise SpecParseError(f"{where.format(*args)}: bad rational {value!r}: {exc}") from exc
+    raise SpecParseError(f"{where.format(*args)}: expected an integer or \"p/q\" string")
 
 
-def _parse_int_vector(value, length: int, where: str) -> tuple[int, ...]:
+def _parse_int_vector(value, length: int, where: str, *args) -> tuple[int, ...]:
     if not isinstance(value, list) or len(value) != length:
-        raise SpecParseError(f"{where}: expected a list of {length} integers")
+        raise SpecParseError(f"{where.format(*args)}: expected a list of {length} integers")
     for i, x in enumerate(value):
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise SpecParseError(f"{where}[{i}]: expected an integer")
+        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
+            raise SpecParseError(f"{where.format(*args)}[{i}]: expected an integer")
     return tuple(value)
 
 
@@ -93,16 +104,16 @@ def _parse_component(obj, dim: int, where: str, default_prefix: str):
             raise SpecParseError(f"{where}.halfspaces: expected a nonempty list")
         labels, hs = [], []
         for i, entry in enumerate(halfspaces):
-            loc = f"{where}.halfspaces[{i}]"
             if not isinstance(entry, dict):
-                raise SpecParseError(f"{loc}: expected an object")
+                raise SpecParseError(f"{where}.halfspaces[{i}]: expected an object")
             label = entry.get("label")
             if not isinstance(label, str) or not label:
-                raise SpecParseError(f"{loc}.label: expected a nonempty string")
-            normal = _parse_int_vector(entry.get("normal"), dim, f"{loc}.normal")
+                raise SpecParseError(f"{where}.halfspaces[{i}].label: expected a nonempty string")
+            normal = _parse_int_vector(entry.get("normal"), dim, "{}.halfspaces[{}].normal",
+                                       where, i)
             if not any(normal):
-                raise SpecParseError(f"{loc}.normal: expected a nonzero vector")
-            offset = _parse_rational(entry.get("offset"), f"{loc}.offset")
+                raise SpecParseError(f"{where}.halfspaces[{i}].normal: expected a nonzero vector")
+            offset = _parse_rational(entry.get("offset"), "{}.halfspaces[{}].offset", where, i)
             labels.append(label)
             hs.append(HalfSpace(normal, offset))
         build, args = build_polytope, (dim, hs)
@@ -117,9 +128,8 @@ def _parse_component(obj, dim: int, where: str, default_prefix: str):
         for i, p in enumerate(verts):
             if not isinstance(p, list) or len(p) != 2:
                 raise SpecParseError(f"{where}.vertices[{i}]: expected a pair")
-            points.append(tuple(
-                _parse_rational(c, f"{where}.vertices[{i}][{j}]")
-                for j, c in enumerate(p)))
+            points.append(tuple(_parse_rational(c, "{}.vertices[{}][{}]", where, i, j)
+                                for j, c in enumerate(p)))
         labels = obj.get("labels")
         if labels is None:
             labels = [f"{default_prefix}e{i + 1}" for i in range(len(points))]
@@ -188,7 +198,7 @@ def parse_spec_dict(doc, source: str = "<spec>") -> SpecDocument:
             f"characteristic: labels do not match facets "
             f"(missing {missing}, unknown {extra})")
     # parsed in document order, so the first bad vector named is the first written
-    by_label = {label: _parse_int_vector(vec, dim, f"characteristic[{label!r}]")
+    by_label = {label: _parse_int_vector(vec, dim, "characteristic[{!r}]", label)
                 for label, vec in char.items()}
 
     nu = doc.get("nu")

@@ -24,8 +24,8 @@ RatVector = tuple[Fraction, ...]
 
 
 def rat_vector(values) -> RatVector:
-    """Coerce an iterable of numbers into a tuple of Fractions."""
-    return tuple(Fraction(v) for v in values)
+    """Coerce an iterable of numbers into a tuple of Fractions; a Fraction is kept as is."""
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def int_vector(values) -> tuple[int, ...]:

@@ -70,7 +70,11 @@ def find_generic_nu(pair: CharacteristicPair) -> tuple[int, ...]:
 
 def vertex_index(pair: CharacteristicPair, vid: int, nu) -> int:
     """Number of negative weights mu_k(nu) at the vertex."""
-    nu = _direction(pair, nu)
+    return _index(pair, vid, _direction(pair, nu))
+
+
+def _index(pair: CharacteristicPair, vid: int, nu: tuple[int, ...]) -> int:
+    """vertex_index for a checked direction."""
     index = 0
     for m in vertex_frame(pair, vid).mu:
         w = sum(map(operator.mul, m, nu))
@@ -88,13 +92,14 @@ def chi_y(pair: CharacteristicPair, nu=None) -> ChiYPolynomial:
 
     Coefficient j collects (-1)^j * sign over the vertices of index j, so
     evaluation at -1 gives the sign sum, at 1 the signature, and the
-    constant term is the Todd genus.
+    constant term is the Todd genus.  nu is checked once; each vertex's
+    index is read off its kept frame.
     """
     signs = all_signs(pair)
     nu = find_generic_nu(pair) if nu is None else _direction(pair, nu)
     n = pair.body.dim
     coeffs = [0] * (n + 1)
     for vid in sorted(signs):
-        j = vertex_index(pair, vid, nu)
+        j = _index(pair, vid, nu)
         coeffs[j] += (-1) ** j * signs[vid]
     return ChiYPolynomial(tuple(coeffs), nu)

@@ -41,7 +41,14 @@ def _least(ratios) -> int:
     return low
 
 
-def _collar_bounds(body: PolytopeWithHoles):
+def _offset_rows(body: PolytopeWithHoles) -> tuple:
+    """Per component its facet normals, its offsets P / q as the integers P, and q."""
+    lifts = [_integer_row([*(h.offset for h in c.halfspaces), 1]) for c in body.components]
+    return tuple((tuple(h.normal for h in c.halfspaces), tuple(r[:-1]), r[-1])
+                 for c, r in zip(body.components, lifts))
+
+
+def _collar_bounds(body: PolytopeWithHoles, rows):
     """Yields, per hole, half its least l1-weighted clearance from the outer facets, a
     lower bound (T, D), D > 0, on each obstacle's threshold T / D, outer facets first, and
     the least bound if a primal point proves it the threshold, else None.  The collar of
@@ -50,13 +57,11 @@ def _collar_bounds(body: PolytopeWithHoles):
     feasible, so its threshold is at least (a.v - c) e / a.Y (weak duality, Chvatal 1983),
     reached at that collar vertex.  Another hole O is at least max over the hole's facets
     f of (offset - max_O n.u) / l1 away, reached at O's vertex farthest along f."""
-    dim, outer = body.dim, body.outer.halfspaces
-    *cs, q0 = _integer_row([*(h.offset for h in outer), 1])  # outer offsets C / q0
-    rows = [_integer_row([*(c for v in hole.vertices for c in v.point), 1]) for hole in body.holes]
-    lifted = [(list(zip(*[iter(r[:-1])] * dim)), r[-1]) for r in rows]  # X / d
-    for k, (hole, (xs, d)) in enumerate(zip(body.holes, lifted)):
-        normals, drifts, gaps, bounds, points = [h.normal for h in hole.halfspaces], {}, [], [], []
-        *ps, q = _integer_row([*(h.offset for h in hole.halfspaces), 1])  # offsets P / q
+    dim, outer, (_, cs, q0) = body.dim, body.outer.halfspaces, rows[0]  # outer offsets C / q0
+    lifts = [_integer_row([*(c for v in hole.vertices for c in v.point), 1]) for hole in body.holes]
+    lifted = [(list(zip(*[iter(r[:-1])] * dim)), r[-1]) for r in lifts]  # X / d
+    for k, (hole, (xs, d), (normals, ps, q)) in enumerate(zip(body.holes, lifted, rows[1:])):
+        drifts, gaps, bounds, points = {}, [], [], []
         for h, c in zip(outer, cs):
             ax = [sum(map(mul, h.normal, x)) for x in xs]
             if (i := ax.index(min(ax))) not in drifts:  # Y and e > 0 at a least vertex
@@ -89,16 +94,17 @@ def _collar_bounds(body: PolytopeWithHoles):
         yield Fraction(gap, 2 * d * q0 * l1), bounds, Fraction(t, s) if proved else None
 
 
-def _certified_collar_widths(body: PolytopeWithHoles) -> tuple[Fraction, ...]:
+def _certified_collar_widths(body: PolytopeWithHoles, rows) -> tuple[Fraction, ...]:
     """A positive collar width per hole: half its clearance from the outer
     facets, halved below the threshold where the collar {violation <= width}
     meets an obstacle (an outer facet's closed complement, or another hole):
     the least t with violation(x) <= t at some x in one: the least bound if its
     primal point proves it, else by an LP in (x, t) per obstacle, run in the order
     of their bounds until a bound reaches the least t.  It is positive, as the
-    closed holes are disjoint and interior."""
+    closed holes are disjoint and interior.  rows are the components' _offset_rows."""
     widths = []
-    for k, (hole, (guess, bounds, threshold)) in enumerate(zip(body.holes, _collar_bounds(body))):
+    for k, (hole, (guess, bounds, threshold)) in enumerate(zip(body.holes,
+                                                                _collar_bounds(body, rows))):
         if threshold is None:
             outside = [[((*(-c for c in h.normal), 0), -h.offset)] for h in body.outer.halfspaces]
             inside = [[((*h.normal, 0), h.offset) for h in o.halfspaces] for o in body.holes]
@@ -117,21 +123,17 @@ def _certified_collar_widths(body: PolytopeWithHoles) -> tuple[Fraction, ...]:
 
 class EmbeddingChart(Value):
     """Evaluator for the facet coordinate functions d_1 ... d_m.  It keeps per component the
-    facet normals and the offsets P / q over their lcm q, per hole each facet's l1 weight
-    and the width w_n / w_d, and each padding constant as (c_n, c_d)."""
+    facet normals and the offsets P / q over their lcm q (rows, lifted unless given), per
+    hole each facet's l1 weight and the width w_n / w_d, and each padding constant (c_n, c_d)."""
 
     # hole_constants: the padding constant per hole facet, in global order
     __slots__ = ("body", "collar_widths", "hole_constants", "_rows", "_holes", "_constants")
 
-    def __init__(self, body: PolytopeWithHoles, collar_widths, hole_constants):
+    def __init__(self, body: PolytopeWithHoles, collar_widths, hole_constants, rows=None):
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "collar_widths", collar_widths)
         object.__setattr__(self, "hole_constants", hole_constants)
-        rows = []
-        for comp in body.components:
-            *offsets, q = _integer_row([*(h.offset for h in comp.halfspaces), 1])
-            rows.append((tuple(h.normal for h in comp.halfspaces), tuple(offsets), q))
-        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_rows", _offset_rows(body) if rows is None else rows)
         object.__setattr__(self, "_holes", tuple(
             (tuple(_l1(h.normal) for h in hole.halfspaces), w.numerator, w.denominator)
             for hole, w in zip(body.holes, collar_widths)))
@@ -176,8 +178,8 @@ class EmbeddingChart(Value):
 
 
 def embedding_chart(pair: CharacteristicPair) -> EmbeddingChart:
-    body = pair.body
-    widths = _certified_collar_widths(body)
+    body, rows = pair.body, _offset_rows(pair.body)  # the offsets lifted once per chart
+    widths = _certified_collar_widths(body, rows)
     *row, d = _integer_row([*(c for v in body.outer.vertices for c in v.point), 1])
     xs = list(zip(*[iter(row)] * body.dim))  # the outer vertices as X / d
     constants = []
@@ -187,7 +189,7 @@ def embedding_chart(pair: CharacteristicPair) -> EmbeddingChart:
             low = Fraction(min(sum(map(mul, h.normal, x)) for x in xs) * h.offset.denominator
                            - h.offset.numerator * d, d * h.offset.denominator)
             constants.append(w * _l1(h.normal) + max(Fraction(0), -low) + 1)
-    return EmbeddingChart(body, widths, tuple(constants))
+    return EmbeddingChart(body, widths, tuple(constants), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +205,9 @@ def kernel_data(pair: CharacteristicPair) -> KernelData:
     """The Hermite basis of the kernel of Lambda.  L_v is unimodular at a
     vertex v of a valid pair, so the row Hermite form of [L_v | lambda_off]
     is [I | L_v^-1 lambda_off], and e_j - sum_k (L_v^-1 lambda_j)_k e_(i_k),
-    for the facets j off v and i_1 < ... < i_n at v, span the kernel; on the
-    last facets that basis is nearly echelon, and Hermite forms are unique."""
+    for the facets j off v and i_1 < ... < i_n at v, span the kernel.  When v
+    is on the last n facets that basis is [I | X], already its row Hermite
+    form, which is unique; otherwise it is reduced to that form."""
     if not pair.validated:
         raise NotValidatedError("kernel data needs a validated pair")
     n, m = pair.body.dim, pair.body.facet_count
@@ -212,11 +215,12 @@ def kernel_data(pair: CharacteristicPair) -> KernelData:
                     key=lambda facets: sorted(facets, reverse=True)))
     off = [j for j in range(m) if j not in at]
     rows = _row_hnf(list(zip(*(pair.lam[j] for j in at + off))))  # [I | L_v^-1 lambda_off]
-    basis = [[int(i == j) for i in range(m)] for j in off]
-    for t, vec in enumerate(basis, start=n):
+    basis = [[0] * m for _ in off]
+    for t, (j, vec) in enumerate(zip(off, basis), start=n):
+        vec[j] = 1
         for k, i in enumerate(at):
             vec[i] = -rows[k][t]
-    kernel = tuple(map(tuple, _row_hnf(basis)))
+    kernel = tuple(map(tuple, basis if at[0] == m - n else _row_hnf(basis)))  # [I | X] as is
     return KernelData(kernel, len(kernel))
 
 

@@ -11,7 +11,7 @@ from tmh.charpair import validate
 from tmh.cli import (_intersection_section, _parse_rational, build_report, compose_fibersum,
                      parse_spec, parse_spec_dict, render_json, run)
 from tmh.dim4 import intersection_form
-from tmh.errors import InternalError
+from tmh.errors import InternalError, SpecParseError
 from tmh.genus import chi_y
 
 import golden_corpus
@@ -420,9 +420,18 @@ class TestArgumentErrors:
 
     @pytest.mark.parametrize("text, value", [
         ("7", Fraction(7)), ("-7/2", Fraction(-7, 2)), ("0.25", Fraction(1, 4)),
-        (" 1/3 ", Fraction(1, 3)), (-4, Fraction(-4))])
+        (" 1/3 ", Fraction(1, 3)), (-4, Fraction(-4)),
+        # "p/q" is read as Fraction(int(p), int(q)), which must agree with Fraction("p/q")
+        *((text, Fraction(text)) for text in ("+3/4", "03/004", "-0/5", "6/4", " 7/2 "))])
     def test_parse_rational_keeps_integers_fractions_and_decimals(self, text, value):
         assert _parse_rational(text, "x") == value
+
+    @pytest.mark.parametrize("text, reason", [("1/0", "Fraction(1, 0)"),
+                                              ("-1/0", "Fraction(-1, 0)")])
+    def test_parse_rational_refuses_a_zero_denominator(self, text, reason):
+        with pytest.raises(SpecParseError) as exc:
+            _parse_rational(text, "x")
+        assert str(exc.value) == f"x: bad rational {text!r}: {reason}"
 
     @pytest.mark.parametrize("text, value", [
         ("1_000", None), (" 1/2 ", Fraction(1, 2)), ("١", None), ("0.25", Fraction(1, 4)),

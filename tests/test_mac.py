@@ -15,12 +15,14 @@ from tmh.mac import (
     _certified_collar_widths,
     _collar_bounds,
     _l1,
+    _offset_rows,
     embedding_chart,
     freeness_check,
     kernel_data,
 )
 from tmh.polytope import _Dictionary, build_polytope, build_with_holes, polygon_from_vertices
 
+from counting import count_calls
 from golden_corpus import SPECS
 from matrices import mul_vector
 from oracles import (
@@ -382,7 +384,7 @@ class TestCollarBounds:
     def check(body, thresholds):
         """Checks the bounds of every hole; returns the number of holes whose
         least bound no primal point proves, so that the LPs run."""
-        bounds = list(_collar_bounds(body))
+        bounds = list(_collar_bounds(body, _offset_rows(body)))
         assert len(bounds) == len(thresholds) == body.hole_count
         unproved = 0
         for (_, below, proved), exact in zip(bounds, thresholds):
@@ -393,7 +395,7 @@ class TestCollarBounds:
             # the width rounds to a power of two, so check the threshold itself
             assert proved is None or proved == min(below) == min(exact), (proved, exact)
             unproved += proved is None
-        widths = _certified_collar_widths(body)
+        widths = _certified_collar_widths(body, _offset_rows(body))
         assert widths == collar_widths_by_lps(body, thresholds)
         return unproved
 
@@ -411,7 +413,8 @@ class TestCollarBounds:
     def test_tight_bounds_on_the_near_touching_holes(self):
         # the other hole's separating facet gives the gap itself
         for e in (3, 30, 300):
-            bounds = list(_collar_bounds(_near_touching(e)))
+            body = _near_touching(e)
+            bounds = list(_collar_bounds(body, _offset_rows(body)))
             assert [F(*b[-1]) for _, b, _ in bounds] == [F(1, 10**e)] * 2
 
     @pytest.mark.parametrize("name", ["fibersum_64_31", "fibersum_128_128", "octagon_8_holes"])
@@ -426,7 +429,7 @@ class TestCollarBounds:
 
         body = _pinned(name)
         monkeypatch.setattr(_Dictionary, "least", counted)
-        _certified_collar_widths(body)
+        _certified_collar_widths(body, _offset_rows(body))
         assert len(calls) == 0
 
 
@@ -461,6 +464,21 @@ class TestKernelData:
     def test_requires_validation(self):
         with pytest.raises(NotValidatedError):
             kernel_data(cp2_triangle())
+
+    def test_one_hermite_pass_on_the_last_facets(self, monkeypatch):
+        # polygon_128's last two facets meet, so its vertex basis [I | X] is already
+        # the Hermite form; a prism's last two facets, its caps, are parallel
+        pair = parse_spec(str(SPECS / "polygon_128.json")).to_pair()
+        validate(pair)
+        rng = random.Random(53)  # the prisms of TestKernelAgreement
+        prisms = [prism_pair(rng, sides) for sides in (3, 4, 5, 6, 8, 12)]
+        calls = count_calls(monkeypatch, ["_row_hnf"])
+        counts = []
+        for p in [pair, *prisms]:
+            calls.clear()
+            kernel_data(p)
+            counts.append(calls["_row_hnf"])
+        assert counts == [1] + [2] * len(prisms)
 
 
 def prism_pair(rng, sides):
