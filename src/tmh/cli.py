@@ -57,6 +57,7 @@ def _reject_float(text):
 
 # "p/q", read as Fraction(int(p), int(q)): the value and error text of Fraction("p/q")
 _RATIO = re.compile(r"\s*([-+]?\d+)/(\d+)\s*", re.ASCII)
+_EXPONENT = re.compile(r"\s*[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+\s*", re.ASCII)
 
 
 def _parse_rational(value, where: str, *args) -> Fraction:
@@ -71,11 +72,11 @@ def _parse_rational(value, where: str, *args) -> Fraction:
         ratio = _RATIO.fullmatch(value)
         if ratio is None:
             # Fraction also reads exponents, and 1e10000000 takes seconds to expand
-            if "e" in value or "E" in value:
+            if _EXPONENT.fullmatch(value):
                 raise SpecParseError(f"{where.format(*args)}: bad rational {value!r}: "
                                      "exponents are not allowed")
             # Fraction takes "_" digit groups from 3.11 on and non-ASCII digits on all versions
-            if not re.fullmatch(r"\s*[-+]?(\d+/\d+|\d*\.?\d*)\s*", value, re.ASCII):
+            if not re.fullmatch(r"\s*[-+]?\d*\.?\d*\s*", value, re.ASCII):
                 raise SpecParseError(f"{where.format(*args)}: bad rational {value!r}: "
                                      "expected p/q or a decimal")
         try:

@@ -1,26 +1,25 @@
 """Dimension-4 invariants: homology with its CW cell counts, intersection
 forms, Chern numbers and structure obstruction flags.
 
-All of this applies to pairs over 2-dimensional bodies.  One routine gives
-the intersection form of a body with at most one hole, on an explicit
-generator list: the outer characteristic spheres minus the last two, and
-with one hole the two circle-factor spheres over the segment joining the
-closest outer/hole vertex pair and the hole's characteristic spheres.  With
-no hole only the outer (quasitoric) block remains.  Entries are obtained by
-localizing intersections at vertices; self-intersections are in closed
-form, from the linear relations satisfied by the characteristic classes of
-each quasitoric block.  At each end of the segment, the coefficients of
-(1,0) and (0,1) in the basis of the first and last lambda there are the
-edge covectors mu = L_v^-1 that the end vertex's kept frame holds
-(tmh.charpair).  The form's signature is chi_1 of the genus, and the
-report checks the form's determinant against it.
+All of this applies to pairs over 2-dimensional bodies.  One routine gives the
+intersection form of a body with at most one hole, on an explicit generator
+list: the outer characteristic spheres minus the last two, and with one hole
+the two circle-factor spheres over the segment joining the closest outer/hole
+vertex pair (on the body's integer vertex rows, tmh.polytope) and the hole's
+characteristic spheres.  With no hole only the outer (quasitoric) block
+remains.  Entries are obtained by localizing intersections at vertices;
+self-intersections are in closed form, from the linear relations satisfied by
+the characteristic classes of each quasitoric block.  At each end of the
+segment, the coefficients of (1,0) and (0,1) in the basis of the first and last
+lambda there are the edge covectors mu = L_v^-1 that the end vertex's kept
+frame holds (tmh.charpair).  The form's signature is chi_1 of the genus, and
+the report checks the form's determinant against it.
 """
 
 from __future__ import annotations
 
 from .charpair import CharacteristicPair, all_signs, is_positive_omniorientation, vertex_frame
 from .errors import DimensionError, InternalError, ScopeError
-from .exactlin import _integer_row
 from .genus import chi_y
 from .value import Value
 
@@ -132,15 +131,12 @@ def _component_pairing(pair: CharacteristicPair, comp_index: int,
 
 
 def _closest_vertex_pair(body):
-    """Outer/hole local vertex ids minimizing (squared distance, outer point,
-    hole point).  The points are lifted once to integers X / d over one
-    common denominator d > 0, which keeps that order."""
-    outer, hole = body.outer.vertices, body.holes[0].vertices
-    *flat, _ = _integer_row([c for v in (*outer, *hole) for c in v.point] + [1])
-    xs = list(zip(flat[::2], flat[1::2]))
-    return min(((a - c) ** 2 + (b - e) ** 2, (a, b), (c, e), vi, ui)
-               for vi, (a, b) in enumerate(xs[:len(outer)])
-               for ui, (c, e) in enumerate(xs[len(outer):]))[3:]
+    """Outer/hole local vertex ids minimizing (squared distance, outer point, hole
+    point) on the body's vertex rows (a, b, d) and (c, f, e): d, e > 0 are fixed,
+    so (a e - c d)^2 + (b e - f d)^2, (d e)^2 times it, keeps that order."""
+    (_, outer, _), (_, hole, _) = body.integer_rows()[:2]
+    return min(((a * e - c * d) ** 2 + (b * e - f * d) ** 2, (a, b), (c, f), vi, ui)
+               for vi, (a, b, d) in enumerate(outer) for ui, (c, f, e) in enumerate(hole))[3:]
 
 
 def intersection_form(pair: CharacteristicPair) -> IntersectionData:

@@ -11,8 +11,9 @@ or another hole, so that distinct facets never share a zero locus: the
 hole's least dual bound, where a primal point at it proves it (in practice
 for nearly every hole), else one exact LP (tmh.polytope) per obstacle whose
 bound is below the least threshold found.  Bounds, primal points, ratio
-tests, the padding constants and a point's coordinates run in integers; the
-chart keeps its integer data, so evaluating a point lifts only the point.
+tests, the padding constants and a point's coordinates run in integers, on
+the integer rows that the body keeps (tmh.polytope), so building the chart
+lifts nothing and evaluating a point lifts only the point.
 """
 
 from __future__ import annotations
@@ -41,70 +42,62 @@ def _least(ratios) -> int:
     return low
 
 
-def _offset_rows(body: PolytopeWithHoles) -> tuple:
-    """Per component its facet normals, its offsets P / q as the integers P, and q."""
-    lifts = [_integer_row([*(h.offset for h in c.halfspaces), 1]) for c in body.components]
-    return tuple((tuple(h.normal for h in c.halfspaces), tuple(r[:-1]), r[-1])
-                 for c, r in zip(body.components, lifts))
-
-
-def _collar_bounds(body: PolytopeWithHoles, rows):
+def _collar_bounds(body: PolytopeWithHoles):
     """Yields, per hole, half its least l1-weighted clearance from the outer facets, a
-    lower bound (T, D), D > 0, on each obstacle's threshold T / D, outer facets first, and
-    the least bound if a primal point proves it the threshold, else None.  The collar of
-    width t has the vertex v - t Y / e, N_v Y = e l1_v over the normals at v (Cramer's
-    rule).  For v least on an outer facet a.x >= c, a = N_v^T mu, mu >= 0, is dual
-    feasible, so its threshold is at least (a.v - c) e / a.Y (weak duality, Chvatal 1983),
-    reached at that collar vertex.  Another hole O is at least max over the hole's facets
-    f of (offset - max_O n.u) / l1 away, reached at O's vertex farthest along f."""
-    dim, outer, (_, cs, q0) = body.dim, body.outer.halfspaces, rows[0]  # outer offsets C / q0
-    lifts = [_integer_row([*(c for v in hole.vertices for c in v.point), 1]) for hole in body.holes]
-    lifted = [(list(zip(*[iter(r[:-1])] * dim)), r[-1]) for r in lifts]  # X / d
-    for k, (hole, (xs, d), (normals, ps, q)) in enumerate(zip(body.holes, lifted, rows[1:])):
-        drifts, gaps, bounds, points = {}, [], [], []
-        for h, c in zip(outer, cs):
-            ax = [sum(map(mul, h.normal, x)) for x in xs]
-            if (i := ax.index(min(ax))) not in drifts:  # Y and e > 0 at a least vertex
-                nv = [normals[f] for f in sorted(hole.vertices[i].facets)]
+    lower bound (T, D), D > 0, on each obstacle's threshold T / D, outer facets first, the
+    least bound if a primal point proves it the threshold, else None, and that point as a
+    row (X, w), w > 0, on the body's integer rows.  The collar of width t has the vertex
+    v - t Y / e, N_v Y = e l1_v over the normals at v (Cramer's rule).  For v least on an
+    outer facet a.x >= c, gap = row . (X, d), a = N_v^T mu, mu >= 0, is dual feasible, so
+    its threshold is at least (a.v - c) e / a.Y (weak duality, Chvatal 1983), reached at
+    that collar vertex.  Another hole O is at least max over the hole's facets f of
+    -max_O row_f . (U, e) / (q e l1) away, reached at O's vertex farthest along f."""
+    dim, outer, ((rows0, _, q0), *lifts) = body.dim, body.outer.halfspaces, body.integer_rows()
+    for k, (hole, (rows, xs, q)) in enumerate(zip(body.holes, lifts)):
+        d, drifts, gaps, bounds, points = xs[0][-1], {}, [], [], []
+        for h, row in zip(outer, rows0):
+            ax = [sum(map(mul, row, x)) for x in xs]  # a.v - c = gap / (d q0)
+            if (i := ax.index(gap := min(ax))) not in drifts:  # Y and e > 0 at a least vertex
+                nv = [hole.halfspaces[f].normal for f in sorted(hole.vertices[i].facets)]
                 ys, e = [det_exact([(*a[:j], _l1(a), *a[j + 1:]) for a in nv])
                          for j in range(dim)], det_exact(nv)
                 drifts[i] = (ys, e) if e > 0 else ([-y for y in ys], -e)
-            (ys, e), gap = drifts[i], ax[i] * q0 - c * d  # a.v - c = gap / (d q0)
+            ys, e = drifts[i]
             r = sum(map(mul, h.normal, ys))  # r / e = mu . l1_v > 0
             gaps.append((gap, _l1(h.normal)))
             bounds.append((gap * e, d * q0 * r))
             points.append((xs[i], ys, gap, r))
-        for us, du in lifted[:k] + lifted[k + 1:]:  # -(offset - max_O n.u) q du, by l1
-            far = [(q * max(sum(map(mul, n, u)) for u in us) - p * du, _l1(n))
-                   for n, p in zip(normals, ps)]
+        for _, us, _ in lifts[:k] + lifts[k + 1:]:
+            far = [(max(sum(map(mul, row, u)) for u in us), _l1(h.normal))
+                   for h, row in zip(hole.halfspaces, rows)]
             f = _least(far)
-            bounds.append((-far[f][0], q * du * far[f][1]))
-            points.append((normals[f], us, du))
+            bounds.append((-far[f][0], q * us[0][-1] * far[f][1]))
+            points.append((rows[f], us))
         t, s = bounds[least := _least(bounds)]
         if least < len(outer):  # v - t Y / e = (X q0 r - gap Y) / (d q0 r)
             v, ys, gap, r = points[least]
-            x, w = [a * q0 * r - gap * y for a, y in zip(v, ys)], d * q0 * r
+            x = tuple(c * q0 * r - gap * y for c, y in zip(v, (*ys, 0)))
         else:
-            n, us, w = points[least]
-            x = max(us, key=lambda u: sum(map(mul, n, u)))
-        # violation(X / w) <= T / D: (P w - q n.X) D <= q w l1 T on every hole facet
-        proved = all((p * w - q * sum(map(mul, n, x))) * s <= q * w * _l1(n) * t
-                     for n, p in zip(normals, ps))
+            row, us = points[least]
+            x = max(us, key=lambda u: sum(map(mul, row, u)))
+        # violation(X / w) <= T / D: -row . (X, w) D <= q w l1 T on every hole facet
+        proved = all(-sum(map(mul, row, x)) * s <= q * x[-1] * _l1(h.normal) * t
+                     for h, row in zip(hole.halfspaces, rows))
         gap, l1 = gaps[_least(gaps)]
-        yield Fraction(gap, 2 * d * q0 * l1), bounds, Fraction(t, s) if proved else None
+        yield Fraction(gap, 2 * d * q0 * l1), bounds, Fraction(t, s) if proved else None, x
 
 
-def _certified_collar_widths(body: PolytopeWithHoles, rows) -> tuple[Fraction, ...]:
+def _certified_collar_widths(body: PolytopeWithHoles) -> tuple[Fraction, ...]:
     """A positive collar width per hole: half its clearance from the outer
     facets, halved below the threshold where the collar {violation <= width}
     meets an obstacle (an outer facet's closed complement, or another hole):
     the least t with violation(x) <= t at some x in one: the least bound if its
     primal point proves it, else by an LP in (x, t) per obstacle, run in the order
     of their bounds until a bound reaches the least t.  It is positive, as the
-    closed holes are disjoint and interior.  rows are the components' _offset_rows."""
+    closed holes are disjoint and interior."""
     widths = []
-    for k, (hole, (guess, bounds, threshold)) in enumerate(zip(body.holes,
-                                                                _collar_bounds(body, rows))):
+    for k, (hole, (guess, bounds, threshold, _)) in enumerate(zip(body.holes,
+                                                                   _collar_bounds(body))):
         if threshold is None:
             outside = [[((*(-c for c in h.normal), 0), -h.offset)] for h in body.outer.halfspaces]
             inside = [[((*h.normal, 0), h.offset) for h in o.halfspaces] for o in body.holes]
@@ -122,18 +115,17 @@ def _certified_collar_widths(body: PolytopeWithHoles, rows) -> tuple[Fraction, .
 
 
 class EmbeddingChart(Value):
-    """Evaluator for the facet coordinate functions d_1 ... d_m.  It keeps per component the
-    facet normals and the offsets P / q over their lcm q (rows, lifted unless given), per
-    hole each facet's l1 weight and the width w_n / w_d, and each padding constant (c_n, c_d)."""
+    """Evaluator for the facet coordinate functions d_1 ... d_m.  It reads the body's facet
+    rows (PolytopeWithHoles.integer_rows) and keeps per hole each facet's l1 weight and the
+    width w_n / w_d, and each padding constant (c_n, c_d)."""
 
     # hole_constants: the padding constant per hole facet, in global order
-    __slots__ = ("body", "collar_widths", "hole_constants", "_rows", "_holes", "_constants")
+    __slots__ = ("body", "collar_widths", "hole_constants", "_holes", "_constants")
 
-    def __init__(self, body: PolytopeWithHoles, collar_widths, hole_constants, rows=None):
+    def __init__(self, body: PolytopeWithHoles, collar_widths, hole_constants):
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "collar_widths", collar_widths)
         object.__setattr__(self, "hole_constants", hole_constants)
-        object.__setattr__(self, "_rows", _offset_rows(body) if rows is None else rows)
         object.__setattr__(self, "_holes", tuple(
             (tuple(_l1(h.normal) for h in hole.halfspaces), w.numerator, w.denominator)
             for hole, w in zip(body.holes, collar_widths)))
@@ -142,14 +134,14 @@ class EmbeddingChart(Value):
 
     def evaluate(self, point) -> RatVector:
         """The facet coordinates (d_1(x), ..., d_m(x)), one Fraction each: x = X / d, the
-        one lift per call, and h(x) = V / (d q) in integers from the chart's kept rows."""
+        one lift per call, and h(x) = V / (d q), V = row . (X, d), from the body's rows."""
         point = rat_vector(point)
         if len(point) != self.body.dim:
             raise DimensionError(f"point needs {self.body.dim} coordinates, got {len(point)}")
-        *x, d = _integer_row([*point, 1])
+        x = _integer_row([*point, 1])
         # per component, its facet values V and their denominator d q
-        values = [([sum(map(mul, a, x)) * q - o * d for a, o in zip(normals, offsets)], d * q)
-                  for normals, offsets, q in self._rows]
+        values = [([sum(map(mul, row, x)) for row in rows], x[-1] * q)
+                  for rows, _, q in self.body.integer_rows()]
         if min(values[0][0]) < 0:
             raise DomainError(f"point {tuple(map(str, point))} is outside the outer body")
         p_hole = []  # the hole coordinates max(0, 1 - depth / width)
@@ -178,18 +170,15 @@ class EmbeddingChart(Value):
 
 
 def embedding_chart(pair: CharacteristicPair) -> EmbeddingChart:
-    body, rows = pair.body, _offset_rows(pair.body)  # the offsets lifted once per chart
-    widths = _certified_collar_widths(body, rows)
-    *row, d = _integer_row([*(c for v in body.outer.vertices for c in v.point), 1])
-    xs = list(zip(*[iter(row)] * body.dim))  # the outer vertices as X / d
-    constants = []
-    for hole, w in zip(body.holes, widths):
+    body, constants = pair.body, []
+    widths = _certified_collar_widths(body)
+    (_, xs, _), *lifts = body.integer_rows()  # the outer vertices as (X, d)
+    for hole, (rows, _, q), w in zip(body.holes, lifts, widths):
         # keep the padded functional positive away from the hole boundary
-        for h in hole.halfspaces:
-            low = Fraction(min(sum(map(mul, h.normal, x)) for x in xs) * h.offset.denominator
-                           - h.offset.numerator * d, d * h.offset.denominator)
+        for h, row in zip(hole.halfspaces, rows):
+            low = Fraction(min(sum(map(mul, row, x)) for x in xs), xs[0][-1] * q)
             constants.append(w * _l1(h.normal) + max(Fraction(0), -low) + 1)
-    return EmbeddingChart(body, widths, tuple(constants), rows)
+    return EmbeddingChart(body, widths, tuple(constants))
 
 
 # ---------------------------------------------------------------------------

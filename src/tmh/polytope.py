@@ -9,7 +9,8 @@ read off its lines in angle order unless that fails; then the walk raises,
 in the order empty, unbounded, not simple, redundant.  Two vertices are
 adjacent exactly when they share all but one facet.
 Polygons are read off their vertex cycle over one common denominator.  A
-facet of one hole negative at every vertex of another separates them; two
+body with holes lifts each component to integer rows once, when it is made.
+A facet of one hole negative at every vertex of another separates them; two
 disjoint polygons always have one, so only a pair of 3D holes with no such
 facet takes an LP.  Every test runs in integers, and every decision is exact.
 """
@@ -306,43 +307,44 @@ class GlobalVertex(Value):
     __slots__ = ("gid", "component", "point", "facets")
 
 
-def _disjoint(dim, rows, points, a, b) -> bool:
-    """Whether closed components a and b (facet rows rows[c], vertex rows points[c])
+def _disjoint(dim, a, b) -> bool:
+    """Whether closed components with integer rows a and b (PolytopeWithHoles.integer_rows)
     are disjoint: a facet row of one negative at every vertex row of the other, which two
     disjoint polygons always have (every edge of a - b is one of a or b), or in 3D one LP."""
-    separated = any(all(sum(map(mul, row, x)) < 0 for x in points[j])
-                    for i, j in ((a, b), (b, a)) for row in rows[i])
-    return separated or (dim > 2 and not feasible(dim, [(r[:-1], -r[-1])
-                                                        for r in rows[a] + rows[b]]))
+    separated = any(all(sum(map(mul, row, x)) < 0 for x in there[1])
+                    for here, there in ((a, b), (b, a)) for row in here[0])
+    return separated or (dim > 2 and not feasible(dim, [(r[:-1], -r[-1]) for r in a[0] + b[0]]))
 
 
 class PolytopeWithHoles(Value):
     """Outer simple polytope minus the open interiors of hole polytopes,
     which must lie strictly inside it and be pairwise disjoint.  Ids run outer
     first, then by hole: local facet f of component c is global facet_offsets[c]
-    + f, local vertex v is vertex_offsets[c] + v, and global_vertices()[gid]
-    gives a vertex's component and global facet ids."""
+    + f, local vertex v is vertex_offsets[c] + v, global_vertices()[gid] gives a
+    vertex's component and global facet ids, and integer_rows() each component's
+    integer rows, lifted once here; the containment and disjointness checks, the
+    embedding chart and the closest-pair search read those rows."""
 
-    __slots__ = ("components", "facet_offsets", "vertex_offsets", "_vertex_table")
+    __slots__ = ("components", "facet_offsets", "vertex_offsets", "_vertex_table", "_lifts")
 
     def __init__(self, components: tuple[SimplePolytope, ...]):
         outer, holes = components[0], components[1:]
-        # h.value(x) > 0 in integers: row . (X, d) > 0 with x = X / d, d > 0 and offset p / q;
-        # the outer rows once there is a hole, the hole rows once two may meet
-        rows = [[[*(a * h.offset.denominator for a in h.normal), -h.offset.numerator]
-                 for h in c.halfspaces]
-                for c in (components if len(holes) > 1 else components[:len(holes)])]
-        points = [[], *([_integer_row([*v.point, 1]) for v in c.vertices] for c in holes)]
+        lifts = []
+        for c in components:  # h.value(X / d) > 0 iff row . (X, d) > 0, as d q > 0
+            *ps, q = _integer_row([*(h.offset for h in c.halfspaces), 1])
+            *xs, d = _integer_row([*(x for v in c.vertices for x in v.point), 1])
+            rows = tuple((*(a * q for a in h.normal), -p) for h, p in zip(c.halfspaces, ps))
+            lifts.append((rows, tuple((*x, d) for x in zip(*[iter(xs)] * c.dim)), q))
         for k, hole in enumerate(holes, start=1):
             if hole.dim != outer.dim:
                 raise DimensionError(f"hole {k} has dimension {hole.dim} != {outer.dim}")
-            for v, point in zip(hole.vertices, points[k]):
-                if not all(sum(map(mul, row, point)) > 0 for row in rows[0]):
+            for v, point in zip(hole.vertices, lifts[k][1]):
+                if not all(sum(map(mul, row, point)) > 0 for row in lifts[0][0]):
                     raise ContainmentError(
                         f"hole {k} vertex {tuple(map(str, v.point))} is not in the "
                         "strict interior of the outer polytope")
         for a, b in itertools.combinations(range(1, len(components)), 2):
-            if not _disjoint(outer.dim, rows, points, a, b):
+            if not _disjoint(outer.dim, lifts[a], lifts[b]):
                 raise DisjointnessError(f"holes {a} and {b} intersect")
         fo = (0, *itertools.accumulate(c.facet_count for c in components))
         vo = (0, *itertools.accumulate(c.vertex_count for c in components))
@@ -352,6 +354,7 @@ class PolytopeWithHoles(Value):
         object.__setattr__(self, "_vertex_table", tuple(
             GlobalVertex(vo[ci] + li, ci, v.point, frozenset(fo[ci] + f for f in v.facets))
             for ci, comp in enumerate(components) for li, v in enumerate(comp.vertices)))
+        object.__setattr__(self, "_lifts", tuple(lifts))
 
     def __reduce__(self):
         return PolytopeWithHoles, (self.components,)
@@ -383,6 +386,11 @@ class PolytopeWithHoles(Value):
     def global_vertices(self) -> tuple[GlobalVertex, ...]:
         """Every vertex of every component, in global vertex order."""
         return self._vertex_table
+
+    def integer_rows(self) -> tuple:
+        """Per component its facet rows (N q | -P) over one q > 0, its vertex rows
+        (X | d) over one d > 0, and q: row . (X, d) / (d q) is h.value(X / d)."""
+        return self._lifts
 
 
 def build_with_holes(outer: SimplePolytope, holes) -> PolytopeWithHoles:

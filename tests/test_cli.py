@@ -395,11 +395,18 @@ class TestArgumentErrors:
         ("--point[0]", "-125e-3"),
         ("--point[0]", "1e10000000"),
         ("--scale", "1e-1"),
+        # an e that is no decimal exponent is no number either
+        ("outer.halfspaces[2].offset", "hello"),
+        ("outer.vertices[0][1]", "none"),
+        ("--point[0]", "e"),
+        ("--scale", "1.5e"),
     ])
     def test_exponent_exit_1(self, pentagon_file, tmp_path, capsys, where, value):
         # Fraction reads exponents: an offset of -1e100000 made the report
         # fail while printing a 100,001-digit vertex coordinate, and
         # expanding 1e10000000 alone takes seconds
+        reason = ("expected p/q or a decimal" if value in ("hello", "none", "e", "1.5e")
+                  else "exponents are not allowed")
         out_path = tmp_path / "sum.json"
         if where == "outer.halfspaces[2].offset":
             doc = cp2_spec_dict()
@@ -414,8 +421,7 @@ class TestArgumentErrors:
         else:
             argv = ["fibersum", pentagon_file, pentagon_file, "-o", str(out_path),
                     f"--scale={value}"]
-        self.assert_rejected(capsys, argv, 1,
-                             f"{where}: bad rational {value!r}: exponents are not allowed")
+        self.assert_rejected(capsys, argv, 1, f"{where}: bad rational {value!r}: {reason}")
         assert not out_path.exists()
 
     @pytest.mark.parametrize("text, value", [
@@ -743,9 +749,9 @@ class TestFiberSum:
         base, piece = parse_spec_dict(spec), parse_spec_dict(cp2_spec_dict())
         pairs, lps, disjoint, feasible = [], [], polytope._disjoint, polytope.feasible
 
-        def counted_pair(dim, rows, points, a, b):
-            pairs.append((len(rows[a]), len(rows[b])))
-            return disjoint(dim, rows, points, a, b)
+        def counted_pair(dim, a, b):
+            pairs.append((len(a[0]), len(b[0])))
+            return disjoint(dim, a, b)
 
         def counted_lp(dim, rows):
             lps.append(len(rows))

@@ -4,6 +4,7 @@ import pickle
 import random
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -15,7 +16,6 @@ from tmh.mac import (
     _certified_collar_widths,
     _collar_bounds,
     _l1,
-    _offset_rows,
     embedding_chart,
     freeness_check,
     kernel_data,
@@ -269,7 +269,7 @@ class TestIntegerEvaluation:
             for dup in (copy.copy(chart), copy.deepcopy(chart), pickle.loads(pickle.dumps(chart))):
                 assert dup == chart and hash(dup) == hash(chart) and repr(dup) == repr(chart)
                 assert repr(dup).startswith("EmbeddingChart(body=")
-                for slot in ("_rows", "_holes", "_constants"):
+                for slot in ("_holes", "_constants"):
                     assert type(getattr(dup, slot)) is tuple
                     assert getattr(dup, slot) == getattr(chart, slot)
                 assert [outcome(dup, p) for p in points] == want
@@ -375,6 +375,45 @@ def _seeded_bodies():
     return bodies + [_near_touching(e) for e in (3, 30)]
 
 
+class TestKeptRows:
+    """A body lifts each component to integer rows once, when it is made; the
+    chart, its collar widths and the closest-pair search read those rows."""
+
+    @staticmethod
+    def check(body):
+        lifts = body.integer_rows()
+        assert type(lifts) is tuple and len(lifts) == len(body.components)
+        for comp, (rows, xs, q) in zip(body.components, lifts):
+            assert q > 0 and len(rows) == comp.facet_count and len(xs) == comp.vertex_count
+            assert all(x[-1] == xs[0][-1] > 0 for x in xs)  # one d per component
+            for v, x in zip(comp.vertices, xs):
+                assert tuple(F(c, x[-1]) for c in x[:-1]) == v.point
+                assert ([F(sum(map(mul, row, x)), x[-1] * q) for row in rows]
+                        == [h.value(v.point) for h in comp.halfspaces])
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.json")))
+    def test_golden_bodies(self, name):
+        self.check(_pinned(name))
+
+    def test_seeded_bodies(self):
+        for body in _seeded_bodies():
+            self.check(body)
+
+    def test_copies_rebuild_equal_rows(self):
+        for body in [_pinned("octagon_8_holes"), *_seeded_bodies()]:
+            for dup in (copy.copy(body), copy.deepcopy(body), pickle.loads(pickle.dumps(body))):
+                assert dup == body and dup.integer_rows() is not body.integer_rows()
+                assert dup.integer_rows() == body.integer_rows()
+
+    @pytest.mark.parametrize("name", ["octagon_8_holes", "fibersum_128_128", "square_in_square"])
+    def test_no_lift_per_chart(self, name, monkeypatch):
+        # building the chart reads the body's rows: no offset, vertex or point is lifted
+        pair = parse_spec(str(SPECS / f"{name}.json")).to_pair()
+        calls = count_calls(monkeypatch, ["_integer_row"])
+        embedding_chart(pair)
+        assert calls["_integer_row"] == 0
+
+
 class TestCollarBounds:
     """Each obstacle's dual lower bound is at most its LP threshold, a primal
     point that proves the least bound makes it the least threshold, and
@@ -382,20 +421,33 @@ class TestCollarBounds:
 
     @staticmethod
     def check(body, thresholds):
-        """Checks the bounds of every hole; returns the number of holes whose
-        least bound no primal point proves, so that the LPs run."""
-        bounds = list(_collar_bounds(body, _offset_rows(body)))
+        """Checks the bounds of every hole and the primal point each checked; returns
+        the number of holes whose least bound no primal point proves, so that the LPs run."""
+        bounds = list(_collar_bounds(body))
         assert len(bounds) == len(thresholds) == body.hole_count
+        (outer_rows, _, _), *lifts = body.integer_rows()
         unproved = 0
-        for (_, below, proved), exact in zip(bounds, thresholds):
+        for k, ((_, below, proved, x), exact) in enumerate(zip(bounds, thresholds)):
             assert len(below) == len(exact) == body.outer.facet_count + body.hole_count - 1
             assert all(s > 0 for _, s in below)
             below = [F(t, s) for t, s in below]
             assert all(b <= t for b, t in zip(below, exact)), (below, exact)
+            # the point (X, w) lies on the least bound's obstacle: the outer facet
+            # itself, or a vertex of the other hole
+            least, outer_count = below.index(min(below)), body.outer.facet_count
+            assert x[-1] > 0
+            if least < outer_count:
+                assert sum(map(mul, outer_rows[least], x)) == 0
+            else:
+                assert x in (lifts[:k] + lifts[k + 1:])[least - outer_count][1]
             # the width rounds to a power of two, so check the threshold itself
             assert proved is None or proved == min(below) == min(exact), (proved, exact)
+            if proved is not None:
+                point = [F(c, x[-1]) for c in x[:-1]]
+                assert max(-h.value(point) / _l1(h.normal)
+                           for h in body.holes[k].halfspaces) <= proved
             unproved += proved is None
-        widths = _certified_collar_widths(body, _offset_rows(body))
+        widths = _certified_collar_widths(body)
         assert widths == collar_widths_by_lps(body, thresholds)
         return unproved
 
@@ -414,8 +466,8 @@ class TestCollarBounds:
         # the other hole's separating facet gives the gap itself
         for e in (3, 30, 300):
             body = _near_touching(e)
-            bounds = list(_collar_bounds(body, _offset_rows(body)))
-            assert [F(*b[-1]) for _, b, _ in bounds] == [F(1, 10**e)] * 2
+            bounds = list(_collar_bounds(body))
+            assert [F(*b[-1]) for _, b, _, _ in bounds] == [F(1, 10**e)] * 2
 
     @pytest.mark.parametrize("name", ["fibersum_64_31", "fibersum_128_128", "octagon_8_holes"])
     def test_one_lp_per_hole(self, name, monkeypatch):
@@ -429,7 +481,7 @@ class TestCollarBounds:
 
         body = _pinned(name)
         monkeypatch.setattr(_Dictionary, "least", counted)
-        _certified_collar_widths(body, _offset_rows(body))
+        _certified_collar_widths(body)
         assert len(calls) == 0
 
 
