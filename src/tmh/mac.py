@@ -56,8 +56,9 @@ def _collar_bounds(body: PolytopeWithHoles):
     for k, (hole, (rows, xs, q)) in enumerate(zip(body.holes, lifts)):
         d, drifts, gaps, bounds, points = xs[0][-1], {}, [], [], []
         for h, row in zip(outer, rows0):
-            ax = [sum(map(mul, row, x)) for x in xs]  # a.v - c = gap / (d q0)
-            if (i := ax.index(gap := min(ax))) not in drifts:  # Y and e > 0 at a least vertex
+            ax = [sum(map(mul, h.normal, x)) for x in xs]  # n . X on the bare normal
+            gap = (low := min(ax)) * q0 + row[-1] * d  # row . (X, d) = (a.v - c) d q0, q0 > 0
+            if (i := ax.index(low)) not in drifts:  # Y and e > 0 at a least vertex
                 nv = [hole.halfspaces[f].normal for f in sorted(hole.vertices[i].facets)]
                 ys, e = [det_exact([(*a[:j], _l1(a), *a[j + 1:]) for a in nv])
                          for j in range(dim)], det_exact(nv)
@@ -173,10 +174,11 @@ def embedding_chart(pair: CharacteristicPair) -> EmbeddingChart:
     body, constants = pair.body, []
     widths = _certified_collar_widths(body)
     (_, xs, _), *lifts = body.integer_rows()  # the outer vertices as (X, d)
+    d = xs[0][-1]  # low is min row . (X, d) / (d q): the least n . X, then the offset once
     for hole, (rows, _, q), w in zip(body.holes, lifts, widths):
         # keep the padded functional positive away from the hole boundary
         for h, row in zip(hole.halfspaces, rows):
-            low = Fraction(min(sum(map(mul, row, x)) for x in xs), xs[0][-1] * q)
+            low = Fraction(q * min(sum(map(mul, h.normal, x)) for x in xs) + row[-1] * d, d * q)
             constants.append(w * _l1(h.normal) + max(Fraction(0), -low) + 1)
     return EmbeddingChart(body, widths, tuple(constants))
 

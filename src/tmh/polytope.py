@@ -9,7 +9,7 @@ read off its lines in angle order unless that fails; then the walk raises,
 in the order empty, unbounded, not simple, redundant.  Two vertices are
 adjacent exactly when they share all but one facet.
 Polygons are read off their vertex cycle over one common denominator.  A
-body with holes lifts each component to integer rows once, when it is made.
+body builds its integer rows and vertex table once, on the first read of each.
 A facet of one hole negative at every vertex of another separates them; two
 disjoint polygons always have one, so only a pair of 3D holes with no such
 facet takes an LP.  Every test runs in integers, and every decision is exact.
@@ -322,19 +322,19 @@ class PolytopeWithHoles(Value):
     first, then by hole: local facet f of component c is global facet_offsets[c]
     + f, local vertex v is vertex_offsets[c] + v, global_vertices()[gid] gives a
     vertex's component and global facet ids, and integer_rows() each component's
-    integer rows, lifted once here; the containment and disjointness checks, the
-    embedding chart and the closest-pair search read those rows."""
+    integer rows, each built on its first call (here only if holes are to be checked);
+    the hole checks, the embedding chart and the closest-pair search read the rows."""
 
     __slots__ = ("components", "facet_offsets", "vertex_offsets", "_vertex_table", "_lifts")
 
     def __init__(self, components: tuple[SimplePolytope, ...]):
         outer, holes = components[0], components[1:]
-        lifts = []
-        for c in components:  # h.value(X / d) > 0 iff row . (X, d) > 0, as d q > 0
-            *ps, q = _integer_row([*(h.offset for h in c.halfspaces), 1])
-            *xs, d = _integer_row([*(x for v in c.vertices for x in v.point), 1])
-            rows = tuple((*(a * q for a in h.normal), -p) for h, p in zip(c.halfspaces, ps))
-            lifts.append((rows, tuple((*x, d) for x in zip(*[iter(xs)] * c.dim)), q))
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "facet_offsets",
+                           (0, *itertools.accumulate(c.facet_count for c in components)))
+        object.__setattr__(self, "vertex_offsets",
+                           (0, *itertools.accumulate(c.vertex_count for c in components)))
+        lifts = self.integer_rows() if holes else ()
         for k, hole in enumerate(holes, start=1):
             if hole.dim != outer.dim:
                 raise DimensionError(f"hole {k} has dimension {hole.dim} != {outer.dim}")
@@ -346,15 +346,6 @@ class PolytopeWithHoles(Value):
         for a, b in itertools.combinations(range(1, len(components)), 2):
             if not _disjoint(outer.dim, lifts[a], lifts[b]):
                 raise DisjointnessError(f"holes {a} and {b} intersect")
-        fo = (0, *itertools.accumulate(c.facet_count for c in components))
-        vo = (0, *itertools.accumulate(c.vertex_count for c in components))
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "facet_offsets", fo)
-        object.__setattr__(self, "vertex_offsets", vo)
-        object.__setattr__(self, "_vertex_table", tuple(
-            GlobalVertex(vo[ci] + li, ci, v.point, frozenset(fo[ci] + f for f in v.facets))
-            for ci, comp in enumerate(components) for li, v in enumerate(comp.vertices)))
-        object.__setattr__(self, "_lifts", tuple(lifts))
 
     def __reduce__(self):
         return PolytopeWithHoles, (self.components,)
@@ -384,13 +375,30 @@ class PolytopeWithHoles(Value):
         return self.vertex_offsets[-1]
 
     def global_vertices(self) -> tuple[GlobalVertex, ...]:
-        """Every vertex of every component, in global vertex order."""
-        return self._vertex_table
+        """Every vertex of every component, in global vertex order, built on the first call."""
+        try:
+            return self._vertex_table
+        except AttributeError:
+            fo, vo = self.facet_offsets, self.vertex_offsets
+            object.__setattr__(self, "_vertex_table", tuple(
+                GlobalVertex(vo[ci] + li, ci, v.point, frozenset(fo[ci] + f for f in v.facets))
+                for ci, comp in enumerate(self.components) for li, v in enumerate(comp.vertices)))
+            return self._vertex_table
 
     def integer_rows(self) -> tuple:
-        """Per component its facet rows (N q | -P) over one q > 0, its vertex rows
-        (X | d) over one d > 0, and q: row . (X, d) / (d q) is h.value(X / d)."""
-        return self._lifts
+        """Per component its facet rows (N q | -P) over one q > 0, its vertex rows (X | d)
+        over one d > 0, and q, lifted on the first call: row . (X, d) / (d q) is h.value(X / d)."""
+        try:
+            return self._lifts
+        except AttributeError:
+            lifts = []
+            for c in self.components:  # h.value(X / d) > 0 iff row . (X, d) > 0, as d q > 0
+                *ps, q = _integer_row([*(h.offset for h in c.halfspaces), 1])
+                *xs, d = _integer_row([*(x for v in c.vertices for x in v.point), 1])
+                rows = tuple((*(a * q for a in h.normal), -p) for h, p in zip(c.halfspaces, ps))
+                lifts.append((rows, tuple((*x, d) for x in zip(*[iter(xs)] * c.dim)), q))
+            object.__setattr__(self, "_lifts", tuple(lifts))
+            return self._lifts
 
 
 def build_with_holes(outer: SimplePolytope, holes) -> PolytopeWithHoles:

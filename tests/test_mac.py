@@ -376,7 +376,7 @@ def _seeded_bodies():
 
 
 class TestKeptRows:
-    """A body lifts each component to integer rows once, when it is made; the
+    """A body lifts each component to integer rows once, on the first read; the
     chart, its collar widths and the closest-pair search read those rows."""
 
     @staticmethod

@@ -1,6 +1,8 @@
+import copy
 import functools
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -34,6 +36,7 @@ from tmh.polytope import (
     polygon_from_vertices,
 )
 
+from counting import count_calls
 from golden_corpus import SPECS
 from instances import (
     cp1xcp1_square,
@@ -212,6 +215,17 @@ class TestBuildWithHoles:
         with pytest.raises(DisjointnessError):
             build_with_holes(box(0, 0, 6, 6), [box(1, 1, 2, 2), box(2, 1, 3, 2)])
 
+    def test_each_hole_is_checked_for_dimension_then_containment(self):
+        # hole 1's containment check runs before hole 2's dimension check
+        outer, far, cube = box(0, 0, 10, 10), box(20, 20, 21, 21), unit_cube()
+        with pytest.raises(ContainmentError) as info:
+            build_with_holes(outer, [far, cube])
+        assert str(info.value) == ("hole 1 vertex ('20', '20') is not in the strict "
+                                   "interior of the outer polytope")
+        with pytest.raises(DimensionError) as info:
+            build_with_holes(outer, [cube, far])
+        assert str(info.value) == "hole 1 has dimension 3 != 2"
+
     def test_contains_points(self):
         body = build_with_holes(box(0, 0, 4, 4), [box(1, 1, 2, 2)])
         assert body_contains(body, (F(1, 2), F(1, 2)))
@@ -372,6 +386,32 @@ class TestGlobalIds:
             assert hash(twin) == hash(body) == hash(
                 (body.components, body.facet_offsets, body.vertex_offsets))
             assert "_vertex_table" not in repr(body)
+
+
+class TestTablesOnFirstRead:
+    """A body builds its integer rows and its global vertex table on the first read:
+    a body without holes that no one reads lifts nothing and builds no table."""
+
+    @pytest.mark.parametrize("name, lifts, table", [("polygon_128", 128, 128),
+                                                     ("prism_98", 197, 192)])
+    def test_built_once_on_first_read(self, name, lifts, table, monkeypatch):
+        calls = count_calls(monkeypatch, ["_integer_row", "GlobalVertex"])
+        body = parse_spec(str(SPECS / f"{name}.json")).body
+        assert (calls["_integer_row"], calls["GlobalVertex"]) == (lifts, 0)
+        calls.clear()
+        rows = body.integer_rows()
+        assert (calls["_integer_row"], calls["GlobalVertex"]) == (2, 0)
+        vertices = body.global_vertices()
+        assert (calls["_integer_row"], calls["GlobalVertex"]) == (2, table)
+        assert body.integer_rows() is rows and body.global_vertices() is vertices
+        assert (calls["_integer_row"], calls["GlobalVertex"]) == (2, table)
+
+    @pytest.mark.parametrize("name", ["polygon_128", "prism_98", "square_in_square"])
+    def test_copies_of_an_unread_body(self, name):
+        body = parse_spec(str(SPECS / f"{name}.json")).body
+        for dup in (copy.copy(body), copy.deepcopy(body), pickle.loads(pickle.dumps(body))):
+            assert dup == body and hash(dup) == hash(body)
+        assert "_vertex_table" not in repr(body) and "_lifts" not in repr(body)
 
 
 # outer offsets over large, pairwise coprime denominators
